@@ -1,8 +1,9 @@
 """Alexander polynomials of torus knots and connected sums.
 
 The closed formula (t^(pq) - 1)(t - 1) / ((t^p - 1)(t^q - 1)) is evaluated
-with exact division, so any arithmetic slip would surface as a hard
-NotDivisible error rather than a wrong polynomial.
+by exact division, one residue class mod q at a time, with its remainder and
+span checked, so any arithmetic slip would surface as an
+InternalInconsistencyError rather than a wrong polynomial.
 """
 
 from knotsurgery import (

@@ -3,8 +3,8 @@
 All behavior is controlled by flags; there are no config files, environment
 switches, or random choices, so every invocation is reproducible byte for
 byte.  Exit codes: 0 success, 1 usage or parse error (including a
-certificate that fails verification), 2 internal inconsistency (a closed
-formula violated one of its own guarantees).
+certificate that fails verification, and exponents outside 64 bits), 2
+internal inconsistency (a closed formula violated one of its guarantees).
 """
 
 from __future__ import annotations
@@ -21,18 +21,12 @@ from .family import (
     certify_unbounded,
     verify_certificate,
 )
-from .knots import (
-    InternalInconsistencyError,
-    KnotParseError,
-    alexander_expr,
-    parse_knot_expr,
-)
+from .knots import InternalInconsistencyError, alexander_expr, parse_knot_expr
 from .laurent import (
     ExponentOverflowError,
     LaurentPoly,
     NotDivisibleError,
     NotSymmetrizableError,
-    PolyParseError,
 )
 from .surgery import LinkFamilyMember, SurgerySpec, sw_specialized, torres_specialize
 
@@ -208,13 +202,13 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.func(args)
-    except (PolyParseError, KnotParseError, ValueError, OSError) as exc:
+    # parse errors are ValueErrors, and every exponent comes from user input
+    except (ValueError, OSError, ExponentOverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (
         NotDivisibleError,
         NotSymmetrizableError,
-        ExponentOverflowError,
         InternalInconsistencyError,
         CapExhaustedError,
     ) as exc:

@@ -141,22 +141,19 @@ class UnboundednessCertificate:
 
     @classmethod
     def from_json_dict(cls, data) -> "UnboundednessCertificate":
-        try:
-            version = data["schema_version"]
-            if version != CERTIFICATE_SCHEMA_VERSION:
-                raise ValueError(f"unsupported certificate schema version {version!r}")
-            target = data["target"]
-            witnesses = tuple(
-                Witness(p=w["p"], lower_bound=w["lower_bound"]) for w in data["witnesses"]
-            )
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"malformed certificate: {exc}") from exc
-        if not isinstance(target, int) or isinstance(target, bool):
-            raise ValueError("certificate target must be an integer")
-        for w in witnesses:
-            if not isinstance(w.p, int) or not isinstance(w.lower_bound, int):
-                raise ValueError("certificate witnesses must carry integers")
-        return cls(target=target, witnesses=witnesses)
+        """Load exactly the documents that certificate.schema.json accepts."""
+        _require_keys(data, {"schema_version", "target", "witnesses"})
+        version, raw = data["schema_version"], data["witnesses"]
+        if isinstance(version, bool) or version != CERTIFICATE_SCHEMA_VERSION:
+            raise ValueError(f"unsupported certificate schema version {version!r}")
+        if not isinstance(raw, list) or not raw:
+            raise ValueError("certificate witnesses must be a nonempty list")
+        for w in raw:
+            _require_keys(w, {"p", "lower_bound"})
+        witnesses = tuple(
+            Witness(_schema_int(w, "p", 1), _schema_int(w, "lower_bound", 0)) for w in raw
+        )
+        return cls(target=_schema_int(data, "target", 0), witnesses=witnesses)
 
     @classmethod
     def from_json(cls, text: str) -> "UnboundednessCertificate":
@@ -165,6 +162,21 @@ class UnboundednessCertificate:
         except json.JSONDecodeError as exc:
             raise ValueError(f"certificate is not valid JSON: {exc}") from exc
         return cls.from_json_dict(data)
+
+
+def _require_keys(data, keys: set[str]) -> None:
+    if not isinstance(data, dict) or data.keys() != keys:
+        raise ValueError(f"malformed certificate: expected an object with keys {sorted(keys)}")
+
+
+def _schema_int(data: dict, key: str, minimum: int) -> int:
+    # a JSON Schema integer is a number with no fractional part, never a boolean
+    value = data[key]
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
+        raise ValueError(f"certificate {key!r} must be an integer >= {minimum}, got {value!r}")
+    return value
 
 
 def analyze_family(

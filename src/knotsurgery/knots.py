@@ -4,10 +4,11 @@ Torus knots use the closed formula
 
     Delta_{T(p,q)}(t) = (t^(p*q) - 1)(t - 1) / ((t^p - 1)(t^q - 1)),
 
-evaluated by exact division and then symmetrized.  Connected sums multiply;
-mirroring is the identity on these invariants (Alexander polynomials cannot
-see chirality), so Mirror nodes exist purely to record how a knot was
-described.
+with the first quotient written down as (t - 1)(1 + t^p + ... + t^((q-1)p))
+and divided by t^q - 1 one residue class mod q at a time, then symmetrized.
+Connected sums multiply; mirroring is the identity on these invariants
+(Alexander polynomials cannot see chirality), so Mirror nodes exist purely
+to record how a knot was described.
 
 Knot expressions have a small text grammar used by the CLI:
 
@@ -21,7 +22,7 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .laurent import LaurentPoly, NotDivisibleError, VariableSet
+from .laurent import INT64_MAX, ExponentOverflowError, LaurentPoly, VariableSet, _from_canonical
 
 __all__ = [
     "InternalInconsistencyError",
@@ -46,7 +47,7 @@ T_VARS = VariableSet("t")
 class InternalInconsistencyError(RuntimeError):
     """A closed formula violated a property it is supposed to guarantee.
 
-    Raised when exact division inside alexander_torus leaves a remainder or
+    Raised when the division inside alexander_torus leaves a remainder or
     the quotient has the wrong span.  Unreachable for valid inputs; seeing it
     means the arithmetic layer has a bug.
     """
@@ -115,22 +116,36 @@ class ConnectedSum(KnotExpr):
     right: KnotExpr
 
 
+def _divide_by_binomial(num: list[tuple[int, int]], q: int) -> dict[tuple[int], int]:
+    # N = Q (t^q - 1) gives Q_e = Q_(e-q) - N_e: per residue class mod q, Q is
+    # a running sum of -N, constant between the class's terms of N (given
+    # ascending), so the cost follows the input and output terms; a class
+    # whose sum is not 0 leaves a remainder
+    state: dict[int, tuple[int, int]] = {}  # class -> (running sum, where it started)
+    terms: dict[tuple[int], int] = {}
+    for e, c in num:
+        running, start = state.get(e % q, (0, e))
+        if running:
+            for x in range(start, e, q):
+                terms[(x,)] = running
+        state[e % q] = (running - c, e)
+    if any(running for running, _ in state.values()):
+        raise InternalInconsistencyError(f"division by t^{q} - 1 left a remainder")
+    return terms
+
+
 @lru_cache(maxsize=None)
 def _torus_quotient(p: int, q: int) -> LaurentPoly:
-    # (t^(pq) - 1)(t - 1) / ((t^p - 1)(t^q - 1)) as an ordinary polynomial.
-    # Divide by one cyclotomic-style factor at a time: both quotients stay
-    # sparse, so the sweep over a whole family is cheap.
-    t = LaurentPoly.var(T_VARS, "t")
+    # (t^(pq) - 1)(t - 1) / ((t^p - 1)(t^q - 1)) as an ordinary polynomial
     if p == 1:
         return LaurentPoly.one(T_VARS)
-    numerator = (t ** (p * q) - 1) * (t - 1)
-    try:
-        partial = numerator.exact_divide(t ** p - 1)
-        quotient = partial.exact_divide(t ** q - 1)
-    except NotDivisibleError as exc:
-        raise InternalInconsistencyError(
-            f"closed formula for T({p},{q}) left a remainder"
-        ) from exc
+    if p * q > INT64_MAX:
+        raise ExponentOverflowError(f"T({p},{q}) needs exponent {p * q} > {INT64_MAX}")
+    # (t - 1)(1 + t^p + ... + t^((q-1)p)), ascending; distinct terms as p >= 2
+    partial: list[tuple[int, int]] = []
+    for e in range(0, q * p, p):
+        partial += ((e, -1), (e + 1, 1))
+    quotient = _from_canonical(T_VARS, _divide_by_binomial(partial, q))
     if quotient.span() != (p - 1) * (q - 1):
         raise InternalInconsistencyError(
             f"T({p},{q}) quotient has span {quotient.span()}, expected {(p - 1) * (q - 1)}"

@@ -72,6 +72,16 @@ def _as_int(value, what: str) -> int:
     return value
 
 
+def _from_canonical(variables: "VariableSet", terms: dict) -> "LaurentPoly":
+    # trusted constructor: the caller guarantees nonzero int coefficients keyed
+    # by exponent tuples of the right width, every exponent already in range
+    poly = object.__new__(LaurentPoly)
+    poly.variables = variables
+    poly._terms = terms
+    poly._hash = None
+    return poly
+
+
 class VariableSet:
     """Ordered collection of distinct variable names.
 
@@ -283,12 +293,12 @@ class LaurentPoly:
                 out[exps] = merged
             else:
                 out.pop(exps, None)
-        return self._wrap(out)
+        return _from_canonical(self.variables, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return self._wrap({exps: -c for exps, c in self._terms.items()})
+        return _from_canonical(self.variables, {exps: -c for exps, c in self._terms.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -319,7 +329,7 @@ class LaurentPoly:
         for exps in out:
             for e in exps:
                 _checked_exponent(e)
-        return self._wrap(out)
+        return _from_canonical(self.variables, out)
 
     __rmul__ = __mul__
 
@@ -336,14 +346,6 @@ class LaurentPoly:
             if k:
                 base = base * base
         return result
-
-    def _wrap(self, canonical_terms: dict[tuple[int, ...], int]) -> "LaurentPoly":
-        # internal fast path: terms are already canonical and validated
-        poly = object.__new__(LaurentPoly)
-        poly.variables = self.variables
-        poly._terms = canonical_terms
-        poly._hash = None
-        return poly
 
     # -- structural operations ----------------------------------------------
 
@@ -385,13 +387,13 @@ class LaurentPoly:
                 for slot, ie in enumerate(image.exps):
                     if ie:
                         acc[slot] += e * ie
-            key = tuple(acc)
+            key = tuple(_checked_exponent(e) for e in acc)
             merged = out.get(key, 0) + coeff
             if merged:
                 out[key] = merged
             else:
                 out.pop(key, None)
-        return LaurentPoly(target, out)
+        return _from_canonical(target, out)
 
     def evaluate_at_one(self, name: str) -> "LaurentPoly":
         """Set one variable to 1: delete its exponent slot and merge terms."""
@@ -405,7 +407,7 @@ class LaurentPoly:
                 out[key] = merged
             else:
                 out.pop(key, None)
-        return LaurentPoly(reduced, out)
+        return _from_canonical(reduced, out)
 
     def exact_divide(self, den: "LaurentPoly") -> "LaurentPoly":
         """Exact quotient self / den for single-variable polynomials.
@@ -424,7 +426,7 @@ class LaurentPoly:
             q, r = divmod(self._terms[()], den._terms[()])
             if r:
                 raise NotDivisibleError("constant division leaves a remainder")
-            return LaurentPoly(self.variables, {(): q})
+            return _from_canonical(self.variables, {(): q})
 
         num = self._single_variable_exponents()
         div = den._single_variable_exponents()
@@ -462,7 +464,10 @@ class LaurentPoly:
                     rem[ne] = merged
                 else:
                     rem.pop(ne, None)
-        return LaurentPoly(self.variables, {(e + shift,): c for e, c in quotient.items()})
+        # every quotient exponent lies between these two
+        _checked_exponent(shift)
+        _checked_exponent(max(quotient) + shift)
+        return _from_canonical(self.variables, {(e + shift,): c for e, c in quotient.items()})
 
     def symmetrize(self) -> "LaurentPoly":
         """The unit multiple ±t^k·P satisfying S(1/t) = S(t), top coefficient > 0.
@@ -477,20 +482,19 @@ class LaurentPoly:
         if len(self.variables) == 0:
             c = self._terms[()]
             return self if c > 0 else -self
-        exps = self._single_variable_exponents()
-        lo, hi = min(exps), max(exps)
+        terms = self._terms
+        (lo,), (hi,) = min(terms), max(terms)
         if (hi - lo) % 2:
             raise NotSymmetrizableError(
                 f"exponent span {hi - lo} is odd; no centering unit exists"
             )
-        shift = -((hi + lo) // 2)
-        centered = {e + shift: c for e, c in exps.items()}
-        for e, c in centered.items():
-            if centered.get(-e) != c:
+        for (e,), c in terms.items():
+            if terms.get((hi + lo - e,)) != c:
                 raise NotSymmetrizableError("no unit multiple is symmetric")
-        if centered[hi + shift] < 0:
-            centered = {e: -c for e, c in centered.items()}
-        return LaurentPoly(self.variables, {(e,): c for e, c in centered.items()})
+        shift, sign = -((hi + lo) // 2), (1 if terms[(hi,)] > 0 else -1)
+        return _from_canonical(
+            self.variables, {(e + shift,): sign * c for (e,), c in terms.items()}
+        )
 
     def equal_up_to_units(self, other: "LaurentPoly") -> bool:
         """True iff self = ±t^k · other for some integer k."""

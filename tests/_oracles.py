@@ -1,7 +1,8 @@
 """Reference implementations used only to check the library.
 
-Everything here is deliberately naive and dense: schoolbook convolution and
-classical long division over plain ``{exponent: coefficient}`` dicts.  None
+Everything here is deliberately naive and dense: schoolbook convolution,
+classical long division and semigroup enumeration over plain
+``{exponent: coefficient}`` dicts.  None
 of it shares code with the package, so agreement is meaningful.
 """
 
@@ -68,3 +69,22 @@ def cyclotomic_quotient(p: int, q: int) -> dict[int, int] | None:
     if mid is None:
         return None
     return dense_divide(mid, {q: 1, 0: -1})
+
+
+def semigroup_delta(p: int, q: int) -> dict[int, int]:
+    """Delta_{T(p,q)} = (1 - t) * sum of t^s over the semigroup <p, q>.
+
+    The semigroup of nonnegative combinations ap + bq contains every
+    integer from the conductor c = (p-1)(q-1) on, so the product telescopes
+    to a polynomial of degree c: truncating at c loses nothing.  Shares no
+    formula with the cyclotomic quotient.
+    """
+    c = (p - 1) * (q - 1)
+    members = {a * p + b * q for a in range(c // p + 1) for b in range(c // q + 1)}
+    out: dict[int, int] = {}
+    for s in members:
+        if s <= c:
+            out[s] = out.get(s, 0) + 1
+            if s < c:
+                out[s + 1] = out.get(s + 1, 0) - 1
+    return {e: v for e, v in out.items() if v}

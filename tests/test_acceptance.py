@@ -9,6 +9,7 @@ import math
 import random
 import time
 
+from knotsurgery import knots, surgery
 from knotsurgery.family import certify_unbounded, verify_certificate
 from knotsurgery.fox import GroupPresentation, alexander_fox_oracle
 from knotsurgery.knots import TorusKnotSpec, alexander_torus
@@ -137,6 +138,10 @@ def test_criterion_5_prefactor_law():
 
 
 def test_criterion_6_unboundedness_certificates():
+    # measure cold: earlier criteria warm the same caches
+    knots._torus_quotient.cache_clear()
+    surgery.basic_class_lower_bound.cache_clear()
+    surgery._specialization_n1.cache_clear()
     start = time.monotonic()
     failures = []
     for m in range(1, 501):

@@ -7,6 +7,7 @@ import pytest
 
 from knotsurgery import schemas
 from knotsurgery.cli import main
+from knotsurgery.family import UnboundednessCertificate
 
 
 def run(capsys, *argv):
@@ -53,8 +54,20 @@ class TestAlexanderCommand:
         assert code == 1
         assert "error" in err
 
+    def test_exponent_overflow_exits_1(self, capsys):
+        code, out, err = run(capsys, "alexander", "torus(3037000507,3037000509)")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
+
 
 class TestTorresCommand:
+    def test_exponent_overflow_exits_1(self, capsys):
+        code, out, err = run(capsys, "torres", "--lk", "1", "t^99999999999999999999")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
+
     def test_lk1_unchanged(self, capsys):
         code, out, _ = run(capsys, "torres", "--lk", "1", "t - 1 + t^-1")
         assert code == 0
@@ -220,6 +233,66 @@ class TestCertifyCommand:
     def test_requires_target_or_verify(self, capsys):
         code, _, _ = run(capsys, "certify")
         assert code == 1
+
+
+def _witness(**fields):
+    return {"p": 1, "lower_bound": 1, **fields}
+
+
+def _certificate(**fields):
+    return {"schema_version": 1, "target": 0, "witnesses": [_witness()], **fields}
+
+
+MALFORMED_CERTIFICATES = {
+    "bool_p": _certificate(witnesses=[_witness(p=True)]),
+    "bool_lower_bound": _certificate(witnesses=[_witness(lower_bound=True)]),
+    "bool_target": _certificate(target=False),
+    "bool_schema_version": _certificate(schema_version=True),
+    "p_below_minimum": _certificate(witnesses=[_witness(p=0)]),
+    "lower_bound_below_minimum": _certificate(witnesses=[_witness(lower_bound=-1)]),
+    "target_below_minimum": _certificate(target=-1),
+    "fractional_p": _certificate(witnesses=[_witness(p=1.5)]),
+    "string_p": _certificate(witnesses=[_witness(p="1")]),
+    "null_target": _certificate(target=None),
+    "unknown_schema_version": _certificate(schema_version=2),
+    "extra_top_level_key": _certificate(comment="x"),
+    "extra_witness_key": _certificate(witnesses=[_witness(note="x")]),
+    "missing_witness_key": _certificate(witnesses=[{"p": 1}]),
+    "missing_target": {"schema_version": 1, "witnesses": [_witness()]},
+    "empty_witnesses": _certificate(witnesses=[]),
+    "witnesses_not_a_list": _certificate(witnesses={"p": 1, "lower_bound": 1}),
+    "witness_not_an_object": _certificate(witnesses=[[1, 1]]),
+    "not_an_object": [1, 2, 3],
+}
+
+
+class TestCertificateLoaderMatchesSchema:
+    @pytest.mark.parametrize(
+        "doc", MALFORMED_CERTIFICATES.values(), ids=MALFORMED_CERTIFICATES.keys()
+    )
+    def test_malformed_rejected_everywhere(self, doc, capsys, tmp_path):
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(instance=doc, schema=schemas.load("certificate"))
+        with pytest.raises(ValueError):
+            UnboundednessCertificate.from_json_dict(doc)
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "certify", "--verify", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
+
+    def test_integral_numbers_accepted_everywhere(self, capsys, tmp_path):
+        # JSON Schema counts 1.0 as an integer, so the loader does too
+        doc = {"schema_version": 1.0, "target": 0.0, "witnesses": [_witness(p=1.0)]}
+        jsonschema.validate(instance=doc, schema=schemas.load("certificate"))
+        loaded = UnboundednessCertificate.from_json_dict(doc)
+        assert loaded == UnboundednessCertificate.from_json_dict(_certificate())
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, "certify", "--verify", str(path))
+        assert code == 0
+        assert json.loads(out) == {"valid": True, "target": 0, "witness_count": 1}
 
 
 class TestParserBehavior:

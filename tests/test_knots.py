@@ -1,9 +1,13 @@
 import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from knotsurgery import knots
 from knotsurgery.knots import (
     ConnectedSum,
+    InternalInconsistencyError,
     KnotParseError,
     Mirror,
     T_VARS,
@@ -16,9 +20,9 @@ from knotsurgery.knots import (
     genus_torus,
     parse_knot_expr,
 )
-from knotsurgery.laurent import LaurentPoly
+from knotsurgery.laurent import ExponentOverflowError, LaurentPoly
 
-from _oracles import cyclotomic_quotient
+from _oracles import cyclotomic_quotient, semigroup_delta
 
 
 def poly(text: str) -> LaurentPoly:
@@ -95,6 +99,60 @@ class TestAlexanderTorus:
     def test_adjacent_family_term_counts(self, p, count):
         # Delta_{T(p,p+1)} has exactly 2p - 1 nonzero terms
         assert alexander_torus(TorusKnotSpec(p, p + 1)).term_count() == count
+
+
+def raw_quotient(p: int, q: int) -> dict[int, int]:
+    raw = alexander_expr(Torus.of(p, q), symmetrize=False)
+    return {e: c for (e,), c in raw.terms()}
+
+
+def coprime_pairs(lo: int, hi: int):
+    return [(p, q) for p in range(lo, hi + 1) for q in range(p + 1, hi + 1) if math.gcd(p, q) == 1]
+
+
+class TestTorusKernel:
+    def test_small_pairs_match_both_oracles(self):
+        for p, q in coprime_pairs(2, 40):
+            got = raw_quotient(p, q)
+            assert got == semigroup_delta(p, q), (p, q)
+            assert got == cyclotomic_quotient(p, q), (p, q)
+
+    def test_adjacent_family_matches_both_oracles(self):
+        for p in range(1, 201):
+            got = raw_quotient(p, p + 1)
+            assert got == semigroup_delta(p, p + 1), p
+            assert got == cyclotomic_quotient(p, p + 1), p
+
+    @given(
+        st.integers(min_value=1, max_value=70)
+        .flatmap(lambda p: st.tuples(st.just(p), st.integers(min_value=p, max_value=5000 // p)))
+        .filter(lambda pq: math.gcd(*pq) == 1)
+    )
+    def test_semigroup_identity(self, pq):
+        assert raw_quotient(*pq) == semigroup_delta(*pq)
+
+    def test_division_by_binomial(self):
+        # (t^6 - 1)(t - 1) / (t^3 - 1) = t^4 - t^3 + t - 1
+        num = [(0, 1), (1, -1), (6, -1), (7, 1)]
+        assert knots._divide_by_binomial(num, 3) == {(4,): 1, (3,): -1, (1,): 1, (0,): -1}
+
+    def test_nonzero_class_sum_is_a_remainder(self):
+        # t - 1 is not a multiple of t^3 - 1: classes 0 and 1 each keep a term
+        with pytest.raises(InternalInconsistencyError, match="remainder"):
+            knots._divide_by_binomial([(0, -1), (1, 1)], 3)
+
+    def test_span_mismatch_detected(self, monkeypatch):
+        monkeypatch.setattr(knots, "_divide_by_binomial", lambda num, q: {(0,): 1, (1,): -1})
+        with pytest.raises(InternalInconsistencyError, match="span"):
+            knots._torus_quotient.__wrapped__(2, 3)
+
+    def test_exponent_overflow_before_allocation(self):
+        # pq = 3037000508^2 - 1 is just above the signed 64-bit range
+        with pytest.raises(ExponentOverflowError):
+            alexander_torus(TorusKnotSpec(3037000507, 3037000509))
+
+    def test_unknot_needs_no_exponent_check(self):
+        assert alexander_torus(TorusKnotSpec(1, 2 ** 70)) == poly("1")
 
 
 class TestGenus:

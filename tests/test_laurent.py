@@ -4,6 +4,7 @@ import pytest
 
 from knotsurgery.laurent import (
     INT64_MAX,
+    INT64_MIN,
     ExponentOverflowError,
     LaurentPoly,
     Monomial,
@@ -181,6 +182,14 @@ class TestExactDivide:
         with pytest.raises(NotDivisibleError):
             three.exact_divide(six)
 
+    def test_quotient_overflow_detected(self):
+        with pytest.raises(ExponentOverflowError):
+            p("1").exact_divide(LaurentPoly(T, {(INT64_MIN,): 1}))
+        with pytest.raises(ExponentOverflowError):
+            LaurentPoly(T, {(INT64_MIN,): 1}).exact_divide(p("t"))
+        top = LaurentPoly(T, {(INT64_MAX,): 1, (INT64_MAX - 1,): 1})
+        assert top.exact_divide(p("t + 1")) == LaurentPoly(T, {(INT64_MAX - 1,): 1})
+
     @pytest.mark.parametrize("pq", [(2, 3), (3, 4), (4, 5), (3, 5), (5, 7)])
     def test_matches_dense_oracle_on_torus_quotients(self, pq):
         pe, qe = pq
@@ -269,6 +278,16 @@ class TestSubstituteAndEvaluate:
         poly = LaurentPoly.parse("x + y", xy)
         with pytest.raises(ValueError):
             poly.substitute({"x": xy.monomial(x=1)})
+
+    def test_substitute_overflow_detected(self):
+        # 2^62 * 4 and -2^62 * -4 are 2^64, outside the signed 64-bit range
+        with pytest.raises(ExponentOverflowError):
+            p("t^4611686018427387904").substitute({"t": T.monomial(t=4)})
+        with pytest.raises(ExponentOverflowError):
+            p("t^-4611686018427387904 + 1").substitute({"t": T.monomial(t=-4)})
+        kg = VariableSet("t_K", "t_G")
+        with pytest.raises(ExponentOverflowError):
+            p("t^3074457345618258603").substitute({"t": kg.monomial(t_K=1, t_G=3)})
 
     def test_evaluate_at_one_projects(self):
         xy = VariableSet("x", "y")
