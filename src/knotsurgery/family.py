@@ -18,9 +18,9 @@ import io
 import json
 from dataclasses import dataclass
 
-from .knots import TorusKnotSpec, alexander_torus, genus_torus
+from .knots import alexander_torus, genus_torus
 from .laurent import LaurentPoly
-from .surgery import basic_class_lower_bound
+from .surgery import LinkFamilyMember, basic_class_lower_bound
 
 __all__ = [
     "DEFAULT_P_CAP",
@@ -196,7 +196,7 @@ def analyze_family(
         )
     rows = []
     for p in range(p_min, p_max + 1):
-        spec = TorusKnotSpec(p, p + 1)
+        spec = LinkFamilyMember(p).gamma
         delta = alexander_torus(spec)
         bound = delta.term_count()
         rows.append(
@@ -245,9 +245,11 @@ def verify_certificate(c: UnboundednessCertificate, n: int = 1) -> bool:
 
     Returns False on any discrepancy instead of raising: index sequence not
     strictly increasing, bounds not strictly increasing, a recorded bound
-    that does not match recomputation, or a final bound at or below the
-    target.  The E(n) parameter names which family the certificate is read
-    against; the bounds themselves are independent of it.
+    that does not match recomputation (or cannot be recomputed, as when
+    T(p, p+1) needs exponents beyond 64 bits), or a final bound at or
+    below the target.  The E(n) parameter names which family the
+    certificate is read against; the bounds themselves are independent of
+    it.
     """
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"E(n) parameter must be a positive integer, got {n!r}")
@@ -260,7 +262,7 @@ def verify_certificate(c: UnboundednessCertificate, n: int = 1) -> bool:
             return False
         try:
             recomputed = basic_class_lower_bound(w.p)
-        except (ValueError, TypeError):
+        except (ValueError, TypeError, OverflowError):
             return False
         if w.lower_bound != recomputed:
             return False

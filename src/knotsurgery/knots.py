@@ -13,6 +13,10 @@ to record how a knot was described.
 Knot expressions have a small text grammar used by the CLI:
 
     unknot | torus(p,q) | mirror(E) | sum(E,E)
+
+with at most MAX_KNOT_DEPTH = 200 mirror/sum nodes around any subexpression,
+far below the interpreter's recursion limit that parsing, evaluation and
+formatting (all recursive) would otherwise hit.
 """
 
 from __future__ import annotations
@@ -20,7 +24,6 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .laurent import INT64_MAX, ExponentOverflowError, LaurentPoly, VariableSet, _from_canonical
 
@@ -39,9 +42,11 @@ __all__ = [
     "parse_knot_expr",
     "format_knot_expr",
     "T_VARS",
+    "MAX_KNOT_DEPTH",
 ]
 
 T_VARS = VariableSet("t")
+MAX_KNOT_DEPTH = 200
 
 
 class InternalInconsistencyError(RuntimeError):
@@ -134,7 +139,6 @@ def _divide_by_binomial(num: list[tuple[int, int]], q: int) -> dict[tuple[int], 
     return terms
 
 
-@lru_cache(maxsize=None)
 def _torus_quotient(p: int, q: int) -> LaurentPoly:
     # (t^(pq) - 1)(t - 1) / ((t^p - 1)(t^q - 1)) as an ordinary polynomial
     if p == 1:
@@ -205,7 +209,10 @@ _KNOT_TOKEN_RE = re.compile(r"\s*(?:(?P<word>[a-z]+)|(?P<int>\d+)|(?P<punct>[(),
 
 
 def parse_knot_expr(text: str) -> KnotExpr:
-    """Parse the grammar `unknot | torus(p,q) | mirror(E) | sum(E,E)`."""
+    """Parse the grammar `unknot | torus(p,q) | mirror(E) | sum(E,E)`.
+
+    Nesting deeper than MAX_KNOT_DEPTH mirror/sum levels is a KnotParseError.
+    """
     tokens: list[str] = []
     pos = 0
     while pos < len(text):
@@ -229,7 +236,9 @@ def parse_knot_expr(text: str) -> KnotExpr:
             raise KnotParseError(f"expected {expected!r}, got {tok!r}")
         return tok
 
-    def parse_expr() -> KnotExpr:
+    def parse_expr(depth: int) -> KnotExpr:
+        if depth > MAX_KNOT_DEPTH:
+            raise KnotParseError(f"knot expression nests deeper than {MAX_KNOT_DEPTH} levels")
         head = take()
         if head == "unknot":
             return Unknot()
@@ -247,19 +256,19 @@ def parse_knot_expr(text: str) -> KnotExpr:
                 raise KnotParseError(str(exc)) from exc
         if head == "mirror":
             take("(")
-            inner = parse_expr()
+            inner = parse_expr(depth + 1)
             take(")")
             return Mirror(inner)
         if head == "sum":
             take("(")
-            left = parse_expr()
+            left = parse_expr(depth + 1)
             take(",")
-            right = parse_expr()
+            right = parse_expr(depth + 1)
             take(")")
             return ConnectedSum(left, right)
         raise KnotParseError(f"unknown knot constructor {head!r}")
 
-    expr = parse_expr()
+    expr = parse_expr(0)
     if cursor != len(tokens):
         raise KnotParseError(f"trailing input after knot expression: {tokens[cursor]!r}")
     return expr

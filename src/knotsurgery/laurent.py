@@ -58,6 +58,7 @@ class PolyParseError(ValueError):
 
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+_COEFF_RE = re.compile(r"-?[0-9]+\Z")
 
 
 def _checked_exponent(e: int) -> int:
@@ -576,14 +577,23 @@ class LaurentPoly:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "LaurentPoly":
+        """Load a polynomial.schema.json document.
+
+        Whatever the schema rejects raises PolyParseError, and so does an
+        exponent vector whose width differs from the variable count.
+        """
         try:
-            variables = VariableSet(*data["variables"])
+            _require_json_object(data, {"variables", "terms"})
+            variables = VariableSet(_json_list(data["variables"]))
             terms = {}
-            for entry in data["terms"]:
-                exps = tuple(_as_int(e, "exponent") for e in entry["exps"])
-                coeff = int(entry["coeff"])
-                terms[exps] = terms.get(exps, 0) + coeff
-        except (KeyError, TypeError, ValueError) as exc:
+            for entry in _json_list(data["terms"]):
+                _require_json_object(entry, {"exps", "coeff"})
+                exps = tuple(_json_int(e) for e in _json_list(entry["exps"]))
+                coeff = entry["coeff"]
+                if not isinstance(coeff, str) or not _COEFF_RE.match(coeff):
+                    raise ValueError(f"coefficient must be a decimal string, got {coeff!r}")
+                terms[exps] = terms.get(exps, 0) + int(coeff)
+        except (TypeError, ValueError) as exc:
             raise PolyParseError(f"malformed polynomial JSON: {exc}") from exc
         return cls(variables, terms)
 
@@ -594,6 +604,24 @@ class LaurentPoly:
         except json.JSONDecodeError as exc:
             raise PolyParseError(f"invalid JSON: {exc}") from exc
         return cls.from_json_dict(data)
+
+
+def _require_json_object(data, keys: set[str]) -> None:
+    if not isinstance(data, dict) or data.keys() != keys:
+        raise ValueError(f"expected an object with keys {sorted(keys)}")
+
+
+def _json_int(value) -> int:
+    # a JSON Schema integer is a number with no fractional part, never a boolean
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    return _as_int(value, "exponent")
+
+
+def _json_list(value) -> list:
+    if not isinstance(value, list):
+        raise TypeError(f"expected a JSON array, got {type(value).__name__}")
+    return value
 
 
 def _format_monomial(names: tuple[str, ...], exps: tuple[int, ...]) -> str:

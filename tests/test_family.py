@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -13,6 +15,12 @@ from knotsurgery.family import (
 )
 from knotsurgery.knots import T_VARS
 from knotsurgery.laurent import LaurentPoly
+from knotsurgery.surgery import (
+    LinkFamilyMember,
+    SurgerySpec,
+    basic_class_lower_bound,
+    sw_specialized,
+)
 
 
 class TestAnalyzeFamily:
@@ -145,6 +153,11 @@ class TestVerifyCertificate:
         )
         assert verify_certificate(cert) is False
 
+    def test_uncomputable_witness_fails(self):
+        # T(p, p+1) for this p needs exponents beyond 64 bits
+        cert = UnboundednessCertificate(target=0, witnesses=(Witness(3037000507, 1),))
+        assert verify_certificate(cert) is False
+
     def test_duplicate_p_fails(self):
         w = Witness(p=3, lower_bound=5)
         cert = UnboundednessCertificate(target=1, witnesses=(w, w))
@@ -179,3 +192,27 @@ class TestCertificateJson:
             UnboundednessCertificate.from_json("{not json")
         with pytest.raises(ValueError):
             UnboundednessCertificate.from_json_dict({"schema_version": 1, "target": 2})
+
+
+class TestOneBoundRoute:
+    def test_routes_agree_on_2p_minus_1(self):
+        rows = analyze_family(1, 1, 60).rows
+        assert [row.p for row in rows] == list(range(1, 61))
+        for p, row in zip(range(1, 61), rows):
+            via_sw = sw_specialized(SurgerySpec(1, LinkFamilyMember(p))).basic_class_lower_bound
+            assert via_sw == basic_class_lower_bound(p) == row.lower_bound == 2 * p - 1
+
+    def test_certify_and_verify_keep_no_polynomials(self):
+        # a fresh interpreter, so the memo starts empty whatever ran before; the
+        # one memo holds an int per index, and no polynomial may outlive a call
+        script = (
+            "import tracemalloc\n"
+            "from knotsurgery.family import certify_unbounded, verify_certificate\n"
+            "tracemalloc.start()\n"
+            "assert verify_certificate(certify_unbounded(600))\n"
+            "print(tracemalloc.get_traced_memory()[0])\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, check=True
+        )
+        assert int(proc.stdout) < 1_000_000

@@ -144,7 +144,7 @@ class TestTorusKernel:
     def test_span_mismatch_detected(self, monkeypatch):
         monkeypatch.setattr(knots, "_divide_by_binomial", lambda num, q: {(0,): 1, (1,): -1})
         with pytest.raises(InternalInconsistencyError, match="span"):
-            knots._torus_quotient.__wrapped__(2, 3)
+            knots._torus_quotient(2, 3)
 
     def test_exponent_overflow_before_allocation(self):
         # pq = 3037000508^2 - 1 is just above the signed 64-bit range
@@ -247,3 +247,14 @@ class TestExprGrammar:
     def test_parse_errors(self, bad):
         with pytest.raises(KnotParseError):
             parse_knot_expr(bad)
+
+    @pytest.mark.parametrize("open_", ["mirror(", "sum(unknot,"])
+    def test_nesting_limit(self, open_):
+        def nested(depth):
+            return open_ * depth + "torus(2,3)" + ")" * depth
+
+        expr = parse_knot_expr(nested(knots.MAX_KNOT_DEPTH))
+        assert format_knot_expr(expr) == nested(knots.MAX_KNOT_DEPTH)
+        assert alexander_expr(expr) == poly("t - 1 + t^-1")
+        with pytest.raises(KnotParseError, match="deeper than"):
+            parse_knot_expr(nested(knots.MAX_KNOT_DEPTH + 1))

@@ -1,7 +1,9 @@
 import json
 
+import jsonschema
 import pytest
 
+from knotsurgery import schemas
 from knotsurgery.laurent import (
     INT64_MAX,
     INT64_MIN,
@@ -395,6 +397,45 @@ class TestJsonForm:
             LaurentPoly.from_json_dict(
                 {"variables": ["t"], "terms": [{"exps": [0], "coeff": "x"}]}
             )
+
+
+def _poly_doc(coeff="1", **extra_term):
+    return {"variables": ["t"], "terms": [{"exps": [0], "coeff": coeff, **extra_term}]}
+
+
+OFF_SCHEMA_POLYNOMIALS = {
+    "float_coeff": _poly_doc(1.9),
+    "bool_coeff": _poly_doc(True),
+    "int_coeff": _poly_doc(5),
+    "underscore_coeff": _poly_doc("1_000"),
+    "signed_padded_coeff": _poly_doc(" +5"),
+    "extra_top_level_key": {**_poly_doc(), "extra": 1},
+    "extra_term_key": _poly_doc(note="x"),
+    "variables_not_a_list": {"variables": "t", "terms": []},
+    "nested_variables": {"variables": [["t"]], "terms": []},
+    "terms_not_a_list": {"variables": ["t"], "terms": {}},
+    "exps_not_a_list": {"variables": ["t"], "terms": [{"exps": "0", "coeff": "1"}]},
+    "fractional_exponent": {"variables": ["t"], "terms": [{"exps": [0.5], "coeff": "1"}]},
+    "bool_exponent": {"variables": ["t"], "terms": [{"exps": [True], "coeff": "1"}]},
+}
+
+
+class TestJsonMatchesSchema:
+    @pytest.mark.parametrize(
+        "doc", OFF_SCHEMA_POLYNOMIALS.values(), ids=OFF_SCHEMA_POLYNOMIALS.keys()
+    )
+    def test_off_schema_rejected(self, doc):
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(instance=doc, schema=schemas.load("polynomial"))
+        with pytest.raises(PolyParseError):
+            LaurentPoly.from_json_dict(doc)
+
+    def test_schema_valid_accepted(self):
+        # JSON Schema counts 2.0 as an integer, so the loader does too
+        terms = [{"exps": [2.0], "coeff": "-12"}, {"exps": [0], "coeff": "007"}]
+        doc = {"variables": ["t"], "terms": terms}
+        jsonschema.validate(instance=doc, schema=schemas.load("polynomial"))
+        assert LaurentPoly.from_json_dict(doc) == p("-12*t^2 + 7")
 
 
 class TestMiscellany:
