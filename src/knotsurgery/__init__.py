@@ -37,7 +37,6 @@ from .knots import (
 from .laurent import (
     ExponentOverflowError,
     LaurentPoly,
-    Monomial,
     NotDivisibleError,
     NotSymmetrizableError,
     PolyParseError,
@@ -59,7 +58,6 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     "VariableSet",
-    "Monomial",
     "LaurentPoly",
     "ExponentOverflowError",
     "NotDivisibleError",

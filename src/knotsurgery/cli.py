@@ -3,8 +3,9 @@
 All behavior is controlled by flags; there are no config files, environment
 switches, or random choices, so every invocation is reproducible byte for
 byte.  Exit codes: 0 success, 1 usage or parse error (including a
-certificate that fails verification, and exponents outside 64 bits), 2
-internal inconsistency (a closed formula violated one of its guarantees).
+certificate that fails verification, a scan cap too small for the target,
+and exponents outside 64 bits), 2 internal inconsistency (a closed formula
+violated one of its guarantees).
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import sys
 
 from .family import (
     DEFAULT_P_CAP,
-    CapExhaustedError,
     UnboundednessCertificate,
     analyze_family,
     certify_unbounded,
@@ -101,7 +101,8 @@ def _cmd_family(args) -> int:
 def _cmd_certify(args) -> int:
     if args.verify is not None:
         try:
-            text = open(args.verify, "r", encoding="utf-8").read()
+            with open(args.verify, "r", encoding="utf-8") as handle:
+                text = handle.read()
         except OSError as exc:
             print(f"error: cannot read {args.verify}: {exc}", file=sys.stderr)
             return EXIT_USAGE
@@ -202,16 +203,12 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.func(args)
-    # parse errors are ValueErrors, and every exponent comes from user input
+    # parse errors and an exhausted scan cap are ValueErrors, and every
+    # exponent comes from user input
     except (ValueError, OSError, ExponentOverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (
-        NotDivisibleError,
-        NotSymmetrizableError,
-        InternalInconsistencyError,
-        CapExhaustedError,
-    ) as exc:
+    except (NotDivisibleError, NotSymmetrizableError, InternalInconsistencyError) as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

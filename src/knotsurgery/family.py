@@ -19,7 +19,7 @@ import json
 from dataclasses import dataclass
 
 from .knots import alexander_torus, genus_torus
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, _require_json_object
 from .surgery import LinkFamilyMember, basic_class_lower_bound
 
 __all__ = [
@@ -41,11 +41,12 @@ CERTIFICATE_SCHEMA_VERSION = 1
 CSV_COLUMNS = ("p", "lower_bound", "lemma63_ok", "genus", "span", "delta_gamma")
 
 
-class CapExhaustedError(RuntimeError):
+class CapExhaustedError(ValueError):
     """The scan hit the index cap before the target was exceeded.
 
-    The lower bound grows linearly in p, so reaching the cap first signals a
-    regression in the invariant pipeline, not a property of the family.
+    The lower bound is 2p - 1, so a target t is first exceeded at
+    p = (t + 1) // 2 + 1; a cap below that is a usage error, not a fault of
+    the pipeline.
     """
 
 
@@ -142,14 +143,14 @@ class UnboundednessCertificate:
     @classmethod
     def from_json_dict(cls, data) -> "UnboundednessCertificate":
         """Load exactly the documents that certificate.schema.json accepts."""
-        _require_keys(data, {"schema_version", "target", "witnesses"})
+        _require_json_object(data, {"schema_version", "target", "witnesses"})
         version, raw = data["schema_version"], data["witnesses"]
         if isinstance(version, bool) or version != CERTIFICATE_SCHEMA_VERSION:
             raise ValueError(f"unsupported certificate schema version {version!r}")
         if not isinstance(raw, list) or not raw:
             raise ValueError("certificate witnesses must be a nonempty list")
         for w in raw:
-            _require_keys(w, {"p", "lower_bound"})
+            _require_json_object(w, {"p", "lower_bound"})
         witnesses = tuple(
             Witness(_schema_int(w, "p", 1), _schema_int(w, "lower_bound", 0)) for w in raw
         )
@@ -162,11 +163,6 @@ class UnboundednessCertificate:
         except json.JSONDecodeError as exc:
             raise ValueError(f"certificate is not valid JSON: {exc}") from exc
         return cls.from_json_dict(data)
-
-
-def _require_keys(data, keys: set[str]) -> None:
-    if not isinstance(data, dict) or data.keys() != keys:
-        raise ValueError(f"malformed certificate: expected an object with keys {sorted(keys)}")
 
 
 def _schema_int(data: dict, key: str, minimum: int) -> int:

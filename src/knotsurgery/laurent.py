@@ -36,7 +36,6 @@ __all__ = [
     "NotSymmetrizableError",
     "PolyParseError",
     "VariableSet",
-    "Monomial",
     "LaurentPoly",
 ]
 
@@ -114,13 +113,6 @@ class VariableSet:
         i = self.index(name)
         return VariableSet(*(self.names[:i] + self.names[i + 1:]))
 
-    def monomial(self, **exponents: int) -> "Monomial":
-        """Build a monomial by naming exponents, e.g. ``vs.monomial(t_K=2)``."""
-        exps = [0] * len(self.names)
-        for name, e in exponents.items():
-            exps[self.index(name)] = e
-        return Monomial(self, exps)
-
     def __len__(self) -> int:
         return len(self.names)
 
@@ -140,33 +132,6 @@ class VariableSet:
 
     def __repr__(self) -> str:
         return f"VariableSet{self.names!r}"
-
-
-class Monomial:
-    """A power product over a :class:`VariableSet`, without coefficient."""
-
-    __slots__ = ("variables", "exps")
-
-    def __init__(self, variables: VariableSet, exps: Iterable[int]):
-        exps = tuple(_checked_exponent(_as_int(e, "exponent")) for e in exps)
-        if len(exps) != len(variables):
-            raise ValueError(
-                f"expected {len(variables)} exponent slots, got {len(exps)}"
-            )
-        self.variables = variables
-        self.exps = exps
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Monomial):
-            return NotImplemented
-        return self.variables == other.variables and self.exps == other.exps
-
-    def __hash__(self) -> int:
-        return hash((self.variables, self.exps))
-
-    def __repr__(self) -> str:
-        body = _format_monomial(self.variables.names, self.exps)
-        return f"Monomial({body or '1'})"
 
 
 TermsLike = Union[Mapping[tuple, int], Iterable[tuple]]
@@ -225,10 +190,6 @@ class LaurentPoly:
         exps = [0] * len(variables)
         exps[variables.index(name)] = exponent
         return cls(variables, {tuple(exps): 1})
-
-    @classmethod
-    def from_monomial(cls, monomial: Monomial, coeff: int = 1) -> "LaurentPoly":
-        return cls(monomial.variables, {monomial.exps: coeff})
 
     # -- inspection --------------------------------------------------------
 
@@ -351,64 +312,50 @@ class LaurentPoly:
     # -- structural operations ----------------------------------------------
 
     def substitute(
-        self,
-        mapping: Mapping[str, Monomial],
-        into: VariableSet | None = None,
+        self, mapping: Mapping[str, Iterable[int]], into: VariableSet
     ) -> "LaurentPoly":
         """Monomial substitution, extended multiplicatively over terms.
 
-        Every variable of this polynomial's set must be mapped; all image
-        monomials must share one target ``VariableSet`` (pass ``into`` when
-        the polynomial has no variables of its own).
+        Every variable of this polynomial's set must be mapped to an exponent
+        vector over ``into``: ``{"x": (2, 0), "y": (0, 2)}`` into
+        ``VariableSet("t_K", "t_G")`` sends x to t_K^2 and y to t_G^2.
         """
-        images: list[Monomial] = []
-        target = into
+        if not isinstance(into, VariableSet):
+            raise TypeError("the substitution target must be a VariableSet")
+        width = len(into)
+        images: list[list[tuple[int, int]]] = []
         for name in self.variables.names:
             if name not in mapping:
                 raise ValueError(f"unmapped variable {name!r} in substitution")
-            image = mapping[name]
-            if not isinstance(image, Monomial):
-                raise TypeError("substitution images must be Monomial values")
-            if target is None:
-                target = image.variables
-            elif image.variables != target:
-                raise ValueError("substitution images use mismatched variable sets")
-            images.append(image)
-        if target is None:
-            raise ValueError(
-                "substituting a polynomial with no variables requires an explicit target"
-            )
-        width = len(target)
+            image = tuple(_checked_exponent(_as_int(e, "exponent")) for e in mapping[name])
+            if len(image) != width:
+                raise ValueError(
+                    f"image of {name!r} has {len(image)} exponent slots, expected {width}"
+                )
+            images.append([(slot, ie) for slot, ie in enumerate(image) if ie])
         out: dict[tuple[int, ...], int] = {}
         for exps, coeff in self._terms.items():
             acc = [0] * width
             for e, image in zip(exps, images):
-                if e == 0:
-                    continue
-                for slot, ie in enumerate(image.exps):
-                    if ie:
-                        acc[slot] += e * ie
+                for slot, ie in image:
+                    acc[slot] += e * ie
             key = tuple(_checked_exponent(e) for e in acc)
             merged = out.get(key, 0) + coeff
             if merged:
                 out[key] = merged
             else:
                 out.pop(key, None)
-        return _from_canonical(target, out)
+        return _from_canonical(into, out)
 
     def evaluate_at_one(self, name: str) -> "LaurentPoly":
-        """Set one variable to 1: delete its exponent slot and merge terms."""
-        i = self.variables.index(name)
+        """Set one variable to 1: substitute the empty monomial for it."""
         reduced = self.variables.without(name)
-        out: dict[tuple[int, ...], int] = {}
-        for exps, coeff in self._terms.items():
-            key = exps[:i] + exps[i + 1:]
-            merged = out.get(key, 0) + coeff
-            if merged:
-                out[key] = merged
-            else:
-                out.pop(key, None)
-        return _from_canonical(reduced, out)
+        width = len(reduced)
+        mapping = {
+            other: tuple(int(i == j) for j in range(width)) for i, other in enumerate(reduced)
+        }
+        mapping[name] = (0,) * width
+        return self.substitute(mapping, reduced)
 
     def exact_divide(self, den: "LaurentPoly") -> "LaurentPoly":
         """Exact quotient self / den for single-variable polynomials.
@@ -633,6 +580,7 @@ def _format_monomial(names: tuple[str, ...], exps: tuple[int, ...]) -> str:
     return "*".join(factors)
 
 
+_SIGN_TOKENS = (("op", "+"), ("op", "-"))
 _TOKEN_RE = re.compile(r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[\^*+-]))")
 
 
@@ -672,13 +620,17 @@ def _parse_poly(cls, text: str, variables: VariableSet | None):
         pos += 1
         return tok
 
-    def parse_signed_int() -> int:
-        kind, value = take()
+    def take_signs() -> int:
+        # fold a run of '+' / '-' tokens into one sign
         sign = 1
-        while kind == "op" and value in "+-":
-            if value == "-":
+        while peek() in _SIGN_TOKENS:
+            if take() == ("op", "-"):
                 sign = -sign
-            kind, value = take()
+        return sign
+
+    def parse_signed_int() -> int:
+        sign = take_signs()
+        kind, value = take()
         if kind != "int":
             raise PolyParseError("expected an integer")
         return sign * int(value)
@@ -707,26 +659,11 @@ def _parse_poly(cls, text: str, variables: VariableSet | None):
             coeff *= parse_factor(exps)
         raw_terms.append((exps, coeff))
 
-    sign = 1
-    kind, value = peek()
-    while kind == "op" and value in "+-":
-        if value == "-":
-            sign = -sign
-        take()
-        kind, value = peek()
-    parse_term(sign)
+    parse_term(take_signs())
     while pos < len(tokens):
-        kind, value = take()
-        if kind != "op" or value not in "+-":
-            raise PolyParseError(f"expected '+' or '-' between terms, got {value!r}")
-        sign = -1 if value == "-" else 1
-        kind, value = peek()
-        while kind == "op" and value in "+-":
-            if value == "-":
-                sign = -sign
-            take()
-            kind, value = peek()
-        parse_term(sign)
+        if peek() not in _SIGN_TOKENS:
+            raise PolyParseError(f"expected '+' or '-' between terms, got {peek()[1]!r}")
+        parse_term(take_signs())
 
     if variables is None:
         variables = VariableSet(*seen_names)

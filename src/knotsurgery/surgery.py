@@ -137,15 +137,11 @@ def sw_prefactor(n: int) -> LaurentPoly:
 
 def _doubled(delta_L: LaurentPoly) -> LaurentPoly:
     # Delta_L(t_K^2, t_G^2) for a polynomial in x and y (either may be absent)
-    mapping = {}
+    images = {"x": (2, 0), "y": (0, 2)}
     for name in delta_L.variables:
-        if name == "x":
-            mapping[name] = KG_VARS.monomial(t_K=2)
-        elif name == "y":
-            mapping[name] = KG_VARS.monomial(t_G=2)
-        else:
+        if name not in images:
             raise ValueError(f"delta_L may only use x and y, found {name!r}")
-    return delta_L.substitute(mapping, into=KG_VARS)
+    return delta_L.substitute(images, into=KG_VARS)
 
 
 def sw_link_surgery(spec: SurgerySpec, delta_L: LaurentPoly) -> LaurentPoly:
@@ -166,7 +162,7 @@ def sw_specialized(spec: SurgerySpec, delta_L: LaurentPoly | None = None) -> SWR
         # Delta_L(1, t_G^2): Torres with lk = 1 collapses it to Delta_Gamma
         polynomial = None
         delta_at_1 = torres_specialize(alexander_torus(member.gamma), member.linking_number)
-        base = delta_at_1.substitute({delta_at_1.variables.names[0]: TG_VARS.monomial(t_G=2)})
+        base = delta_at_1.substitute({delta_at_1.variables.names[0]: (2,)}, into=TG_VARS)
     else:
         polynomial = sw_link_surgery(spec, delta_L)
         base = _doubled(delta_L).evaluate_at_one("t_K")

@@ -251,15 +251,31 @@ class TestCertifyCommand:
         assert code == 1
         assert "error" in err
 
+    def test_verify_closes_the_file(self, capsys, tmp_path):
+        _, out, _ = run(capsys, "certify", "--target", "7")
+        path = tmp_path / "cert.json"
+        path.write_text(out)
+        proc = subprocess.run(
+            [sys.executable, "-X", "dev", "-W", "error::ResourceWarning",
+             "-m", "knotsurgery", "certify", "--verify", str(path)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0
+        assert "ResourceWarning" not in proc.stderr
+
     def test_verify_missing_file_exits_1(self, capsys, tmp_path):
         code, _, err = run(capsys, "certify", "--verify", str(tmp_path / "nope.json"))
         assert code == 1
         assert "error" in err
 
-    def test_cap_exhaustion_exits_2(self, capsys):
-        code, _, err = run(capsys, "certify", "--target", "100", "--cap", "10")
-        assert code == 2
-        assert "internal inconsistency" in err
+    def test_cap_exhaustion_exits_1(self, capsys):
+        # --target 1999 is first exceeded at p = 1001, one past the default cap
+        for argv in (["--target", "100", "--cap", "10"], ["--target", "1999"]):
+            code, out, err = run(capsys, "certify", *argv)
+            assert code == 1
+            assert out == ""
+            assert err.startswith("error:")
 
     def test_requires_target_or_verify(self, capsys):
         code, _, _ = run(capsys, "certify")

@@ -9,7 +9,6 @@ from knotsurgery.laurent import (
     INT64_MIN,
     ExponentOverflowError,
     LaurentPoly,
-    Monomial,
     NotDivisibleError,
     NotSymmetrizableError,
     PolyParseError,
@@ -264,7 +263,7 @@ class TestEqualUpToUnits:
 class TestSubstituteAndEvaluate:
     def test_single_variable_doubling(self):
         tre = p("t - 1 + t^-1")
-        doubled = tre.substitute({"t": T.monomial(t=2)})
+        doubled = tre.substitute({"t": (2,)}, into=T)
         assert doubled == p("t^2 - 1 + t^-2")
         assert doubled.term_count() == tre.term_count()
 
@@ -272,24 +271,37 @@ class TestSubstituteAndEvaluate:
         xy = VariableSet("x", "y")
         kg = VariableSet("t_K", "t_G")
         poly = LaurentPoly.parse("x^2*y^-1 - 3", xy)
-        image = poly.substitute({"x": kg.monomial(t_K=2), "y": kg.monomial(t_G=2)})
+        image = poly.substitute({"x": (2, 0), "y": (0, 2)}, into=kg)
         assert str(image) == "t_K^4*t_G^-2 - 3"
 
     def test_substitute_requires_all_variables(self):
         xy = VariableSet("x", "y")
         poly = LaurentPoly.parse("x + y", xy)
-        with pytest.raises(ValueError):
-            poly.substitute({"x": xy.monomial(x=1)})
+        bad_mappings = [
+            ({"x": (1, 0)}, ValueError),  # y unmapped
+            ({"x": (1,), "y": (0, 1)}, ValueError),  # image narrower than the target
+            ({"x": (1, 0, 0), "y": (0, 1)}, ValueError),  # image wider than the target
+            ({"x": (1.0, 0), "y": (0, 1)}, TypeError),
+            ({"x": (True, 0), "y": (0, 1)}, TypeError),
+        ]
+        for mapping, error in bad_mappings:
+            with pytest.raises(error):
+                poly.substitute(mapping, into=xy)
+        with pytest.raises(TypeError):
+            poly.substitute({"x": (1, 0), "y": (0, 1)}, into=("x", "y"))
 
     def test_substitute_overflow_detected(self):
         # 2^62 * 4 and -2^62 * -4 are 2^64, outside the signed 64-bit range
         with pytest.raises(ExponentOverflowError):
-            p("t^4611686018427387904").substitute({"t": T.monomial(t=4)})
+            p("t^4611686018427387904").substitute({"t": (4,)}, into=T)
         with pytest.raises(ExponentOverflowError):
-            p("t^-4611686018427387904 + 1").substitute({"t": T.monomial(t=-4)})
+            p("t^-4611686018427387904 + 1").substitute({"t": (-4,)}, into=T)
         kg = VariableSet("t_K", "t_G")
         with pytest.raises(ExponentOverflowError):
-            p("t^3074457345618258603").substitute({"t": kg.monomial(t_K=1, t_G=3)})
+            p("t^3074457345618258603").substitute({"t": (1, 3)}, into=kg)
+        # an image exponent outside the range fails even where no term uses it
+        with pytest.raises(ExponentOverflowError):
+            p("1").substitute({"t": (INT64_MAX + 1,)}, into=T)
 
     def test_evaluate_at_one_projects(self):
         xy = VariableSet("x", "y")
@@ -355,6 +367,10 @@ class TestTextForm:
     def test_parse_signs_stack(self):
         assert p("- - t") == p("t")
         assert p("1 - -t") == p("t + 1")
+        assert p("+-+t") == p("-t")
+        assert p("t^--2") == p("t^2")
+        assert p("t^+-2") == p("t^-2")
+        assert p("t -+- 1") == p("t + 1")
 
     def test_parse_rejects_garbage(self):
         for bad in ["", "t +", "* t", "t ^", "t^x", "(t)", "1..2"]:
@@ -453,11 +469,6 @@ class TestMiscellany:
         kg = VariableSet("t_K", "t_G")
         poly = LaurentPoly.parse("t_K^2*t_G - t_K^-1 + 4", kg)
         assert poly.exponents_of("t_K") == [-1, 0, 2]
-
-    def test_monomial_validation(self):
-        with pytest.raises(ValueError):
-            Monomial(T, (1, 2))
-        assert T.monomial(t=-3).exps == (-3,)
 
     def test_hash_consistency(self):
         a = p("t - 1 + t^-1")
