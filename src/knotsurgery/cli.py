@@ -11,7 +11,6 @@ violated one of its guarantees).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .family import (
@@ -27,6 +26,7 @@ from .laurent import (
     LaurentPoly,
     NotDivisibleError,
     NotSymmetrizableError,
+    _dumps_indent2,
 )
 from .surgery import LinkFamilyMember, SurgerySpec, sw_specialized, torres_specialize
 
@@ -53,7 +53,7 @@ def _cmd_alexander(args) -> int:
     expr = parse_knot_expr(args.expr)
     poly = alexander_expr(expr, symmetrize=not args.no_symmetrize)
     if args.format == "json":
-        _emit(json.dumps(poly.to_json_dict(), indent=2))
+        _emit(_dumps_indent2(poly.to_json_dict()))
     else:
         _emit(str(poly))
     return EXIT_OK
@@ -63,7 +63,7 @@ def _cmd_torres(args) -> int:
     poly = LaurentPoly.parse(args.poly)
     result = torres_specialize(poly, args.lk)
     if args.format == "json":
-        _emit(json.dumps(result.to_json_dict(), indent=2))
+        _emit(_dumps_indent2(result.to_json_dict()))
     else:
         _emit(str(result))
     return EXIT_OK
@@ -74,7 +74,7 @@ def _cmd_sw(args) -> int:
     delta_L = None if args.delta_l is None else LaurentPoly.parse(args.delta_l)
     result = sw_specialized(spec, delta_L)
     if args.format == "json":
-        _emit(json.dumps(result.to_json_dict(), indent=2))
+        _emit(_dumps_indent2(result.to_json_dict()))
     else:
         full = "unavailable" if result.polynomial is None else str(result.polynomial)
         _emit(
@@ -109,13 +109,12 @@ def _cmd_certify(args) -> int:
         certificate = UnboundednessCertificate.from_json(text)
         valid = verify_certificate(certificate, n=args.n)
         _emit(
-            json.dumps(
+            _dumps_indent2(
                 {
                     "valid": valid,
                     "target": certificate.target,
                     "witness_count": len(certificate.witnesses),
-                },
-                indent=2,
+                }
             )
         )
         return EXIT_OK if valid else EXIT_USAGE

@@ -19,7 +19,7 @@ import json
 from dataclasses import dataclass
 
 from .knots import alexander_torus, genus_torus
-from .laurent import LaurentPoly, _require_json_object
+from .laurent import LaurentPoly, _dumps_indent2, _require_json_object
 from .surgery import LinkFamilyMember, basic_class_lower_bound
 
 __all__ = [
@@ -79,7 +79,7 @@ class FamilyReport:
         return {"n": self.n, "rows": [row.to_json_dict() for row in self.rows]}
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
+        return _dumps_indent2(self.to_json_dict())
 
     def to_csv(self) -> str:
         buffer = io.StringIO()
@@ -138,7 +138,7 @@ class UnboundednessCertificate:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
+        return _dumps_indent2(self.to_json_dict())
 
     @classmethod
     def from_json_dict(cls, data) -> "UnboundednessCertificate":
@@ -160,7 +160,7 @@ class UnboundednessCertificate:
     def from_json(cls, text: str) -> "UnboundednessCertificate":
         try:
             data = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise ValueError(f"certificate is not valid JSON: {exc}") from exc
         return cls.from_json_dict(data)
 

@@ -124,8 +124,8 @@ class ConnectedSum(KnotExpr):
 def _divide_by_binomial(num: list[tuple[int, int]], q: int) -> dict[tuple[int], int]:
     # N = Q (t^q - 1) gives Q_e = Q_(e-q) - N_e: per residue class mod q, Q is
     # a running sum of -N, constant between the class's terms of N (given
-    # ascending), so the cost follows the input and output terms; a class
-    # whose sum is not 0 leaves a remainder
+    # ascending; an exponent may repeat), so the cost follows the input and
+    # output terms; a class whose sum is not 0 leaves a remainder
     state: dict[int, tuple[int, int]] = {}  # class -> (running sum, where it started)
     terms: dict[tuple[int], int] = {}
     for e, c in num:

@@ -11,11 +11,21 @@ The zero polynomial is the empty map.  Values are immutable and every
 operation is a pure function, so instances can be shared freely between
 concurrent callers.
 
+A product of two one-variable polynomials whose exponent window (the
+product's slot count) is no larger than the number of term pairs is
+computed by Kronecker substitution: each factor is packed into one integer,
+one machine-level multiply convolves them, and the bytes are read back one
+slot per exponent.  Other products -- sparse, multivariate, or with a
+single-term factor -- loop over the term pairs.
+
 Text form: ``coeff*var^exp`` factors joined by ``+`` / ``-``, variables in
 the set's fixed order, terms in descending lexicographic exponent order,
 e.g. ``t_K^2*t_G^-1 - 3``.  JSON form: ``{"variables": [...], "terms":
 [{"exps": [...], "coeff": "<decimal string>"}]}`` -- coefficients travel as
-decimal strings so arbitrary precision survives transport.
+decimal strings so arbitrary precision survives transport.  ``to_json`` is
+compact; the indented documents the CLI prints, with polynomials nested in
+them, are written by one writer here that matches
+``json.dumps(doc, indent=2)`` byte for byte.
 """
 
 from __future__ import annotations
@@ -80,6 +90,38 @@ def _from_canonical(variables: "VariableSet", terms: dict) -> "LaurentPoly":
     poly._terms = terms
     poly._hash = None
     return poly
+
+
+def _packed_product(a: dict, lo_a: int, hi_a: int, b: dict, lo_b: int, hi_b: int) -> dict:
+    # Kronecker substitution: each factor becomes one int holding the
+    # coefficient of t^(lo + k) in slot k of `width` bytes, and one C-level
+    # multiply convolves them.  Every product coefficient lies strictly
+    # between -half and half, so adding half to every slot leaves each digit
+    # in [1, 2^(8*width) - 1]: the bytes decode slot by slot, with no carries.
+    bound = min(len(a), len(b)) * max(map(abs, a.values())) * max(map(abs, b.values()))
+    width = (bound.bit_length() + 8) // 8
+    half = 1 << (8 * width - 1)
+
+    def pack(factor: dict, lo: int, hi: int) -> int:
+        positive = bytearray((hi - lo + 1) * width)
+        negative = bytearray(len(positive))
+        for (e,), c in factor.items():
+            at = (e - lo) * width
+            (positive if c > 0 else negative)[at:at + width] = abs(c).to_bytes(width, "little")
+        return int.from_bytes(positive, "little") - int.from_bytes(negative, "little")
+
+    slots = hi_a - lo_a + hi_b - lo_b + 1
+    biased = pack(a, lo_a, hi_a) * pack(b, lo_b, hi_b) + int.from_bytes(
+        half.to_bytes(width, "little") * slots, "little"
+    )
+    raw = biased.to_bytes(slots * width, "little")
+    lo = lo_a + lo_b
+    out = {}
+    for k in range(slots):
+        c = int.from_bytes(raw[k * width:(k + 1) * width], "little") - half
+        if c:
+            out[(lo + k,)] = c
+    return out
 
 
 class VariableSet:
@@ -279,10 +321,20 @@ class LaurentPoly:
         if other is None:
             return NotImplemented
         self._require_same_variables(other)
+        a, b = self._terms, other._terms
+        if len(self.variables) == 1 and min(len(a), len(b)) > 1:
+            # packed when the product's slots are no more than the term pairs
+            # the loop below would visit; a single-term factor needs no merging
+            (lo_a,), (hi_a,), (lo_b,), (hi_b,) = min(a), max(a), min(b), max(b)
+            if hi_a - lo_a + hi_b - lo_b < len(a) * len(b):
+                _checked_exponent(lo_a + lo_b)
+                _checked_exponent(hi_a + hi_b)
+                terms = _packed_product(a, lo_a, hi_a, b, lo_b, hi_b)
+                return _from_canonical(self.variables, terms)
         out: dict[tuple[int, ...], int] = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                exps = tuple(a + b for a, b in zip(e1, e2))
+        for e1, c1 in a.items():
+            for e2, c2 in b.items():
+                exps = tuple(x + y for x, y in zip(e1, e2))
                 merged = out.get(exps, 0) + c1 * c2
                 if merged:
                     out[exps] = merged
@@ -548,9 +600,66 @@ class LaurentPoly:
     def from_json(cls, text: str) -> "LaurentPoly":
         try:
             data = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise PolyParseError(f"invalid JSON: {exc}") from exc
         return cls.from_json_dict(data)
+
+
+def _dumps_indent2(doc) -> str:
+    """json.dumps(doc, indent=2), byte for byte.
+
+    A polynomial document as to_json_dict builds it, found by its keys, is
+    written one term per f-string; everything else goes through json.dumps
+    one scalar at a time.  With indent set, json.dumps uses the pure-Python
+    encoder, whose per-value dispatch dominated large polynomial output.
+    """
+    parts: list[str] = []
+    _write_indent2(doc, "\n", parts)
+    return "".join(parts)
+
+
+def _write_indent2(value, newline: str, parts: list[str]) -> None:
+    # newline is "\n" plus the indentation of the line where value starts
+    inner = newline + "  "
+    if isinstance(value, dict) and value:
+        if tuple(value) == ("variables", "terms"):
+            _write_poly_indent2(value, newline, parts)
+            return
+        opening = "{"
+        for key, item in value.items():
+            parts.append(f"{opening}{inner}{json.dumps(key)}: ")
+            _write_indent2(item, inner, parts)
+            opening = ","
+        parts.append(newline + "}")
+    elif isinstance(value, list) and value:
+        opening = "["
+        for item in value:
+            parts.append(opening + inner)
+            _write_indent2(item, inner, parts)
+            opening = ","
+        parts.append(newline + "]")
+    else:
+        parts.append(json.dumps(value))
+
+
+def _write_poly_indent2(doc: dict, newline: str, parts: list[str]) -> None:
+    # exponents are ints and coefficients decimal strings, which JSON writes
+    # as they are; variable names are identifiers and need no escaping
+    n1, n2, n3, n4 = (newline + "  " * depth for depth in range(1, 5))
+    parts.append(f'{{{n1}"variables": ')
+    _write_indent2(doc["variables"], n1, parts)
+    parts.append(f',{n1}"terms": ')
+    if not doc["terms"]:
+        parts.append("[]" + newline + "}")
+        return
+    opening, closing = (f"[{n4}", f"{n3}]") if doc["variables"] else ("[", "]")
+    sep = "," + n4
+    terms = [
+        f'{{{n3}"exps": {opening}{sep.join(map(str, t["exps"]))}{closing},'
+        f'{n3}"coeff": "{t["coeff"]}"{n2}}}'
+        for t in doc["terms"]
+    ]
+    parts.append(f"[{n2}" + f",{n2}".join(terms) + f"{n1}]{newline}}}")
 
 
 def _require_json_object(data, keys: set[str]) -> None:

@@ -9,7 +9,10 @@ E(n) has
 
 and the Torres condition pins down the specialization
 
-    Delta_L(1, y) = (1 + y + ... + y^(lk-1)) * Delta_Gamma(y).
+    Delta_L(1, y) = (1 + y + ... + y^(lk-1)) * Delta_Gamma(y),
+
+computed as Delta_Gamma * (y^lk - 1) / (y - 1) by the running-sum division
+that the torus-knot kernel uses, at a cost proportional to the output terms.
 
 The full two-variable Delta_L is not determined by this data, so the
 pipeline works through the specialization: sw_link_surgery accepts an
@@ -25,8 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .knots import KnotExpr, Torus, TorusKnotSpec, alexander_torus
-from .laurent import LaurentPoly, VariableSet
+from .knots import KnotExpr, Torus, TorusKnotSpec, _divide_by_binomial, alexander_torus
+from .laurent import LaurentPoly, VariableSet, _checked_exponent, _from_canonical
 
 __all__ = [
     "KG_VARS",
@@ -107,9 +110,11 @@ class SWResult:
 def torres_specialize(delta_gamma: LaurentPoly, lk: int) -> LaurentPoly:
     """Delta_L(1, y) from the component polynomial and the linking number.
 
-    Multiplies by the geometric sum 1 + y + ... + y^(lk-1), built directly
-    rather than by dividing y^lk - 1 by y - 1.  lk = 0 gives 0, lk = 1
-    gives delta_gamma back unchanged.
+    The product with the geometric sum 1 + y + ... + y^(lk-1) is the
+    quotient delta_gamma * (y^lk - 1) / (y - 1), taken as a running sum over
+    the 2 * terms of the numerator, so the cost follows the output terms and
+    neither the geometric sum nor a product is built.  lk = 0 gives 0,
+    lk = 1 gives delta_gamma back unchanged.
     """
     if not isinstance(lk, int) or lk < 0:
         raise ValueError(f"linking number must be a nonnegative integer, got {lk!r}")
@@ -120,10 +125,14 @@ def torres_specialize(delta_gamma: LaurentPoly, lk: int) -> LaurentPoly:
     variables = delta_gamma.variables if len(delta_gamma.variables) else VariableSet("y")
     if lk == 0:
         return LaurentPoly.zero(variables)
-    geometric = LaurentPoly(variables, {(e,): 1 for e in range(lk)})
     if len(delta_gamma.variables) == 0:
         delta_gamma = LaurentPoly.constant(variables, delta_gamma.coefficient(()))
-    return geometric * delta_gamma
+    ascending = delta_gamma.terms()[::-1]
+    if ascending:
+        _checked_exponent(ascending[-1][0][0] + lk - 1)
+    # both halves ascend, so the sort merges two runs
+    numerator = sorted([(e + lk, c) for (e,), c in ascending] + [(e, -c) for (e,), c in ascending])
+    return _from_canonical(variables, _divide_by_binomial(numerator, 1))
 
 
 def sw_prefactor(n: int) -> LaurentPoly:

@@ -87,6 +87,14 @@ class TestTorresCommand:
         assert out == ""
         assert err.startswith("error:")
 
+    def test_top_exponent_boundary(self, capsys):
+        # the top output exponent is e + lk - 1, which fits for e = INT64_MAX - 1
+        code, out, err = run(capsys, "torres", "--lk", "2", "t^9223372036854775806")
+        assert (code, out, err) == (0, "t^9223372036854775807 + t^9223372036854775806\n", "")
+        code, out, err = run(capsys, "torres", "--lk", "2", "t^9223372036854775807")
+        assert (code, out) == (1, "")
+        assert err.startswith("error:")
+
     def test_lk1_unchanged(self, capsys):
         code, out, _ = run(capsys, "torres", "--lk", "1", "t - 1 + t^-1")
         assert code == 0
@@ -221,6 +229,7 @@ class TestCertifyCommand:
         data = json.loads(out)
         jsonschema.validate(instance=data, schema=schemas.load("verify"))
         assert data["valid"] is True
+        assert out == json.dumps(data, indent=2) + "\n"
 
     def test_verify_tampered_exits_1(self, capsys, tmp_path):
         _, out, _ = run(capsys, "certify", "--target", "7")
@@ -250,6 +259,19 @@ class TestCertifyCommand:
         code, _, err = run(capsys, "certify", "--verify", str(path))
         assert code == 1
         assert "error" in err
+
+    def test_verify_deeply_nested_exits_1_without_traceback(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        proc = subprocess.run(
+            [sys.executable, "-m", "knotsurgery", "certify", "--verify", str(path)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error:")
+        assert "Traceback" not in proc.stderr
 
     def test_verify_closes_the_file(self, capsys, tmp_path):
         _, out, _ = run(capsys, "certify", "--target", "7")
@@ -340,6 +362,27 @@ class TestCertificateLoaderMatchesSchema:
         code, out, _ = run(capsys, "certify", "--verify", str(path))
         assert code == 0
         assert json.loads(out) == {"valid": True, "target": 0, "witness_count": 1}
+
+
+class TestJsonOutput:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["alexander", "--format", "json", "sum(torus(2,5),torus(3,4))"],
+            ["alexander", "--format", "json", "unknot"],
+            ["torres", "--lk", "3", "--format", "json", "t - 1 + t^-1"],
+            ["torres", "--lk", "0", "--format", "json", "t"],
+            ["torres", "--lk", "2", "--format", "json", "5"],
+            ["sw", "--p", "4", "--n", "2", "--format", "json"],
+            ["sw", "--p", "3", "--n", "2", "--format", "json", "--delta-l", "x*y - 2 + y^-1"],
+            ["family", "--pmin", "1", "--pmax", "6", "--format", "json"],
+            ["certify", "--target", "15"],
+        ],
+    )
+    def test_indent2_bytes(self, argv, capsys):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
 
 class TestParserBehavior:

@@ -191,6 +191,8 @@ class TestCertificateJson:
         with pytest.raises(ValueError):
             UnboundednessCertificate.from_json("{not json")
         with pytest.raises(ValueError):
+            UnboundednessCertificate.from_json("[" * 100_000 + "]" * 100_000)
+        with pytest.raises(ValueError):
             UnboundednessCertificate.from_json_dict({"schema_version": 1, "target": 2})
 
 

@@ -3,7 +3,7 @@ import json
 import jsonschema
 import pytest
 
-from knotsurgery import schemas
+from knotsurgery import laurent, schemas
 from knotsurgery.laurent import (
     INT64_MAX,
     INT64_MIN,
@@ -22,6 +22,10 @@ T = VariableSet("t")
 
 def p(text: str, variables: VariableSet = T) -> LaurentPoly:
     return LaurentPoly.parse(text, variables)
+
+
+def from_dict(terms: dict) -> LaurentPoly:
+    return LaurentPoly(T, {(e,): c for e, c in terms.items()})
 
 
 class TestVariableSet:
@@ -135,9 +139,41 @@ class TestArithmetic:
             p("t + 1") + LaurentPoly.one(VariableSet("s"))
 
     def test_mul_overflow_detected(self):
-        big = LaurentPoly(T, {(INT64_MAX,): 1})
-        with pytest.raises(ExponentOverflowError):
-            big * big
+        cases = [
+            ({INT64_MAX: 1}, {INT64_MAX: 1}),
+            # dense factors, so the packed product; one end leaves the range
+            ({INT64_MAX: 1, INT64_MAX - 1: 1}, {1: 1, 0: 1}),
+            ({INT64_MIN: 1, INT64_MIN + 1: 1}, {-1: 1, 0: 1}),
+        ]
+        for a, b in cases:
+            with pytest.raises(ExponentOverflowError):
+                from_dict(a) * from_dict(b)
+            with pytest.raises(ExponentOverflowError):
+                from_dict(b) * from_dict(a)
+
+    @pytest.mark.parametrize(
+        "a, b, packed",
+        [
+            ({INT64_MAX - 1: 1, INT64_MAX - 2: 1}, {1: 1, 0: 1}, True),
+            ({INT64_MIN + 1: 1, INT64_MIN + 2: 1}, {-1: 1, 0: 1}, True),
+            ({0: 1, 1: -1, 2: 1}, {-1: 3, 0: 2, 1: 1}, True),
+            ({0: 1, 1: 1}, {0: 1, 2: -1}, True),  # 4 slots, 4 pairs
+            ({0: 1, 1: 1}, {0: 1, 3: -1}, False),  # 5 slots, 4 pairs
+            # the middle coefficient, 200 or -200, reaches the slot bound
+            (dict.fromkeys(range(200), 1), dict.fromkeys(range(200), 1), True),
+            (dict.fromkeys(range(200), 1), dict.fromkeys(range(-5, 195), -1), True),
+            ({3: 1}, {0: 1, 1: 1}, False),  # a single-term factor
+            ({0: 1, 1000: -1}, {0: 1, 3: 2, 2000: 1}, False),
+        ],
+    )
+    def test_density_selects_the_packed_product(self, a, b, packed, monkeypatch):
+        calls = []
+        original = laurent._packed_product
+        monkeypatch.setattr(
+            laurent, "_packed_product", lambda *args: calls.append(args) or original(*args)
+        )
+        assert from_dict(a) * from_dict(b) == from_dict(convolve(a, b))
+        assert len(calls) == packed
 
 
 class TestExactDivide:
@@ -407,6 +443,8 @@ class TestJsonForm:
     def test_malformed_json_raises(self):
         with pytest.raises(PolyParseError):
             LaurentPoly.from_json("{not json")
+        with pytest.raises(PolyParseError):
+            LaurentPoly.from_json("[" * 100_000 + "]" * 100_000)
         with pytest.raises(PolyParseError):
             LaurentPoly.from_json_dict({"variables": ["t"]})
         with pytest.raises(PolyParseError):

@@ -1,12 +1,16 @@
 """Property-based checks of the algebra layer."""
 
+import json
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from knotsurgery.laurent import LaurentPoly, NotDivisibleError, VariableSet
+from knotsurgery.family import FamilyReport, FamilyRow, UnboundednessCertificate, Witness
+from knotsurgery.laurent import LaurentPoly, NotDivisibleError, VariableSet, _dumps_indent2
+from knotsurgery.surgery import SWResult, torres_specialize
 
-from _oracles import dense_divide
+from _oracles import convolve, dense_divide, geometric_sum
 
 T = VariableSet("t")
 XY = VariableSet("x", "y")
@@ -24,6 +28,41 @@ def polys(variables=T, max_terms=8, coeff=coefficients):
 
 
 nonzero_polys = polys().filter(lambda poly: not poly.is_zero())
+
+
+def from_dict(terms: dict, variables=T) -> LaurentPoly:
+    return LaurentPoly(variables, {(e,): c for e, c in terms.items()})
+
+
+# one-variable {exponent: coefficient} maps; dense ones fill most of a
+# 13-exponent window, sparse ones spread over a span far above their size
+mixed_coefficients = st.one_of(st.integers(-3, 3), big_coefficients).filter(bool)
+dense_terms = st.integers(-30, 30).flatmap(
+    lambda lo: st.dictionaries(st.integers(lo, lo + 12), mixed_coefficients, min_size=1, max_size=13)
+)
+sparse_terms = st.dictionaries(
+    st.integers(-40, 40).map(lambda k: 997 * k), mixed_coefficients, min_size=1, max_size=6
+)
+
+# the documents the CLI prints, with polynomials over 0-3 variables inside
+any_poly = st.sampled_from([VariableSet(), T, XY, VariableSet("a", "b", "c")]).flatmap(
+    lambda v: polys(variables=v, max_terms=5, coeff=big_coefficients)
+)
+counts = st.integers(min_value=0, max_value=10 ** 20)
+family_rows = st.builds(FamilyRow, counts, any_poly, counts, st.booleans(), counts, counts)
+documents = st.one_of(
+    any_poly.map(LaurentPoly.to_json_dict),
+    st.builds(SWResult, counts, counts, st.none() | any_poly, any_poly, counts).map(
+        SWResult.to_json_dict
+    ),
+    st.builds(FamilyReport, counts, st.lists(family_rows, max_size=3).map(tuple)).map(
+        FamilyReport.to_json_dict
+    ),
+    st.builds(
+        UnboundednessCertificate, counts, st.lists(st.builds(Witness, counts, counts)).map(tuple)
+    ).map(UnboundednessCertificate.to_json_dict),
+    st.fixed_dictionaries({"valid": st.booleans(), "target": counts, "witness_count": counts}),
+)
 
 
 class TestRingAxioms:
@@ -60,6 +99,28 @@ class TestRingAxioms:
     def test_two_variable_arithmetic(self, a, b):
         assert a * b == b * a
         assert a + b == b + a
+
+
+class TestProduct:
+    @given(st.one_of(dense_terms, sparse_terms), st.one_of(dense_terms, sparse_terms))
+    @settings(deadline=None)
+    def test_matches_schoolbook_oracle(self, a, b):
+        slots = max(a) - min(a) + max(b) - min(b) + 1
+        event("packed" if min(len(a), len(b)) > 1 and slots <= len(a) * len(b) else "loop")
+        assert from_dict(a) * from_dict(b) == from_dict(convolve(a, b))
+
+
+class TestTorres:
+    @given(polys(coeff=mixed_coefficients), st.integers(min_value=0, max_value=30))
+    def test_matches_geometric_product(self, delta, lk):
+        terms = {e: c for (e,), c in delta.terms()}
+        assert torres_specialize(delta, lk) == from_dict(convolve(geometric_sum(lk), terms))
+
+    @given(coefficients, st.integers(min_value=0, max_value=30))
+    def test_constant_without_variables(self, c, lk):
+        delta = LaurentPoly(VariableSet(), {(): c})
+        expected = from_dict(convolve(geometric_sum(lk), {0: c}), VariableSet("y"))
+        assert torres_specialize(delta, lk) == (delta if lk == 1 else expected)
 
 
 class TestDivision:
@@ -137,3 +198,8 @@ class TestSerialization:
     @given(polys(variables=XY, max_terms=6, coeff=big_coefficients))
     def test_two_variable_json_round_trip(self, poly):
         assert LaurentPoly.from_json(poly.to_json()) == poly
+
+    @given(documents)
+    @settings(deadline=None)
+    def test_indent2_writer_matches_json_dumps(self, doc):
+        assert _dumps_indent2(doc) == json.dumps(doc, indent=2)
