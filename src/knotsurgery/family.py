@@ -15,12 +15,11 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from dataclasses import dataclass
 
 from .knots import alexander_torus, genus_torus
-from .laurent import LaurentPoly, _dumps_indent2, _require_json_object
-from .surgery import LinkFamilyMember, basic_class_lower_bound
+from .laurent import LaurentPoly, _dumps_indent2, _json_int, _json_loads, _require_json_object
+from .surgery import LinkFamilyMember, _require_int, basic_class_lower_bound
 
 __all__ = [
     "DEFAULT_P_CAP",
@@ -152,27 +151,18 @@ class UnboundednessCertificate:
         for w in raw:
             _require_json_object(w, {"p", "lower_bound"})
         witnesses = tuple(
-            Witness(_schema_int(w, "p", 1), _schema_int(w, "lower_bound", 0)) for w in raw
+            Witness(
+                _json_int(w["p"], "certificate 'p'", 1),
+                _json_int(w["lower_bound"], "certificate 'lower_bound'", 0),
+            )
+            for w in raw
         )
-        return cls(target=_schema_int(data, "target", 0), witnesses=witnesses)
+        target = _json_int(data["target"], "certificate 'target'", 0)
+        return cls(target=target, witnesses=witnesses)
 
     @classmethod
     def from_json(cls, text: str) -> "UnboundednessCertificate":
-        try:
-            data = json.loads(text)
-        except (json.JSONDecodeError, RecursionError) as exc:
-            raise ValueError(f"certificate is not valid JSON: {exc}") from exc
-        return cls.from_json_dict(data)
-
-
-def _schema_int(data: dict, key: str, minimum: int) -> int:
-    # a JSON Schema integer is a number with no fractional part, never a boolean
-    value = data[key]
-    if isinstance(value, float) and value.is_integer():
-        value = int(value)
-    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
-        raise ValueError(f"certificate {key!r} must be an integer >= {minimum}, got {value!r}")
-    return value
+        return cls.from_json_dict(_json_loads(text, ValueError, "certificate is not valid JSON"))
 
 
 def analyze_family(
@@ -184,8 +174,7 @@ def analyze_family(
     contributes no t_G terms.  n is carried through to the report so the
     emitted artifact names the manifold family it describes.
     """
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"E(n) parameter must be a positive integer, got {n!r}")
+    _require_int(n, "E(n) parameter", 1)
     if not (1 <= p_min <= p_max <= p_cap):
         raise ValueError(
             f"need 1 <= p_min <= p_max <= {p_cap}, got p_min={p_min} p_max={p_max}"
@@ -195,14 +184,16 @@ def analyze_family(
         spec = LinkFamilyMember(p).gamma
         delta = alexander_torus(spec)
         bound = delta.term_count()
+        genus = genus_torus(spec)
         rows.append(
             FamilyRow(
                 p=p,
                 delta_gamma=delta,
                 lower_bound=bound,
                 lemma63_ok=bound >= p,
-                genus=genus_torus(spec),
-                span=delta.span(),
+                genus=genus,
+                # alexander_torus raises unless span(delta) = (p-1)(q-1) = 2 * genus
+                span=2 * genus,
             )
         )
     return FamilyReport(n=n, rows=tuple(rows))
@@ -218,10 +209,8 @@ def certify_unbounded(
     at least p, the scan always finishes by p = target + 1 unless p_cap cuts
     it off first, which raises CapExhaustedError.
     """
-    if not isinstance(target, int) or target < 0:
-        raise ValueError(f"target must be a nonnegative integer, got {target!r}")
-    if not isinstance(p_cap, int) or p_cap < 1:
-        raise ValueError(f"p_cap must be a positive integer, got {p_cap!r}")
+    _require_int(target, "target", 0)
+    _require_int(p_cap, "p_cap", 1)
     witnesses: list[Witness] = []
     best = None
     for p in range(1, p_cap + 1):
@@ -247,8 +236,7 @@ def verify_certificate(c: UnboundednessCertificate, n: int = 1) -> bool:
     certificate is read against; the bounds themselves are independent of
     it.
     """
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"E(n) parameter must be a positive integer, got {n!r}")
+    _require_int(n, "E(n) parameter", 1)
     if not c.witnesses:
         return False
     previous_p = 0

@@ -132,5 +132,4 @@ def alexander_fox_oracle(
     t = LaurentPoly.var(_T, "t")
     dr_dx = _abelianized_fox_derivative(g.relators[0], 1, exponent_of)
     numerator = dr_dx * (t - 1)
-    denominator = t ** ey - 1 if ey > 0 else LaurentPoly.var(_T, "t", ey) - 1
-    return numerator.exact_divide(denominator)
+    return numerator.exact_divide(LaurentPoly.var(_T, "t", ey) - 1)

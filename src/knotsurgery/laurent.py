@@ -9,10 +9,14 @@ that range raises :class:`ExponentOverflowError` instead of wrapping.
 
 The zero polynomial is the empty map.  Values are immutable and every
 operation is a pure function, so instances can be shared freely between
-concurrent callers.
+concurrent callers.  Operations accumulate terms and drop the zero
+coefficients in one place, so canonical form is enforced once.
 
-A product of two one-variable polynomials whose exponent window (the
-product's slot count) is no larger than the number of term pairs is
+A product checks its exponent range before any work: per variable, the sums
+of the factors' lowest and of their highest exponents.  Both always occur in
+the product, because Laurent polynomials over the integers have no zero
+divisors.  A product of two one-variable polynomials whose exponent window
+(the product's slot count) is no larger than the number of term pairs is
 computed by Kronecker substitution: each factor is packed into one integer,
 one machine-level multiply convolves them, and the bytes are read back one
 slot per exponent.  Other products -- sparse, multivariate, or with a
@@ -80,6 +84,11 @@ def _as_int(value, what: str) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
         raise TypeError(f"{what} must be int, got {type(value).__name__}")
     return value
+
+
+def _nonzero(acc: dict) -> dict:
+    # the one place where accumulated terms drop their zero coefficients
+    return {k: c for k, c in acc.items() if c} if 0 in acc.values() else acc
 
 
 def _from_canonical(variables: "VariableSet", terms: dict) -> "LaurentPoly":
@@ -192,20 +201,14 @@ class LaurentPoly:
         acc: dict[tuple[int, ...], int] = {}
         for exps, coeff in items:
             coeff = _as_int(coeff, "coefficient")
-            if coeff == 0:
-                continue
             exps = tuple(_checked_exponent(_as_int(e, "exponent")) for e in exps)
             if len(exps) != nslots:
                 raise ValueError(
                     f"exponent vector {exps} does not match variables {variables.names}"
                 )
-            merged = acc.get(exps, 0) + coeff
-            if merged:
-                acc[exps] = merged
-            else:
-                acc.pop(exps, None)
+            acc[exps] = acc.get(exps, 0) + coeff
         self.variables = variables
-        self._terms = acc
+        self._terms = _nonzero(acc)
         self._hash: int | None = None
 
     # -- constructors ------------------------------------------------------
@@ -292,12 +295,8 @@ class LaurentPoly:
         self._require_same_variables(other)
         out = dict(self._terms)
         for exps, c in other._terms.items():
-            merged = out.get(exps, 0) + c
-            if merged:
-                out[exps] = merged
-            else:
-                out.pop(exps, None)
-        return _from_canonical(self.variables, out)
+            out[exps] = out.get(exps, 0) + c
+        return _from_canonical(self.variables, _nonzero(out))
 
     __radd__ = __add__
 
@@ -322,28 +321,24 @@ class LaurentPoly:
             return NotImplemented
         self._require_same_variables(other)
         a, b = self._terms, other._terms
+        # over Z the extreme terms in each slot never cancel (no zero
+        # divisors), so a product's exponents lie in range iff these sums do
+        for slot_a, slot_b in zip(zip(*a), zip(*b)):
+            _checked_exponent(min(slot_a) + min(slot_b))
+            _checked_exponent(max(slot_a) + max(slot_b))
         if len(self.variables) == 1 and min(len(a), len(b)) > 1:
             # packed when the product's slots are no more than the term pairs
             # the loop below would visit; a single-term factor needs no merging
             (lo_a,), (hi_a,), (lo_b,), (hi_b,) = min(a), max(a), min(b), max(b)
             if hi_a - lo_a + hi_b - lo_b < len(a) * len(b):
-                _checked_exponent(lo_a + lo_b)
-                _checked_exponent(hi_a + hi_b)
                 terms = _packed_product(a, lo_a, hi_a, b, lo_b, hi_b)
                 return _from_canonical(self.variables, terms)
         out: dict[tuple[int, ...], int] = {}
         for e1, c1 in a.items():
             for e2, c2 in b.items():
                 exps = tuple(x + y for x, y in zip(e1, e2))
-                merged = out.get(exps, 0) + c1 * c2
-                if merged:
-                    out[exps] = merged
-                else:
-                    out.pop(exps, None)
-        for exps in out:
-            for e in exps:
-                _checked_exponent(e)
-        return _from_canonical(self.variables, out)
+                out[exps] = out.get(exps, 0) + c1 * c2
+        return _from_canonical(self.variables, _nonzero(out))
 
     __rmul__ = __mul__
 
@@ -392,12 +387,8 @@ class LaurentPoly:
                 for slot, ie in image:
                     acc[slot] += e * ie
             key = tuple(_checked_exponent(e) for e in acc)
-            merged = out.get(key, 0) + coeff
-            if merged:
-                out[key] = merged
-            else:
-                out.pop(key, None)
-        return _from_canonical(into, out)
+            out[key] = out.get(key, 0) + coeff
+        return _from_canonical(into, _nonzero(out))
 
     def evaluate_at_one(self, name: str) -> "LaurentPoly":
         """Set one variable to 1: substitute the empty monomial for it."""
@@ -587,22 +578,18 @@ class LaurentPoly:
             terms = {}
             for entry in _json_list(data["terms"]):
                 _require_json_object(entry, {"exps", "coeff"})
-                exps = tuple(_json_int(e) for e in _json_list(entry["exps"]))
+                exps = tuple(_json_int(e, "exponent") for e in _json_list(entry["exps"]))
                 coeff = entry["coeff"]
                 if not isinstance(coeff, str) or not _COEFF_RE.match(coeff):
                     raise ValueError(f"coefficient must be a decimal string, got {coeff!r}")
                 terms[exps] = terms.get(exps, 0) + int(coeff)
+            return cls(variables, terms)
         except (TypeError, ValueError) as exc:
             raise PolyParseError(f"malformed polynomial JSON: {exc}") from exc
-        return cls(variables, terms)
 
     @classmethod
     def from_json(cls, text: str) -> "LaurentPoly":
-        try:
-            data = json.loads(text)
-        except (json.JSONDecodeError, RecursionError) as exc:
-            raise PolyParseError(f"invalid JSON: {exc}") from exc
-        return cls.from_json_dict(data)
+        return cls.from_json_dict(_json_loads(text, PolyParseError, "invalid JSON"))
 
 
 def _dumps_indent2(doc) -> str:
@@ -667,11 +654,24 @@ def _require_json_object(data, keys: set[str]) -> None:
         raise ValueError(f"expected an object with keys {sorted(keys)}")
 
 
-def _json_int(value) -> int:
+def _json_loads(text: str, error: type[ValueError], prefix: str):
+    # a document too deeply nested for the decoder is malformed input too
+    try:
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise error(f"{prefix}: {exc}") from exc
+
+
+def _json_int(value, what: str, minimum: int | None = None) -> int:
     # a JSON Schema integer is a number with no fractional part, never a boolean
     if isinstance(value, float) and value.is_integer():
         value = int(value)
-    return _as_int(value, "exponent")
+    if not isinstance(value, int) or isinstance(value, bool) or (
+        minimum is not None and value < minimum
+    ):
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise ValueError(f"{what} must be an integer{bound}, got {value!r}")
+    return value
 
 
 def _json_list(value) -> list:

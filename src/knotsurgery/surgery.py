@@ -17,7 +17,9 @@ that the torus-knot kernel uses, at a cost proportional to the output terms.
 The full two-variable Delta_L is not determined by this data, so the
 pipeline works through the specialization: sw_link_surgery accepts an
 explicit Delta_L for synthetic checks, while sw_specialized carries the
-specialization and the basic-class lower bound it yields.  Each nonzero
+specialization and the basic-class lower bound it yields.  For n >= 2 the
+prefactor vanishes at t_K = 1, so the specialization is zero by that law and
+is written down, not evaluated.  Each nonzero
 term of an SW polynomial marks a basic class, so term counts bound the
 number of basic classes from below.  basic_class_lower_bound is the one
 route to that bound and the only memo; it holds the ints this process computed.
@@ -50,6 +52,13 @@ TG_VARS = VariableSet("t_G")
 XY_VARS = VariableSet("x", "y")
 
 
+def _require_int(value, what: str, minimum: int) -> None:
+    # minimum is 0 (nonnegative) or 1 (positive)
+    if not isinstance(value, int) or value < minimum:
+        kind = "positive" if minimum else "nonnegative"
+        raise ValueError(f"{what} must be a {kind} integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class LinkFamilyMember:
     """The link L_p = K u Gamma_p with Gamma_p = T(p, p+1) and lk = 1."""
@@ -60,8 +69,7 @@ class LinkFamilyMember:
     linking_number: int = field(init=False, default=1)
 
     def __post_init__(self):
-        if not isinstance(self.p, int) or self.p < 1:
-            raise ValueError(f"family index must be a positive integer, got {self.p!r}")
+        _require_int(self.p, "family index", 1)
         object.__setattr__(self, "gamma", TorusKnotSpec(self.p, self.p + 1))
 
 
@@ -73,8 +81,7 @@ class SurgerySpec:
     member: LinkFamilyMember
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 1:
-            raise ValueError(f"E(n) parameter must be a positive integer, got {self.n!r}")
+        _require_int(self.n, "E(n) parameter", 1)
 
 
 @dataclass(frozen=True)
@@ -116,8 +123,7 @@ def torres_specialize(delta_gamma: LaurentPoly, lk: int) -> LaurentPoly:
     neither the geometric sum nor a product is built.  lk = 0 gives 0,
     lk = 1 gives delta_gamma back unchanged.
     """
-    if not isinstance(lk, int) or lk < 0:
-        raise ValueError(f"linking number must be a nonnegative integer, got {lk!r}")
+    _require_int(lk, "linking number", 0)
     if len(delta_gamma.variables) > 1:
         raise ValueError("torres_specialize needs a single-variable polynomial")
     if lk == 1:
@@ -137,8 +143,7 @@ def torres_specialize(delta_gamma: LaurentPoly, lk: int) -> LaurentPoly:
 
 def sw_prefactor(n: int) -> LaurentPoly:
     """(t_K - t_K^-1)^(n-1), the part of SW(X_p) the E(n) factor contributes."""
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"E(n) parameter must be a positive integer, got {n!r}")
+    _require_int(n, "E(n) parameter", 1)
     t_k = LaurentPoly.var(KG_VARS, "t_K")
     t_k_inv = LaurentPoly.var(KG_VARS, "t_K", -1)
     return (t_k - t_k_inv) ** (n - 1)
@@ -163,8 +168,7 @@ def sw_specialized(spec: SurgerySpec, delta_L: LaurentPoly | None = None) -> SWR
 
     Without delta_L this is the production path: the specialization comes
     from the Torres condition and the full polynomial is unavailable.  With
-    an explicit delta_L (over x, y) the full polynomial is computed too and
-    the specialization is read off from it.
+    an explicit delta_L (over x, y) the full polynomial is computed too.
     """
     member = spec.member
     if delta_L is None:
@@ -173,14 +177,11 @@ def sw_specialized(spec: SurgerySpec, delta_L: LaurentPoly | None = None) -> SWR
         delta_at_1 = torres_specialize(alexander_torus(member.gamma), member.linking_number)
         base = delta_at_1.substitute({delta_at_1.variables.names[0]: (2,)}, into=TG_VARS)
     else:
-        polynomial = sw_link_surgery(spec, delta_L)
-        base = _doubled(delta_L).evaluate_at_one("t_K")
-    if spec.n == 1:
-        specialization = base
-    else:
-        specialization = LaurentPoly.zero(TG_VARS)
-        if polynomial is not None:
-            specialization = polynomial.evaluate_at_one("t_K")
+        doubled = _doubled(delta_L)
+        polynomial = sw_prefactor(spec.n) * doubled
+        base = doubled.evaluate_at_one("t_K")
+    # the prefactor (t_K - t_K^-1)^(n-1) vanishes at t_K = 1 for n >= 2
+    specialization = base if spec.n == 1 else LaurentPoly.zero(TG_VARS)
     return SWResult(
         p=member.p,
         n=spec.n,

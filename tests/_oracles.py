@@ -1,6 +1,6 @@
 """Reference implementations used only to check the library.
 
-Everything here is deliberately naive and dense: schoolbook convolution,
+Everything here is deliberately naive and dense: schoolbook products,
 classical long division and semigroup enumeration over plain
 ``{exponent: coefficient}`` dicts.  None
 of it shares code with the package, so agreement is meaningful.
@@ -15,6 +15,16 @@ def convolve(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
     for ea, ca in a.items():
         for eb, cb in b.items():
             e = ea + eb
+            out[e] = out.get(e, 0) + ca * cb
+    return {e: c for e, c in out.items() if c}
+
+
+def schoolbook(a: dict[tuple, int], b: dict[tuple, int]) -> dict[tuple, int]:
+    """Product of two multivariate Laurent polynomials keyed by exponent tuples."""
+    out: dict[tuple, int] = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
             out[e] = out.get(e, 0) + ca * cb
     return {e: c for e, c in out.items() if c}
 

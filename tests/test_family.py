@@ -19,7 +19,9 @@ from knotsurgery.surgery import (
     LinkFamilyMember,
     SurgerySpec,
     basic_class_lower_bound,
+    sw_prefactor,
     sw_specialized,
+    torres_specialize,
 )
 
 
@@ -218,3 +220,45 @@ class TestOneBoundRoute:
             [sys.executable, "-c", script], capture_output=True, text=True, check=True
         )
         assert int(proc.stdout) < 1_000_000
+
+
+CERTIFICATE = UnboundednessCertificate(target=0, witnesses=(Witness(1, 1),))
+
+# every integer argument of the family and surgery APIs, with its message
+INT_ARGUMENT_ERRORS = {
+    "family_index": (
+        lambda: LinkFamilyMember(0),
+        "family index must be a positive integer, got 0",
+    ),
+    "spec_n": (
+        lambda: SurgerySpec(0, LinkFamilyMember(1)),
+        "E(n) parameter must be a positive integer, got 0",
+    ),
+    "prefactor_n": (
+        lambda: sw_prefactor(1.0),
+        "E(n) parameter must be a positive integer, got 1.0",
+    ),
+    "linking_number": (
+        lambda: torres_specialize(LaurentPoly.one(T_VARS), -1),
+        "linking number must be a nonnegative integer, got -1",
+    ),
+    "family_n": (
+        lambda: analyze_family(0, 1, 2),
+        "E(n) parameter must be a positive integer, got 0",
+    ),
+    "verify_n": (
+        lambda: verify_certificate(CERTIFICATE, n="1"),
+        "E(n) parameter must be a positive integer, got '1'",
+    ),
+    "target": (lambda: certify_unbounded(-1), "target must be a nonnegative integer, got -1"),
+    "p_cap": (lambda: certify_unbounded(5, p_cap=0), "p_cap must be a positive integer, got 0"),
+}
+
+
+@pytest.mark.parametrize(
+    "call,message", INT_ARGUMENT_ERRORS.values(), ids=INT_ARGUMENT_ERRORS.keys()
+)
+def test_integer_argument_messages(call, message):
+    with pytest.raises(ValueError) as excinfo:
+        call()
+    assert str(excinfo.value) == message

@@ -74,6 +74,16 @@ class TestFoxOracle:
                 got = alexander_fox_oracle(g, {"x": q, "y": p})
                 assert got.equal_up_to_units(alexander_torus(TorusKnotSpec(p, q)))
 
+    def test_negative_abelianization_matches_closed_formula(self):
+        # phi(y) = t^-p, so the recipe divides by the Laurent polynomial t^-p - 1
+        for p in range(2, 7):
+            for q in range(p + 1, 7):
+                if math.gcd(p, q) != 1:
+                    continue
+                g = GroupPresentation.torus_knot(p, q)
+                got = alexander_fox_oracle(g, {"x": -q, "y": -p})
+                assert got.equal_up_to_units(alexander_torus(TorusKnotSpec(p, q)))
+
     def test_relator_must_die_under_abelianization(self):
         g = GroupPresentation.torus_knot(2, 3)
         with pytest.raises(ValueError, match="homomorphism"):

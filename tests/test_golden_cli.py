@@ -1,0 +1,183 @@
+"""Golden CLI output: the sha256 of stdout and the exit code of fixed commands.
+
+The CLI promises byte-identical stdout across refactors.  Each hash below
+was recorded from the reference CLI; a change that alters one of these
+outputs on purpose records the new hash and says why in CHANGES.md.
+"""
+
+import hashlib
+import json
+import shlex
+
+import pytest
+
+from knotsurgery.cli import main
+
+DELTA_LS = ("x*y - 2 + y^-1", "x^2 - 1", "y - 1")
+
+COMMANDS = [
+    *(
+        ["family", "--n", "2", "--pmin", "1", "--pmax", "60", "--format", f]
+        for f in ("json", "csv", "text")
+    ),
+    ["alexander", "torus(2,401)"],
+    ["alexander", "--no-symmetrize", "torus(7,9)"],
+    ["alexander", "--format", "json", "sum(torus(2,3),mirror(torus(3,4)))"],
+    *(
+        ["torres", "--lk", str(lk), poly, "--format", f]
+        for lk in range(4)
+        for poly in ("t - 1 + t^-1", "1")
+        for f in ("text", "json")
+    ),
+    ["sw", "--p", "17", "--n", "3", "--format", "json"],
+    *(
+        ["sw", "--p", "3", "--n", n, "--delta-l", delta, "--format", f]
+        for n in ("1", "3")
+        for delta in DELTA_LS
+        for f in ("text", "json")
+    ),
+]
+
+# command line -> (exit code, sha256 of stdout)
+GOLDEN = {
+    "family --n 2 --pmin 1 --pmax 60 --format json": (
+        0, "9ef23f789abdb1c4497d8373efe9d16cb8567fb3f7784007a865d37e017df278"
+    ),
+    "family --n 2 --pmin 1 --pmax 60 --format csv": (
+        0, "8a3f96214e53baa7e344e86a1449ac51a29aefb1bcdd85852e618e0811d3feb2"
+    ),
+    "family --n 2 --pmin 1 --pmax 60 --format text": (
+        0, "b7f41baaccab4165115fad04b3360432063f956692d4e86715df9a45e247abcb"
+    ),
+    "alexander 'torus(2,401)'": (
+        0, "e1845cd0f5abc5e6799fbca9d1e647e861d3f9d1cd3e04cfc4fc3a894b1a675d"
+    ),
+    "alexander --no-symmetrize 'torus(7,9)'": (
+        0, "d533f7736c3231aba46871e36a200acb21e813f831775649b4418d83a247d574"
+    ),
+    "alexander --format json 'sum(torus(2,3),mirror(torus(3,4)))'": (
+        0, "356904405b49813ae6cedf9b282232cceaefa1b8a6453b58997dd708eb5e28a6"
+    ),
+    "torres --lk 0 't - 1 + t^-1' --format text": (
+        0, "9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa"
+    ),
+    "torres --lk 0 't - 1 + t^-1' --format json": (
+        0, "72da28a93585ba7081d0f65d555289d1cabb8ae6697ec3cc1e45e8d4c78d0d5a"
+    ),
+    "torres --lk 0 1 --format text": (
+        0, "9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa"
+    ),
+    "torres --lk 0 1 --format json": (
+        0, "fa24ed268e8109f18877b6dc027378862b1c6644fa2747dc6b41dbd95af0631f"
+    ),
+    "torres --lk 1 't - 1 + t^-1' --format text": (
+        0, "4a2b8d90ed62438e472df727ba5ef805d21f16e78c7532ef3108ea81b1ef13b0"
+    ),
+    "torres --lk 1 't - 1 + t^-1' --format json": (
+        0, "7e095ba399fc8c55cf4734acfca452bdc2d104eaddfe093169a9af511153c59e"
+    ),
+    "torres --lk 1 1 --format text": (
+        0, "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865"
+    ),
+    "torres --lk 1 1 --format json": (
+        0, "b1384c3fe2e320e71321ddb9975e421bff232244b37d78b5bf78412019d48ef5"
+    ),
+    "torres --lk 2 't - 1 + t^-1' --format text": (
+        0, "7750856493255c15817bfc6f94576c23c19a2f5b163e3e9889f594e0a4d1debb"
+    ),
+    "torres --lk 2 't - 1 + t^-1' --format json": (
+        0, "cbb1cdeb8101532b1c557f11ff1d3951ba2827e8238eaecc7bcf2e7f5d2dd18d"
+    ),
+    "torres --lk 2 1 --format text": (
+        0, "b5557b7392a0faa4fc9ae3f88a52bcba1899641fb4f069807b27daf632fbc51f"
+    ),
+    "torres --lk 2 1 --format json": (
+        0, "9109fbda94f43c7d03155f3add78dd54dda91d98aca27241c029769971c7c3bb"
+    ),
+    "torres --lk 3 't - 1 + t^-1' --format text": (
+        0, "d4e40297f09d8770809f7fbc9b01de9ed67f5194ff6329f816f3e0168be8a2d5"
+    ),
+    "torres --lk 3 't - 1 + t^-1' --format json": (
+        0, "5b395da6a73ce48c67620b8da534758678dcc57828e77ba9f5c695031f53ef88"
+    ),
+    "torres --lk 3 1 --format text": (
+        0, "44a378e4f8f35ca6a7c11c493e1b21cc0e9e45a97234bfa06be2b1533e5f424c"
+    ),
+    "torres --lk 3 1 --format json": (
+        0, "bf9ae152f4dcf4022167e2683bb649082070f8bb2d5986136838bc5b5e39f64c"
+    ),
+    "sw --p 17 --n 3 --format json": (
+        0, "95bf5d45a9c9fccc4ac047e003e4aeea6e6bee34fa9e1102b475bda2fe37e593"
+    ),
+    "sw --p 3 --n 1 --delta-l 'x*y - 2 + y^-1' --format text": (
+        0, "a5c3901237fbb44929e2ba72e2dea97106531c98eb0dddb497f2a5e74b48e9f7"
+    ),
+    "sw --p 3 --n 1 --delta-l 'x*y - 2 + y^-1' --format json": (
+        0, "310d29283b5c444d324701ee1abe3f234c4d77e6be112b2d40a1afa509d5242e"
+    ),
+    "sw --p 3 --n 1 --delta-l 'x^2 - 1' --format text": (
+        0, "aa718ee5bb44bf42f9ebc0c8ee466441516b04cf491e36ff4d4768bb6951673a"
+    ),
+    "sw --p 3 --n 1 --delta-l 'x^2 - 1' --format json": (
+        0, "3df16563d687647a1c0b10a7c915bf0b94ac65db25abcea7b61ed0c309a7a5f5"
+    ),
+    "sw --p 3 --n 1 --delta-l 'y - 1' --format text": (
+        0, "3c57025cba83df4b9f0a514e0cf6b2aa48bd85aec25e40b0cd7a42b1f14bfbf1"
+    ),
+    "sw --p 3 --n 1 --delta-l 'y - 1' --format json": (
+        0, "a172d9c9b4a40aebc533f0ca43d74c8f76a526285404e3e1008d85631e6862b6"
+    ),
+    "sw --p 3 --n 3 --delta-l 'x*y - 2 + y^-1' --format text": (
+        0, "db77974d5d4538c0c02c04ea516c6b32291f97f0d8264d68692401de0f4cb85a"
+    ),
+    "sw --p 3 --n 3 --delta-l 'x*y - 2 + y^-1' --format json": (
+        0, "0028d50bc31665f747a8f67ccb963eabcd84ed2f756706a25bb72182f4e75780"
+    ),
+    "sw --p 3 --n 3 --delta-l 'x^2 - 1' --format text": (
+        0, "7d0bfb2a9665dc7a8beff1db756892e92d1162319d6149ef8024bc3f8bd2d479"
+    ),
+    "sw --p 3 --n 3 --delta-l 'x^2 - 1' --format json": (
+        0, "44bda0ce00f07f251c5c4f2bf7c11c06100c7c9fdca3f5c7f7a77afb3fbfe616"
+    ),
+    "sw --p 3 --n 3 --delta-l 'y - 1' --format text": (
+        0, "d7bc69c339cf7e29af0b8d41d1de2065c6b429641aa759e1193c398ed4ceb9c2"
+    ),
+    "sw --p 3 --n 3 --delta-l 'y - 1' --format json": (
+        0, "74c3302c5ae256bf5fe8917ad88604ebf6f0a8ef15c9e34e1d3719b97778046a"
+    ),
+}
+
+CERTIFY_GOLDEN = {
+    "certify": (0, "9fc85a08b03fa7ad70d7faec330dbe3540f2beca0fc28ed453a94bffe0c6dbc1"),
+    "verify": (0, "d01df990e5ff9b9d846724e84f8c5f60b76b107bb0aa97c36df2bf0f7d153188"),
+    "tampered": (1, "baf3262592f1060078b35f4895707b7e26c5354475eeb1c611c813a21e097c8e"),
+}
+
+
+def run(capsys, argv):
+    code = main(argv)
+    out = capsys.readouterr().out
+    return code, hashlib.sha256(out.encode("utf-8")).hexdigest(), out
+
+
+@pytest.mark.parametrize("argv", COMMANDS, ids=shlex.join)
+def test_stdout_and_exit_code(capsys, argv):
+    code, digest, _ = run(capsys, argv)
+    assert (code, digest) == GOLDEN[shlex.join(argv)]
+
+
+def test_certify_verify_and_tampered(capsys, tmp_path):
+    code, digest, certificate = run(capsys, ["certify", "--target", "697"])
+    assert (code, digest) == CERTIFY_GOLDEN["certify"]
+    path = tmp_path / "cert.json"
+    path.write_text(certificate, encoding="utf-8")
+    code, digest, _ = run(capsys, ["certify", "--verify", str(path)])
+    assert (code, digest) == CERTIFY_GOLDEN["verify"]
+
+    # the last witness claims a bound one above what recomputation gives
+    doc = json.loads(certificate)
+    doc["witnesses"][-1]["lower_bound"] += 1
+    tampered = tmp_path / "tampered.json"
+    tampered.write_text(json.dumps(doc, indent=2), encoding="utf-8")
+    code, digest, _ = run(capsys, ["certify", "--verify", str(tampered)])
+    assert (code, digest) == CERTIFY_GOLDEN["tampered"]

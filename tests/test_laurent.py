@@ -78,6 +78,15 @@ class TestConstruction:
         with pytest.raises(ExponentOverflowError):
             LaurentPoly(T, {(INT64_MAX + 1,): 1})
 
+    @pytest.mark.parametrize(
+        "exps,error",
+        [((1, 2), ValueError), (("a",), TypeError), ((2 ** 70,), ExponentOverflowError)],
+        ids=["wrong_arity", "str_exponent", "exponent_beyond_64_bits"],
+    )
+    def test_zero_coefficient_terms_are_validated(self, exps, error):
+        with pytest.raises(error):
+            LaurentPoly(T, {exps: 0})
+
     def test_zero_variable_constants(self):
         empty = VariableSet()
         assert LaurentPoly.constant(empty, 7).term_count() == 1
@@ -451,6 +460,18 @@ class TestJsonForm:
             LaurentPoly.from_json_dict(
                 {"variables": ["t"], "terms": [{"exps": [0], "coeff": "x"}]}
             )
+
+    @pytest.mark.parametrize("coeff", ["0", "5"])
+    def test_width_mismatch_raises_parse_error(self, coeff):
+        text = json.dumps({"variables": ["t"], "terms": [{"exps": [1, 2, 3], "coeff": coeff}]})
+        with pytest.raises(PolyParseError, match="does not match"):
+            LaurentPoly.from_json(text)
+
+    @pytest.mark.parametrize("coeff", ["0", "5"])
+    def test_exponent_overflow_is_not_wrapped(self, coeff):
+        doc = {"variables": ["t"], "terms": [{"exps": [2 ** 70], "coeff": coeff}]}
+        with pytest.raises(ExponentOverflowError):
+            LaurentPoly.from_json_dict(doc)
 
 
 def _poly_doc(coeff="1", **extra_term):

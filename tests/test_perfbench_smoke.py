@@ -1,0 +1,31 @@
+"""Smoke test of the benchmark runner: the shortest sweep run, no speed asserted.
+
+perfbench/ is read, never changed: this checks that the runner still builds
+its workload from this checkout, that every op's output passes the oracle,
+and that the last stdout line carries the end-to-end metrics.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_sweep_run_reports_all_ops_correct():
+    argv = ["--workload", "sweep", "--seed", "1", "--seconds", "0", "--trace", "0"]
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", *argv],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["correct"] is True
+    assert result["failed"] == 0
+    metrics = result["metrics"]
+    assert {"setup_s", "wall_s", "peak_rss_mb"} <= metrics.keys()
+    assert metrics["ok_frac"]["value"] == 1.0

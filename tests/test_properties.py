@@ -7,10 +7,18 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from knotsurgery.family import FamilyReport, FamilyRow, UnboundednessCertificate, Witness
-from knotsurgery.laurent import LaurentPoly, NotDivisibleError, VariableSet, _dumps_indent2
+from knotsurgery.laurent import (
+    INT64_MAX,
+    INT64_MIN,
+    ExponentOverflowError,
+    LaurentPoly,
+    NotDivisibleError,
+    VariableSet,
+    _dumps_indent2,
+)
 from knotsurgery.surgery import SWResult, torres_specialize
 
-from _oracles import convolve, dense_divide, geometric_sum
+from _oracles import convolve, dense_divide, geometric_sum, schoolbook
 
 T = VariableSet("t")
 XY = VariableSet("x", "y")
@@ -43,6 +51,24 @@ dense_terms = st.integers(-30, 30).flatmap(
 sparse_terms = st.dictionaries(
     st.integers(-40, 40).map(lambda k: 997 * k), mixed_coefficients, min_size=1, max_size=6
 )
+
+
+# exponents within 6 of INT64_MIN, 0 or INT64_MAX: a product of two such
+# factors lands near an end of the range, inside it or just outside
+def near(anchor):
+    return st.integers(max(INT64_MIN, anchor - 6), min(INT64_MAX, anchor + 6))
+
+
+anchors = st.sampled_from([INT64_MIN, 0, INT64_MAX])
+edge_terms = anchors.flatmap(lambda a: st.dictionaries(near(a), mixed_coefficients, max_size=13))
+edge_xy_terms = st.tuples(anchors, anchors).flatmap(
+    lambda a: st.dictionaries(st.tuples(near(a[0]), near(a[1])), mixed_coefficients, max_size=6)
+)
+
+
+def in_range(exps) -> bool:
+    return all(INT64_MIN <= e <= INT64_MAX for e in exps)
+
 
 # the documents the CLI prints, with polynomials over 0-3 variables inside
 any_poly = st.sampled_from([VariableSet(), T, XY, VariableSet("a", "b", "c")]).flatmap(
@@ -108,6 +134,30 @@ class TestProduct:
         slots = max(a) - min(a) + max(b) - min(b) + 1
         event("packed" if min(len(a), len(b)) > 1 and slots <= len(a) * len(b) else "loop")
         assert from_dict(a) * from_dict(b) == from_dict(convolve(a, b))
+
+
+class TestProductRange:
+    @given(edge_terms, edge_terms)
+    @settings(deadline=None)
+    def test_one_variable_raises_iff_schoolbook_leaves_range(self, a, b):
+        packed = min(len(a), len(b)) > 1 and max(a) - min(a) + max(b) - min(b) < len(a) * len(b)
+        event("packed" if packed else "loop")
+        expected = convolve(a, b)
+        if all(in_range((e,)) for e in expected):
+            assert from_dict(a) * from_dict(b) == from_dict(expected)
+        else:
+            with pytest.raises(ExponentOverflowError):
+                from_dict(a) * from_dict(b)
+
+    @given(edge_xy_terms, edge_xy_terms)
+    @settings(deadline=None)
+    def test_two_variables_raise_iff_schoolbook_leaves_range(self, a, b):
+        expected = schoolbook(a, b)
+        if all(in_range(exps) for exps in expected):
+            assert LaurentPoly(XY, a) * LaurentPoly(XY, b) == LaurentPoly(XY, expected)
+        else:
+            with pytest.raises(ExponentOverflowError):
+                LaurentPoly(XY, a) * LaurentPoly(XY, b)
 
 
 class TestTorres:

@@ -144,6 +144,25 @@ class TestSwSpecialized:
         assert result.specialization_at_tK1.is_zero()
         assert result.basic_class_lower_bound == 2
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize(
+        "text,variables",
+        [
+            ("x*y - 2 + y^-1", XY_VARS),
+            ("x^2 - 3", VariableSet("x")),
+            ("y - 1", VariableSet("y")),
+            ("5", VariableSet()),
+        ],
+        ids=["x_and_y", "x_only", "y_only", "constant"],
+    )
+    def test_explicit_delta_L_obeys_prefactor_law(self, n, text, variables):
+        delta = LaurentPoly.parse(text, variables)
+        spec = SurgerySpec(n, LinkFamilyMember(3))
+        result = sw_specialized(spec, delta)
+        assert result.polynomial == sw_link_surgery(spec, delta)
+        assert result.specialization_at_tK1 == LaurentPoly.zero(TG_VARS)
+        assert result.polynomial.evaluate_at_one("t_K") == result.specialization_at_tK1
+
     def test_specialization_exponents_are_even(self):
         for p in (1, 2, 3, 7, 10):
             result = sw_specialized(SurgerySpec(1, LinkFamilyMember(p)))
