@@ -2,8 +2,8 @@
 
 The closed formula (t^(pq) - 1)(t - 1) / ((t^p - 1)(t^q - 1)) is evaluated
 by exact division, one residue class mod q at a time, with its remainder and
-span checked, so any arithmetic slip would surface as an
-InternalInconsistencyError rather than a wrong polynomial.
+span checked, so any arithmetic slip would surface as a NotDivisibleError or
+an InternalInconsistencyError rather than a wrong polynomial.
 """
 
 from knotsurgery import (

@@ -175,6 +175,8 @@ def analyze_family(
     emitted artifact names the manifold family it describes.
     """
     _require_int(n, "E(n) parameter", 1)
+    for name, value in (("p_min", p_min), ("p_max", p_max), ("p_cap", p_cap)):
+        _require_int(value, name)
     if not (1 <= p_min <= p_max <= p_cap):
         raise ValueError(
             f"need 1 <= p_min <= p_max <= {p_cap}, got p_min={p_min} p_max={p_max}"

@@ -5,7 +5,8 @@ Torus knots use the closed formula
     Delta_{T(p,q)}(t) = (t^(p*q) - 1)(t - 1) / ((t^p - 1)(t^q - 1)),
 
 with the first quotient written down as (t - 1)(1 + t^p + ... + t^((q-1)p))
-and divided by t^q - 1 one residue class mod q at a time, then symmetrized.
+and divided by t^q - 1 with the Laurent layer's running-sum kernel, one
+residue class mod q at a time, then symmetrized.
 Connected sums multiply; mirroring is the identity on these invariants
 (Alexander polynomials cannot see chirality), so Mirror nodes exist purely
 to record how a knot was described.
@@ -25,7 +26,7 @@ import math
 import re
 from dataclasses import dataclass
 
-from .laurent import INT64_MAX, ExponentOverflowError, LaurentPoly, VariableSet, _from_canonical
+from .laurent import INT64_MAX, ExponentOverflowError, LaurentPoly, VariableSet, _binomial_quotient
 
 __all__ = [
     "InternalInconsistencyError",
@@ -52,9 +53,9 @@ MAX_KNOT_DEPTH = 200
 class InternalInconsistencyError(RuntimeError):
     """A closed formula violated a property it is supposed to guarantee.
 
-    Raised when the division inside alexander_torus leaves a remainder or
-    the quotient has the wrong span.  Unreachable for valid inputs; seeing it
-    means the arithmetic layer has a bug.
+    Raised when the quotient inside alexander_torus has the wrong span.
+    Unreachable for valid inputs; seeing it means the arithmetic layer has a
+    bug.
     """
 
 
@@ -73,7 +74,7 @@ class TorusKnotSpec:
     q: int
 
     def __post_init__(self):
-        if not isinstance(self.p, int) or not isinstance(self.q, int):
+        if not all(isinstance(v, int) and not isinstance(v, bool) for v in (self.p, self.q)):
             raise TypeError("torus knot parameters must be integers")
         if self.p < 1 or self.q < 1:
             raise ValueError(f"torus knot parameters must be positive, got T({self.p},{self.q})")
@@ -121,24 +122,6 @@ class ConnectedSum(KnotExpr):
     right: KnotExpr
 
 
-def _divide_by_binomial(num: list[tuple[int, int]], q: int) -> dict[tuple[int], int]:
-    # N = Q (t^q - 1) gives Q_e = Q_(e-q) - N_e: per residue class mod q, Q is
-    # a running sum of -N, constant between the class's terms of N (given
-    # ascending; an exponent may repeat), so the cost follows the input and
-    # output terms; a class whose sum is not 0 leaves a remainder
-    state: dict[int, tuple[int, int]] = {}  # class -> (running sum, where it started)
-    terms: dict[tuple[int], int] = {}
-    for e, c in num:
-        running, start = state.get(e % q, (0, e))
-        if running:
-            for x in range(start, e, q):
-                terms[(x,)] = running
-        state[e % q] = (running - c, e)
-    if any(running for running, _ in state.values()):
-        raise InternalInconsistencyError(f"division by t^{q} - 1 left a remainder")
-    return terms
-
-
 def _torus_quotient(p: int, q: int) -> LaurentPoly:
     # (t^(pq) - 1)(t - 1) / ((t^p - 1)(t^q - 1)) as an ordinary polynomial
     if p == 1:
@@ -149,10 +132,11 @@ def _torus_quotient(p: int, q: int) -> LaurentPoly:
     partial: list[tuple[int, int]] = []
     for e in range(0, q * p, p):
         partial += ((e, -1), (e + 1, 1))
-    quotient = _from_canonical(T_VARS, _divide_by_binomial(partial, q))
-    if quotient.span() != (p - 1) * (q - 1):
+    quotient = _binomial_quotient(T_VARS, partial, q)
+    span = quotient.span()
+    if span != (p - 1) * (q - 1):
         raise InternalInconsistencyError(
-            f"T({p},{q}) quotient has span {quotient.span()}, expected {(p - 1) * (q - 1)}"
+            f"T({p},{q}) quotient has span {span}, expected {(p - 1) * (q - 1)}"
         )
     return quotient
 

@@ -22,6 +22,10 @@ one machine-level multiply convolves them, and the bytes are read back one
 slot per exponent.  Other products -- sparse, multivariate, or with a
 single-term factor -- loop over the term pairs.
 
+Division by t^q - 1, which the torus-knot formula and the Torres condition
+both need, is one running-sum kernel that checks its own exponent range.
+General exact division works on the stored exponents at any offset.
+
 Text form: ``coeff*var^exp`` factors joined by ``+`` / ``-``, variables in
 the set's fixed order, terms in descending lexicographic exponent order,
 e.g. ``t_K^2*t_G^-1 - 3``.  JSON form: ``{"variables": [...], "terms":
@@ -131,6 +135,28 @@ def _packed_product(a: dict, lo_a: int, hi_a: int, b: dict, lo_b: int, hi_b: int
         if c:
             out[(lo + k,)] = c
     return out
+
+
+def _binomial_quotient(variables: VariableSet, num: list[tuple[int, int]], q: int) -> LaurentPoly:
+    # N / (t^q - 1), N as ascending (exponent, coefficient) pairs that may
+    # repeat an exponent.  N = Q (t^q - 1) gives Q_e = Q_(e-q) - N_e: per
+    # residue class mod q, Q is a running sum of -N, constant between the
+    # class's terms of N, so the cost follows the input and output terms; a
+    # class whose sum is not 0 leaves a remainder.  A nonzero Q runs from N's
+    # lowest exponent, in range, to N's highest minus q, checked here.
+    if num and num[-1][0] - q >= num[0][0]:
+        _checked_exponent(num[-1][0] - q)
+    state: dict[int, tuple[int, int]] = {}  # class -> (running sum, where it started)
+    terms: dict[tuple[int], int] = {}
+    for e, c in num:
+        running, start = state.get(e % q, (0, e))
+        if running:
+            for x in range(start, e, q):
+                terms[(x,)] = running
+        state[e % q] = (running - c, e)
+    if any(running for running, _ in state.values()):
+        raise NotDivisibleError(f"division by t^{q} - 1 leaves a remainder")
+    return _from_canonical(variables, terms)
 
 
 class VariableSet:
@@ -257,21 +283,15 @@ class LaurentPoly:
         i = self.variables.index(name)
         return sorted({exps[i] for exps in self._terms})
 
-    def _single_variable_exponents(self) -> dict[int, int]:
-        if len(self.variables) != 1:
-            raise ValueError(
-                f"operation requires a single-variable polynomial, got {self.variables.names}"
-            )
-        return {exps[0]: c for exps, c in self._terms.items()}
-
     def span(self) -> int:
         """max exponent - min exponent, for polynomials in at most one variable."""
         if not self._terms:
             raise ValueError("the zero polynomial has no exponent span")
-        if len(self.variables) == 0:
-            return 0
-        exps = self._single_variable_exponents()
-        return max(exps) - min(exps)
+        if len(self.variables) > 1:
+            raise ValueError(
+                f"operation requires a single-variable polynomial, got {self.variables.names}"
+            )
+        return max(self._terms)[0] - min(self._terms)[0] if self.variables else 0
 
     # -- ring operations ---------------------------------------------------
 
@@ -419,34 +439,25 @@ class LaurentPoly:
                 raise NotDivisibleError("constant division leaves a remainder")
             return _from_canonical(self.variables, {(): q})
 
-        num = self._single_variable_exponents()
-        div = den._single_variable_exponents()
-        shift = min(num) - min(div)
-        num = {e - min(num): c for e, c in num.items()} if min(num) else num
-        div = {e - min(div): c for e, c in div.items()} if min(div) else div
-
-        dlead = max(div)
-        dlc = div[dlead]
-        rem = dict(num)
+        num, div = self._terms, den._terms
+        (dlead,) = max(div)
+        dlc = div[(dlead,)]
+        # every quotient exponent lies between shift and max(num) - dlead
+        shift = min(num)[0] - min(div)[0]
+        rem = {e: c for (e,), c in num.items()}
         heap = [-e for e in rem]
         heapq.heapify(heap)
-        quotient: dict[int, int] = {}
+        quotient: dict[tuple[int], int] = {}
         while heap:
             e = -heapq.heappop(heap)
             if e not in rem:
                 continue
-            if e < dlead:
-                raise NotDivisibleError(
-                    f"{self} is not an exact multiple of {den}"
-                )
-            qc, r = divmod(rem[e], dlc)
-            if r:
-                raise NotDivisibleError(
-                    f"{self} is not an exact multiple of {den}"
-                )
             qe = e - dlead
-            quotient[qe] = qc
-            for de, dc in div.items():
+            qc, r = divmod(rem[e], dlc)
+            if qe < shift or r:
+                raise NotDivisibleError(f"{self} is not an exact multiple of {den}")
+            quotient[(qe,)] = qc
+            for (de,), dc in div.items():
                 ne = qe + de
                 merged = rem.get(ne, 0) - qc * dc
                 if merged:
@@ -455,10 +466,9 @@ class LaurentPoly:
                     rem[ne] = merged
                 else:
                     rem.pop(ne, None)
-        # every quotient exponent lies between these two
         _checked_exponent(shift)
-        _checked_exponent(max(quotient) + shift)
-        return _from_canonical(self.variables, {(e + shift,): c for e, c in quotient.items()})
+        _checked_exponent(max(quotient)[0])
+        return _from_canonical(self.variables, quotient)
 
     def symmetrize(self) -> "LaurentPoly":
         """The unit multiple ±t^k·P satisfying S(1/t) = S(t), top coefficient > 0.
@@ -497,14 +507,11 @@ class LaurentPoly:
             return self.is_zero() and other.is_zero()
         if len(self._terms) != len(other._terms):
             return False
-        if len(self.variables) == 0:
-            return self._terms[()] == other._terms[()] or self._terms[()] == -other._terms[()]
-        a = self._single_variable_exponents()
-        b = other._single_variable_exponents()
-        sa, sb = min(a), min(b)
-        a = {e - sa: c for e, c in a.items()}
-        b = {e - sb: c for e, c in b.items()}
-        return a == b or a == {e: -c for e, c in b.items()}
+        a = self._terms
+        if self.variables:
+            shift = min(other._terms)[0] - min(a)[0]
+            a = {(e + shift,): c for (e,), c in a.items()}
+        return a == other._terms or a == (-other)._terms
 
     # -- equality / hashing --------------------------------------------------
 

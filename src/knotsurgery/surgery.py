@@ -11,8 +11,9 @@ and the Torres condition pins down the specialization
 
     Delta_L(1, y) = (1 + y + ... + y^(lk-1)) * Delta_Gamma(y),
 
-computed as Delta_Gamma * (y^lk - 1) / (y - 1) by the running-sum division
-that the torus-knot kernel uses, at a cost proportional to the output terms.
+computed as Delta_Gamma * (y^lk - 1) / (y - 1) by the Laurent layer's
+running-sum division by a binomial, the kernel the torus-knot formula shares,
+at a cost proportional to the output terms.
 
 The full two-variable Delta_L is not determined by this data, so the
 pipeline works through the specialization: sw_link_surgery accepts an
@@ -30,8 +31,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .knots import KnotExpr, Torus, TorusKnotSpec, _divide_by_binomial, alexander_torus
-from .laurent import LaurentPoly, VariableSet, _checked_exponent, _from_canonical
+from .knots import KnotExpr, Torus, TorusKnotSpec, alexander_torus
+from .laurent import LaurentPoly, VariableSet, _binomial_quotient
 
 __all__ = [
     "KG_VARS",
@@ -52,11 +53,14 @@ TG_VARS = VariableSet("t_G")
 XY_VARS = VariableSet("x", "y")
 
 
-def _require_int(value, what: str, minimum: int) -> None:
-    # minimum is 0 (nonnegative) or 1 (positive)
-    if not isinstance(value, int) or value < minimum:
-        kind = "positive" if minimum else "nonnegative"
-        raise ValueError(f"{what} must be a {kind} integer, got {value!r}")
+def _require_int(value, what: str, minimum: int | None = None) -> None:
+    # minimum is 0 (nonnegative), 1 (positive) or None (any integer); a bool
+    # is an int to Python but not an integer argument here
+    if not isinstance(value, int) or isinstance(value, bool) or (
+        minimum is not None and value < minimum
+    ):
+        kind = {None: "an", 0: "a nonnegative", 1: "a positive"}[minimum]
+        raise ValueError(f"{what} must be {kind} integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -128,17 +132,12 @@ def torres_specialize(delta_gamma: LaurentPoly, lk: int) -> LaurentPoly:
         raise ValueError("torres_specialize needs a single-variable polynomial")
     if lk == 1:
         return delta_gamma
-    variables = delta_gamma.variables if len(delta_gamma.variables) else VariableSet("y")
-    if lk == 0:
-        return LaurentPoly.zero(variables)
     if len(delta_gamma.variables) == 0:
-        delta_gamma = LaurentPoly.constant(variables, delta_gamma.coefficient(()))
+        delta_gamma = LaurentPoly.constant(VariableSet("y"), delta_gamma.coefficient(()))
     ascending = delta_gamma.terms()[::-1]
-    if ascending:
-        _checked_exponent(ascending[-1][0][0] + lk - 1)
     # both halves ascend, so the sort merges two runs
     numerator = sorted([(e + lk, c) for (e,), c in ascending] + [(e, -c) for (e,), c in ascending])
-    return _from_canonical(variables, _divide_by_binomial(numerator, 1))
+    return _binomial_quotient(delta_gamma.variables, numerator, 1)
 
 
 def sw_prefactor(n: int) -> LaurentPoly:

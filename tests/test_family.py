@@ -252,6 +252,46 @@ INT_ARGUMENT_ERRORS = {
     ),
     "target": (lambda: certify_unbounded(-1), "target must be a nonnegative integer, got -1"),
     "p_cap": (lambda: certify_unbounded(5, p_cap=0), "p_cap must be a positive integer, got 0"),
+    # bool subclasses int, but neither True nor False is an integer argument
+    "family_index_bool": (
+        lambda: LinkFamilyMember(True),
+        "family index must be a positive integer, got True",
+    ),
+    "spec_n_bool": (
+        lambda: SurgerySpec(True, LinkFamilyMember(1)),
+        "E(n) parameter must be a positive integer, got True",
+    ),
+    "prefactor_n_bool": (
+        lambda: sw_prefactor(True),
+        "E(n) parameter must be a positive integer, got True",
+    ),
+    "linking_number_bool": (
+        lambda: torres_specialize(LaurentPoly.one(T_VARS), False),
+        "linking number must be a nonnegative integer, got False",
+    ),
+    "target_bool": (
+        lambda: certify_unbounded(True),
+        "target must be a nonnegative integer, got True",
+    ),
+    "p_cap_bool": (
+        lambda: certify_unbounded(5, p_cap=True),
+        "p_cap must be a positive integer, got True",
+    ),
+    # the family range is type-checked before its ordering
+    "family_p_min": (lambda: analyze_family(1, True, 2), "p_min must be an integer, got True"),
+    "family_p_max": (lambda: analyze_family(1, 1, 1.5), "p_max must be an integer, got 1.5"),
+    "family_p_cap": (
+        lambda: analyze_family(1, 1, 2, p_cap=2.5),
+        "p_cap must be an integer, got 2.5",
+    ),
+    "family_order": (
+        lambda: analyze_family(1, 5, 2),
+        "need 1 <= p_min <= p_max <= 1000, got p_min=5 p_max=2",
+    ),
+    "family_p_min_zero": (
+        lambda: analyze_family(1, 0, 2),
+        "need 1 <= p_min <= p_max <= 1000, got p_min=0 p_max=2",
+    ),
 }
 
 

@@ -26,7 +26,7 @@ COMMANDS = [
     *(
         ["torres", "--lk", str(lk), poly, "--format", f]
         for lk in range(4)
-        for poly in ("t - 1 + t^-1", "1")
+        for poly in ("t - 1 + t^-1", "1", "0")
         for f in ("text", "json")
     ),
     ["sw", "--p", "17", "--n", "3", "--format", "json"],
@@ -70,6 +70,12 @@ GOLDEN = {
     "torres --lk 0 1 --format json": (
         0, "fa24ed268e8109f18877b6dc027378862b1c6644fa2747dc6b41dbd95af0631f"
     ),
+    "torres --lk 0 0 --format text": (
+        0, "9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa"
+    ),
+    "torres --lk 0 0 --format json": (
+        0, "fa24ed268e8109f18877b6dc027378862b1c6644fa2747dc6b41dbd95af0631f"
+    ),
     "torres --lk 1 't - 1 + t^-1' --format text": (
         0, "4a2b8d90ed62438e472df727ba5ef805d21f16e78c7532ef3108ea81b1ef13b0"
     ),
@@ -81,6 +87,12 @@ GOLDEN = {
     ),
     "torres --lk 1 1 --format json": (
         0, "b1384c3fe2e320e71321ddb9975e421bff232244b37d78b5bf78412019d48ef5"
+    ),
+    "torres --lk 1 0 --format text": (
+        0, "9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa"
+    ),
+    "torres --lk 1 0 --format json": (
+        0, "915ee13375f01b43a3289d6d71355c033ca2207d3feed648e8721066f068c308"
     ),
     "torres --lk 2 't - 1 + t^-1' --format text": (
         0, "7750856493255c15817bfc6f94576c23c19a2f5b163e3e9889f594e0a4d1debb"
@@ -94,6 +106,12 @@ GOLDEN = {
     "torres --lk 2 1 --format json": (
         0, "9109fbda94f43c7d03155f3add78dd54dda91d98aca27241c029769971c7c3bb"
     ),
+    "torres --lk 2 0 --format text": (
+        0, "9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa"
+    ),
+    "torres --lk 2 0 --format json": (
+        0, "fa24ed268e8109f18877b6dc027378862b1c6644fa2747dc6b41dbd95af0631f"
+    ),
     "torres --lk 3 't - 1 + t^-1' --format text": (
         0, "d4e40297f09d8770809f7fbc9b01de9ed67f5194ff6329f816f3e0168be8a2d5"
     ),
@@ -105,6 +123,12 @@ GOLDEN = {
     ),
     "torres --lk 3 1 --format json": (
         0, "bf9ae152f4dcf4022167e2683bb649082070f8bb2d5986136838bc5b5e39f64c"
+    ),
+    "torres --lk 3 0 --format text": (
+        0, "9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa"
+    ),
+    "torres --lk 3 0 --format json": (
+        0, "fa24ed268e8109f18877b6dc027378862b1c6644fa2747dc6b41dbd95af0631f"
     ),
     "sw --p 17 --n 3 --format json": (
         0, "95bf5d45a9c9fccc4ac047e003e4aeea6e6bee34fa9e1102b475bda2fe37e593"

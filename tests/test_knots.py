@@ -20,7 +20,12 @@ from knotsurgery.knots import (
     genus_torus,
     parse_knot_expr,
 )
-from knotsurgery.laurent import ExponentOverflowError, LaurentPoly
+from knotsurgery.laurent import (
+    ExponentOverflowError,
+    LaurentPoly,
+    NotDivisibleError,
+    _binomial_quotient,
+)
 
 from _oracles import cyclotomic_quotient, semigroup_delta
 
@@ -47,6 +52,12 @@ class TestTorusKnotSpec:
     def test_rejects_non_integclass(self):
         with pytest.raises(TypeError):
             TorusKnotSpec(2.0, 3)
+
+    @pytest.mark.parametrize("pq", [(True, 2), (2, True), (False, 3)])
+    def test_rejects_bool(self, pq):
+        # bool subclasses int, but True is not a torus knot parameter
+        with pytest.raises(TypeError, match="must be integers"):
+            TorusKnotSpec(*pq)
 
     def test_unknot_detection(self):
         assert TorusKnotSpec(1, 7).is_unknot()
@@ -134,15 +145,15 @@ class TestTorusKernel:
     def test_division_by_binomial(self):
         # (t^6 - 1)(t - 1) / (t^3 - 1) = t^4 - t^3 + t - 1
         num = [(0, 1), (1, -1), (6, -1), (7, 1)]
-        assert knots._divide_by_binomial(num, 3) == {(4,): 1, (3,): -1, (1,): 1, (0,): -1}
+        assert _binomial_quotient(T_VARS, num, 3) == poly("t^4 - t^3 + t - 1")
 
     def test_nonzero_class_sum_is_a_remainder(self):
         # t - 1 is not a multiple of t^3 - 1: classes 0 and 1 each keep a term
-        with pytest.raises(InternalInconsistencyError, match="remainder"):
-            knots._divide_by_binomial([(0, -1), (1, 1)], 3)
+        with pytest.raises(NotDivisibleError, match="remainder"):
+            _binomial_quotient(T_VARS, [(0, -1), (1, 1)], 3)
 
     def test_span_mismatch_detected(self, monkeypatch):
-        monkeypatch.setattr(knots, "_divide_by_binomial", lambda num, q: {(0,): 1, (1,): -1})
+        monkeypatch.setattr(knots, "_binomial_quotient", lambda variables, num, q: poly("1 - t"))
         with pytest.raises(InternalInconsistencyError, match="span"):
             knots._torus_quotient(2, 3)
 

@@ -1,4 +1,5 @@
 import json
+import time
 
 import jsonschema
 import pytest
@@ -236,6 +237,28 @@ class TestExactDivide:
         top = LaurentPoly(T, {(INT64_MAX,): 1, (INT64_MAX - 1,): 1})
         assert top.exact_divide(p("t + 1")) == LaurentPoly(T, {(INT64_MAX - 1,): 1})
 
+    def test_quotient_top_overflow_detected(self):
+        # (t - 1) t^m (1 + t^(2^63)) with m = INT64_MIN stays in range, but
+        # its quotient by (t - 1) t^m has the top exponent 2^63
+        low = LaurentPoly(T, {(INT64_MIN + 1,): 1, (INT64_MIN,): -1})
+        with pytest.raises(ExponentOverflowError, match=str(1 << 63)):
+            (low + p("t - 1")).exact_divide(low)
+
+    @pytest.mark.parametrize("low", [-1, -10 ** 6])
+    def test_offset_numerator_divides_in_linear_time(self, low):
+        # N = Q (t - 1) with Q = sum (k + 1) t^(low + k), k < 19999: N has
+        # 20,000 terms and starts below exponent 0, where a division that
+        # re-derived N's lowest exponent per term ran for seconds
+        quotient = from_dict({low + k: k + 1 for k in range(19999)})
+        num = from_dict({**{low + k: -1 for k in range(19999)}, low + 19999: 19999})
+        assert num.term_count() == 20000
+        budget = 2.0
+        start = time.monotonic()
+        got = num.exact_divide(p("t - 1"))
+        elapsed = time.monotonic() - start
+        assert got == quotient
+        assert elapsed <= budget, f"exact_divide took {elapsed:.2f}s, budget {budget}s"
+
     @pytest.mark.parametrize("pq", [(2, 3), (3, 4), (4, 5), (3, 5), (5, 7)])
     def test_matches_dense_oracle_on_torus_quotients(self, pq):
         pe, qe = pq
@@ -247,6 +270,22 @@ class TestExactDivide:
         den = LaurentPoly(T, {(e,): c for e, c in den_dict.items()})
         got = num.exact_divide(den)
         assert got == LaurentPoly(T, {(e,): c for e, c in expected.items()})
+
+
+class TestBinomialQuotient:
+    def test_empty_numerator_is_zero(self):
+        assert laurent._binomial_quotient(T, [], 3) == LaurentPoly.zero(T)
+
+    def test_repeated_exponents_merge(self):
+        # 2(t^2 - 1), with t^0 and t^2 each given twice
+        num = [(0, -1), (0, -1), (2, 1), (2, 1)]
+        assert laurent._binomial_quotient(T, num, 2) == p("2")
+
+    def test_top_exponent_is_checked(self):
+        top = [(INT64_MAX, -1), (INT64_MAX + 1, 1)]
+        assert laurent._binomial_quotient(T, top, 1) == LaurentPoly(T, {(INT64_MAX,): 1})
+        with pytest.raises(ExponentOverflowError):
+            laurent._binomial_quotient(T, [(INT64_MAX, -1), (INT64_MAX + 2, 1)], 1)
 
 
 class TestSymmetrize:
@@ -303,6 +342,18 @@ class TestEqualUpToUnits:
         zero = LaurentPoly.zero(T)
         assert zero.equal_up_to_units(zero)
         assert not zero.equal_up_to_units(p("t"))
+
+    def test_constants_over_no_variables(self):
+        empty = VariableSet()
+        three = LaurentPoly.constant(empty, 3)
+        assert three.equal_up_to_units(LaurentPoly.constant(empty, -3))
+        assert not three.equal_up_to_units(LaurentPoly.constant(empty, 2))
+
+    def test_shift_to_the_range_edges(self):
+        low = LaurentPoly(T, {(INT64_MIN,): 2, (INT64_MIN + 1,): -1})
+        high = LaurentPoly(T, {(INT64_MAX - 1,): -2, (INT64_MAX,): 1})
+        assert low.equal_up_to_units(high)
+        assert not low.equal_up_to_units(LaurentPoly(T, {(INT64_MAX - 1,): 1, (INT64_MAX,): -2}))
 
 
 class TestSubstituteAndEvaluate:
@@ -523,6 +574,10 @@ class TestMiscellany:
         assert p("5").span() == 0
         with pytest.raises(ValueError):
             LaurentPoly.zero(T).span()
+
+    def test_span_needs_one_variable(self):
+        with pytest.raises(ValueError, match="single-variable"):
+            p("x*y + 1", VariableSet("x", "y")).span()
 
     def test_exponents_of(self):
         kg = VariableSet("t_K", "t_G")

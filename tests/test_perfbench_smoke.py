@@ -1,4 +1,4 @@
-"""Smoke test of the benchmark runner: the shortest sweep run, no speed asserted.
+"""Smoke tests of the benchmark runner: the shortest runs, no speed asserted.
 
 perfbench/ is read, never changed: this checks that the runner still builds
 its workload from this checkout, that every op's output passes the oracle,
@@ -14,7 +14,16 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_sweep_run_reports_all_ops_correct():
-    argv = ["--workload", "sweep", "--seed", "1", "--seconds", "0", "--trace", "0"]
+    check_run("sweep")
+
+
+def test_crosscheck_run_reports_all_ops_correct():
+    # the only workload that runs exact_divide and equal_up_to_units
+    check_run("crosscheck")
+
+
+def check_run(workload):
+    argv = ["--workload", workload, "--seed", "1", "--seconds", "0", "--trace", "0"]
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", *argv],
         cwd=ROOT,

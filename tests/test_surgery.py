@@ -1,7 +1,7 @@
 import pytest
 
 from knotsurgery.knots import Torus, TorusKnotSpec, alexander_torus
-from knotsurgery.laurent import LaurentPoly, VariableSet
+from knotsurgery.laurent import INT64_MIN, LaurentPoly, VariableSet
 from knotsurgery.surgery import (
     KG_VARS,
     TG_VARS,
@@ -51,6 +51,24 @@ class TestTorresSpecialize:
 
     def test_lk0_kills_everything(self):
         assert torres_specialize(tpoly("t"), 0).is_zero()
+
+    def test_lk0_gives_zero_over_the_variable(self):
+        # over Delta's variable, or y when Delta has none; at the lowest
+        # exponent too, where the zero quotient has no top exponent to check
+        assert torres_specialize(tpoly("t - 1 + t^-1"), 0) == LaurentPoly.zero(T)
+        assert torres_specialize(LaurentPoly.one(VariableSet()), 0) == LaurentPoly.zero(
+            VariableSet("y")
+        )
+        bottom = LaurentPoly(T, {(INT64_MIN,): 3})
+        assert torres_specialize(bottom, 0) == LaurentPoly.zero(T)
+        assert torres_specialize(bottom, 2) == LaurentPoly(T, {(INT64_MIN,): 3, (INT64_MIN + 1,): 3})
+
+    @pytest.mark.parametrize("lk", [0, 2, 5])
+    def test_zero_delta_gives_zero_over_the_variable(self, lk):
+        assert torres_specialize(LaurentPoly.zero(T), lk) == LaurentPoly.zero(T)
+        assert torres_specialize(LaurentPoly.zero(VariableSet()), lk) == LaurentPoly.zero(
+            VariableSet("y")
+        )
 
     def test_lk3_on_constant_is_geometric_sum(self):
         one = LaurentPoly.one(VariableSet("y"))
