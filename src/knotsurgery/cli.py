@@ -107,7 +107,7 @@ def _cmd_certify(args) -> int:
             print(f"error: cannot read {args.verify}: {exc}", file=sys.stderr)
             return EXIT_USAGE
         certificate = UnboundednessCertificate.from_json(text)
-        valid = verify_certificate(certificate, n=args.n)
+        valid = verify_certificate(certificate)
         _emit(
             _dumps_indent2(
                 {
@@ -185,9 +185,6 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--verify", metavar="FILE", help="re-check a certificate file")
     certify.add_argument(
         "--cap", type=int, default=DEFAULT_P_CAP, help=f"scan cap (default {DEFAULT_P_CAP})"
-    )
-    certify.add_argument(
-        "--n", type=int, default=1, help="E(n) parameter for verification (default 1)"
     )
     certify.set_defaults(func=_cmd_certify)
 

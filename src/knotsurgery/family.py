@@ -8,13 +8,12 @@ certificate never claims any specific pair of manifolds is distinct; only
 the unboundedness is certified, exactly as much as the bounds support.
 
 Verification recomputes every bound from the polynomial pipeline and
-trusts nothing stored in the certificate.
+trusts nothing stored in the certificate.  The bounds do not depend on the
+E(n) parameter, so neither a certificate nor its verification names one.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 
 from .knots import alexander_torus, genus_torus
@@ -81,21 +80,15 @@ class FamilyReport:
         return _dumps_indent2(self.to_json_dict())
 
     def to_csv(self) -> str:
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
+        # no field is quoted, since none can hold a comma, quote or newline:
+        # ints, true/false, and polynomials over identifier names
+        lines = [",".join(CSV_COLUMNS)]
         for row in self.rows:
-            writer.writerow(
-                [
-                    row.p,
-                    row.lower_bound,
-                    "true" if row.lemma63_ok else "false",
-                    row.genus,
-                    row.span,
-                    str(row.delta_gamma),
-                ]
+            flag = "true" if row.lemma63_ok else "false"
+            lines.append(
+                f"{row.p},{row.lower_bound},{flag},{row.genus},{row.span},{row.delta_gamma}"
             )
-        return buffer.getvalue()
+        return "\n".join(lines) + "\n"
 
     def to_text(self) -> str:
         lines = [f"family report for n = {self.n}"]
@@ -227,18 +220,16 @@ def certify_unbounded(
     )
 
 
-def verify_certificate(c: UnboundednessCertificate, n: int = 1) -> bool:
+def verify_certificate(c: UnboundednessCertificate) -> bool:
     """Recompute every witness bound and re-check the certificate's claims.
 
     Returns False on any discrepancy instead of raising: index sequence not
     strictly increasing, bounds not strictly increasing, a recorded bound
     that does not match recomputation (or cannot be recomputed, as when
     T(p, p+1) needs exponents beyond 64 bits), or a final bound at or
-    below the target.  The E(n) parameter names which family the
-    certificate is read against; the bounds themselves are independent of
-    it.
+    below the target.  The bounds do not depend on the E(n) parameter, so
+    verification takes none.
     """
-    _require_int(n, "E(n) parameter", 1)
     if not c.witnesses:
         return False
     previous_p = 0

@@ -17,7 +17,8 @@ Knot expressions have a small text grammar used by the CLI:
 
 with at most MAX_KNOT_DEPTH = 200 mirror/sum nodes around any subexpression,
 far below the interpreter's recursion limit that parsing, evaluation and
-formatting (all recursive) would otherwise hit.
+formatting (all recursive) would otherwise hit.  Parameters are ASCII
+digits, and the text is split by the polynomial grammar's tokenizer.
 """
 
 from __future__ import annotations
@@ -26,7 +27,14 @@ import math
 import re
 from dataclasses import dataclass
 
-from .laurent import INT64_MAX, ExponentOverflowError, LaurentPoly, VariableSet, _binomial_quotient
+from .laurent import (
+    INT64_MAX,
+    ExponentOverflowError,
+    LaurentPoly,
+    VariableSet,
+    _binomial_quotient,
+    _tokenize,
+)
 
 __all__ = [
     "InternalInconsistencyError",
@@ -189,7 +197,7 @@ def format_knot_expr(k: KnotExpr) -> str:
     raise TypeError(f"not a knot expression: {k!r}")
 
 
-_KNOT_TOKEN_RE = re.compile(r"\s*(?:(?P<word>[a-z]+)|(?P<int>\d+)|(?P<punct>[(),]))")
+_KNOT_TOKEN_RE = re.compile(r"\s*(?:(?P<word>[a-z]+)|(?P<int>[0-9]+)|(?P<punct>[(),]))")
 
 
 def parse_knot_expr(text: str) -> KnotExpr:
@@ -197,17 +205,7 @@ def parse_knot_expr(text: str) -> KnotExpr:
 
     Nesting deeper than MAX_KNOT_DEPTH mirror/sum levels is a KnotParseError.
     """
-    tokens: list[str] = []
-    pos = 0
-    while pos < len(text):
-        m = _KNOT_TOKEN_RE.match(text, pos)
-        if m is None:
-            if text[pos:].strip():
-                raise KnotParseError(f"unexpected character {text[pos:].strip()[0]!r}")
-            break
-        tokens.append(m.group(m.lastgroup))
-        pos = m.end()
-
+    tokens = [tok for _, tok in _tokenize(_KNOT_TOKEN_RE, text, KnotParseError)]
     cursor = 0
 
     def take(expected: str | None = None) -> str:

@@ -28,7 +28,8 @@ General exact division works on the stored exponents at any offset.
 
 Text form: ``coeff*var^exp`` factors joined by ``+`` / ``-``, variables in
 the set's fixed order, terms in descending lexicographic exponent order,
-e.g. ``t_K^2*t_G^-1 - 3``.  JSON form: ``{"variables": [...], "terms":
+e.g. ``t_K^2*t_G^-1 - 3``; integers are ASCII digits, and the knot grammar
+shares this grammar's tokenizer.  JSON form: ``{"variables": [...], "terms":
 [{"exps": [...], "coeff": "<decimal string>"}]}`` -- coefficients travel as
 decimal strings so arbitrary precision survives transport.  ``to_json`` is
 compact; the indented documents the CLI prints, with polynomials nested in
@@ -101,7 +102,6 @@ def _from_canonical(variables: "VariableSet", terms: dict) -> "LaurentPoly":
     poly = object.__new__(LaurentPoly)
     poly.variables = variables
     poly._terms = terms
-    poly._hash = None
     return poly
 
 
@@ -217,7 +217,7 @@ TermsLike = Union[Mapping[tuple, int], Iterable[tuple]]
 class LaurentPoly:
     """Sparse Laurent polynomial in canonical form (no zero coefficients)."""
 
-    __slots__ = ("variables", "_terms", "_hash")
+    __slots__ = ("variables", "_terms")
 
     def __init__(self, variables: VariableSet, terms: TermsLike = ()):
         if not isinstance(variables, VariableSet):
@@ -235,7 +235,6 @@ class LaurentPoly:
             acc[exps] = acc.get(exps, 0) + coeff
         self.variables = variables
         self._terms = _nonzero(acc)
-        self._hash: int | None = None
 
     # -- constructors ------------------------------------------------------
 
@@ -521,9 +520,7 @@ class LaurentPoly:
         return self.variables == other.variables and self._terms == other._terms
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((self.variables, frozenset(self._terms.items())))
-        return self._hash
+        return hash((self.variables, frozenset(self._terms.items())))
 
     # -- serialization -------------------------------------------------------
 
@@ -582,14 +579,14 @@ class LaurentPoly:
         try:
             _require_json_object(data, {"variables", "terms"})
             variables = VariableSet(_json_list(data["variables"]))
-            terms = {}
+            terms = []
             for entry in _json_list(data["terms"]):
                 _require_json_object(entry, {"exps", "coeff"})
                 exps = tuple(_json_int(e, "exponent") for e in _json_list(entry["exps"]))
                 coeff = entry["coeff"]
                 if not isinstance(coeff, str) or not _COEFF_RE.match(coeff):
                     raise ValueError(f"coefficient must be a decimal string, got {coeff!r}")
-                terms[exps] = terms.get(exps, 0) + int(coeff)
+                terms.append((exps, int(coeff)))
             return cls(variables, terms)
         except (TypeError, ValueError) as exc:
             raise PolyParseError(f"malformed polynomial JSON: {exc}") from exc
@@ -662,10 +659,11 @@ def _require_json_object(data, keys: set[str]) -> None:
 
 
 def _json_loads(text: str, error: type[ValueError], prefix: str):
-    # a document too deeply nested for the decoder is malformed input too
+    # malformed input too: a document nested too deeply for the decoder, or a
+    # number beyond int()'s digit limit (a ValueError, as JSONDecodeError is)
     try:
         return json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise error(f"{prefix}: {exc}") from exc
 
 
@@ -697,30 +695,34 @@ def _format_monomial(names: tuple[str, ...], exps: tuple[int, ...]) -> str:
 
 
 _SIGN_TOKENS = (("op", "+"), ("op", "-"))
-_TOKEN_RE = re.compile(r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[\^*+-]))")
+_TOKEN_RE = re.compile(r"\s*(?:(?P<int>[0-9]+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[\^*+-]))")
 
 
-def _tokenize(text: str) -> list[tuple[str, str]]:
+def _tokenize(pattern: re.Pattern, text: str, error: type[ValueError]) -> list[tuple[str, str]]:
+    # (group name, text) per token; pattern is optional whitespace, then named groups
     tokens: list[tuple[str, str]] = []
     pos = 0
     while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
+        m = pattern.match(text, pos)
         if m is None:
             if text[pos:].strip():
-                raise PolyParseError(f"unexpected character {text[pos:].strip()[0]!r}")
+                raise error(f"unexpected character {text[pos:].strip()[0]!r}")
             break
-        if m.group("int") is not None:
-            tokens.append(("int", m.group("int")))
-        elif m.group("name") is not None:
-            tokens.append(("name", m.group("name")))
-        else:
-            tokens.append(("op", m.group("op")))
+        tokens.append((m.lastgroup, m.group(m.lastgroup)))
         pos = m.end()
     return tokens
 
 
+def _int_literal(value: str) -> int:
+    # int() refuses a literal beyond CPython's digit limit with a bare ValueError
+    try:
+        return int(value)
+    except ValueError as exc:
+        raise PolyParseError(str(exc)) from exc
+
+
 def _parse_poly(cls, text: str, variables: VariableSet | None):
-    tokens = _tokenize(text)
+    tokens = _tokenize(_TOKEN_RE, text, PolyParseError)
     if not tokens:
         raise PolyParseError("empty polynomial text")
     pos = 0
@@ -749,12 +751,12 @@ def _parse_poly(cls, text: str, variables: VariableSet | None):
         kind, value = take()
         if kind != "int":
             raise PolyParseError("expected an integer")
-        return sign * int(value)
+        return sign * _int_literal(value)
 
     def parse_factor(term_exps: dict[str, int]) -> int:
         kind, value = take()
         if kind == "int":
-            return int(value)
+            return _int_literal(value)
         if kind == "name":
             if value not in seen_names:
                 seen_names.append(value)
@@ -790,11 +792,10 @@ def _parse_poly(cls, text: str, variables: VariableSet | None):
                     f"variable {name!r} is not in the expected set {variables.names}"
                 )
     width = len(variables)
-    terms: dict[tuple[int, ...], int] = {}
+    terms = []
     for exps_by_name, coeff in raw_terms:
         exps = [0] * width
         for name, e in exps_by_name.items():
             exps[variables.index(name)] = e
-        key = tuple(exps)
-        terms[key] = terms.get(key, 0) + coeff
+        terms.append((exps, coeff))
     return cls(variables, terms)

@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .knots import KnotExpr, Torus, TorusKnotSpec, alexander_torus
+from .knots import TorusKnotSpec, alexander_torus
 from .laurent import LaurentPoly, VariableSet, _binomial_quotient
 
 __all__ = [
@@ -65,10 +65,12 @@ def _require_int(value, what: str, minimum: int | None = None) -> None:
 
 @dataclass(frozen=True)
 class LinkFamilyMember:
-    """The link L_p = K u Gamma_p with Gamma_p = T(p, p+1) and lk = 1."""
+    """The link L_p = K u Gamma_p with Gamma_p = T(p, p+1) and lk = 1.
+
+    No invariant computed here depends on the companion knot K.
+    """
 
     p: int
-    companion_knot: KnotExpr = Torus.of(2, 3)
     gamma: TorusKnotSpec = field(init=False)
     linking_number: int = field(init=False, default=1)
 

@@ -55,6 +55,10 @@ class TestAlexanderCommand:
         assert code == 1
         assert "error" in err
 
+    def test_non_ascii_digit_exits_1(self, capsys):
+        code, out, err = run(capsys, "alexander", "torus(\u0663,4)")
+        assert (code, out, err) == (1, "", "error: unexpected character '\u0663'\n")
+
     def test_exponent_overflow_exits_1(self, capsys):
         code, out, err = run(capsys, "alexander", "torus(3037000507,3037000509)")
         assert code == 1
@@ -94,6 +98,13 @@ class TestTorresCommand:
         code, out, err = run(capsys, "torres", "--lk", "2", "t^9223372036854775807")
         assert (code, out) == (1, "")
         assert err.startswith("error:")
+
+    def test_bad_literals_exit_1(self, capsys):
+        code, out, err = run(capsys, "torres", "--lk", "2", "\u0663*t")
+        assert (code, out, err) == (1, "", "error: unexpected character '\u0663'\n")
+        code, out, err = run(capsys, "torres", "--lk", "2", "1" * 4301)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: Exceeds the limit (4300 digits)")
 
     def test_lk1_unchanged(self, capsys):
         code, out, _ = run(capsys, "torres", "--lk", "1", "t - 1 + t^-1")
@@ -252,6 +263,14 @@ class TestCertifyCommand:
         data = json.loads(out)
         jsonschema.validate(instance=data, schema=schemas.load("verify"))
         assert data == {"valid": False, "target": 0, "witness_count": 1}
+
+    def test_verify_takes_no_n(self, capsys, tmp_path):
+        _, out, _ = run(capsys, "certify", "--target", "7")
+        path = tmp_path / "cert.json"
+        path.write_text(out)
+        code, out, err = run(capsys, "certify", "--verify", str(path), "--n", "1")
+        assert (code, out) == (1, "")
+        assert "unrecognized arguments: --n 1" in err
 
     def test_verify_garbage_exits_1(self, capsys, tmp_path):
         path = tmp_path / "bad.json"

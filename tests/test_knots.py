@@ -253,6 +253,8 @@ class TestExprGrammar:
             "mirror()",
             "unknot extra",
             "torus(2,3))",
+            "torus(\u0663,4)",
+            "torus(2,\uff13)",
         ],
     )
     def test_parse_errors(self, bad):

@@ -469,7 +469,10 @@ class TestTextForm:
         assert p("t -+- 1") == p("t + 1")
 
     def test_parse_rejects_garbage(self):
-        for bad in ["", "t +", "* t", "t ^", "t^x", "(t)", "1..2"]:
+        # non-ASCII digits, and literals beyond int()'s 4,300-digit limit
+        long_literal = "1" * 4301
+        for bad in ["", "t +", "* t", "t ^", "t^x", "(t)", "1..2", "\u0663*t",
+                    long_literal, f"t^{long_literal}", f"{long_literal}*t"]:
             with pytest.raises(PolyParseError):
                 p(bad)
 
@@ -505,6 +508,11 @@ class TestJsonForm:
             LaurentPoly.from_json("{not json")
         with pytest.raises(PolyParseError):
             LaurentPoly.from_json("[" * 100_000 + "]" * 100_000)
+        with pytest.raises(PolyParseError, match="^invalid JSON: "):
+            # an exponent beyond int()'s 4,300-digit limit
+            LaurentPoly.from_json(
+                '{"variables": ["t"], "terms": [{"exps": [' + "1" * 4301 + '], "coeff": "1"}]}'
+            )
         with pytest.raises(PolyParseError):
             LaurentPoly.from_json_dict({"variables": ["t"]})
         with pytest.raises(PolyParseError):

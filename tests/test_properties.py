@@ -1,4 +1,4 @@
-"""Property-based checks of the algebra layer."""
+"""Property-based checks of the algebra layer and of the four input parsers."""
 
 import json
 
@@ -7,12 +7,14 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from knotsurgery.family import FamilyReport, FamilyRow, UnboundednessCertificate, Witness
+from knotsurgery.knots import KnotParseError, format_knot_expr, parse_knot_expr
 from knotsurgery.laurent import (
     INT64_MAX,
     INT64_MIN,
     ExponentOverflowError,
     LaurentPoly,
     NotDivisibleError,
+    PolyParseError,
     VariableSet,
     _dumps_indent2,
 )
@@ -253,3 +255,222 @@ class TestSerialization:
     @settings(deadline=None)
     def test_indent2_writer_matches_json_dumps(self, doc):
         assert _dumps_indent2(doc) == json.dumps(doc, indent=2)
+
+
+# -- the parsing gate: text and JSON loaders fail only with their own errors --
+
+# characters outside both grammars: whitespace, non-ASCII digits, punctuation
+NOISE = [" ", "\t", "\n", "\u0663", "\uff13", "!", ".", "x", "\x00", "\u00e9", "{"]
+
+
+def texts(pieces, valid):
+    # valid text with one piece spliced in, runs of pieces, and free text over
+    # the same characters
+    alphabet = "".join(sorted(set("".join(pieces))))
+    spliced = st.tuples(valid, st.integers(0, 60), st.sampled_from(pieces)).map(
+        lambda v: v[0][: v[1]] + v[2] + v[0][v[1]:]
+    )
+    return st.one_of(
+        valid,
+        spliced,
+        st.lists(st.sampled_from(pieces), max_size=24).map("".join),
+        st.text(alphabet=alphabet, max_size=40),
+    )
+
+
+knot_exprs = st.recursive(
+    st.one_of(
+        st.just("unknot"),
+        # mostly coprime pairs; 0 and a common factor are rejected
+        st.sampled_from([(1, 1), (2, 3), (5, 3), (3, 4), (2, 9), (7, 4), (0, 3), (4, 6)]).map(
+            lambda pq: "torus(%d,%d)" % pq
+        ),
+    ),
+    lambda inner: st.one_of(
+        inner.map(lambda e: f"mirror({e})"),
+        st.tuples(inner, inner).map(lambda lr: "sum(%s,%s)" % lr),
+    ),
+    max_leaves=4,
+)
+knot_texts = texts(
+    ["unknot", "torus", "mirror", "sum", "(", ")", ",", "1", "2", "3", "12", "0"] + NOISE,
+    knot_exprs,
+)
+poly_texts = texts(
+    ["t", "y", "t_K", "^", "*", "+", "-", "0", "1", "2", "12", "9223372036854775807", "("]
+    + NOISE,
+    st.one_of(polys(), polys(variables=XY, max_terms=4)).map(str),
+)
+json_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=8)
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+def maybe(strategy):
+    # near-miss documents: mostly the right shape, one node in ten junk
+    return st.integers(0, 9).flatmap(lambda k: strategy if k else json_values)
+
+
+poly_documents = st.one_of(
+    st.one_of(polys(), polys(variables=XY, max_terms=4)).map(LaurentPoly.to_json_dict),
+    maybe(
+        st.fixed_dictionaries(
+            {
+                "variables": maybe(st.lists(st.sampled_from(["t", "y", "t", "1t", ""]), max_size=2)),
+                "terms": maybe(
+                    st.lists(
+                        maybe(
+                            st.fixed_dictionaries(
+                                {
+                                    "exps": maybe(st.lists(maybe(st.integers()), max_size=2)),
+                                    "coeff": maybe(st.integers().map(str)),
+                                }
+                            )
+                        ),
+                        max_size=4,
+                    )
+                ),
+            }
+        )
+    ),
+)
+witness_lists = st.lists(st.builds(Witness, st.integers(1), st.integers(0)), min_size=1, max_size=4)
+certificate_documents = st.one_of(
+    st.builds(UnboundednessCertificate, st.integers(0), witness_lists.map(tuple)).map(
+        UnboundednessCertificate.to_json_dict
+    ),
+    maybe(
+        st.fixed_dictionaries(
+            {
+                "schema_version": maybe(st.just(1)),
+                "target": maybe(st.integers(min_value=-1)),
+                "witnesses": maybe(
+                    st.lists(
+                        maybe(
+                            st.fixed_dictionaries(
+                                {
+                                    "p": maybe(st.integers(min_value=0)),
+                                    "lower_bound": maybe(st.integers(min_value=-1)),
+                                }
+                            )
+                        ),
+                        max_size=4,
+                    )
+                ),
+            }
+        )
+    ),
+)
+
+
+class TestParsingGate:
+    # parse only: a fuzzed knot is never evaluated, so no kernel sees a fuzzed size
+    @given(knot_texts)
+    @settings(deadline=None)
+    def test_knot_grammar(self, text):
+        try:
+            expr = parse_knot_expr(text)
+        except KnotParseError:
+            event("rejected")
+            return
+        event("accepted")
+        assert parse_knot_expr(format_knot_expr(expr)) == expr
+
+    @pytest.mark.parametrize("variables", [None, T], ids=["inferred", "fixed"])
+    @given(text=poly_texts)
+    @settings(deadline=None)
+    def test_polynomial_grammar(self, variables, text):
+        try:
+            poly = LaurentPoly.parse(text, variables)
+        except (PolyParseError, ExponentOverflowError):
+            event("rejected")
+            return
+        event("accepted")
+        assert LaurentPoly.parse(str(poly), poly.variables) == poly
+
+    @given(poly_documents)
+    @settings(deadline=None)
+    def test_polynomial_json(self, doc):
+        try:
+            poly = LaurentPoly.from_json(json.dumps(doc))
+        except (PolyParseError, ExponentOverflowError):
+            event("rejected")
+            return
+        event("accepted")
+        assert LaurentPoly.from_json(poly.to_json()) == poly
+
+    @given(certificate_documents)
+    @settings(deadline=None)
+    def test_certificate_json(self, doc):
+        try:
+            certificate = UnboundednessCertificate.from_json(json.dumps(doc))
+        except ValueError:
+            event("rejected")
+            return
+        event("accepted")
+        assert UnboundednessCertificate.from_json(certificate.to_json()) == certificate
+
+
+def _parse_fixed(text):
+    return LaurentPoly.parse(text, T)
+
+
+# exact messages, recorded before the two grammars shared one tokenizer; the
+# non-ASCII digits were accepted then and are rejected on purpose now
+PARSE_ERROR_MESSAGES = [
+    (parse_knot_expr, "", KnotParseError, "unexpected end of knot expression"),
+    (parse_knot_expr, "knot", KnotParseError, "unknown knot constructor 'knot'"),
+    (parse_knot_expr, "torus(2)", KnotParseError, "expected ',', got ')'"),
+    (parse_knot_expr, "torus(2,3,4)", KnotParseError, "expected ')', got ','"),
+    (parse_knot_expr, "torus(a,b)", KnotParseError, "torus(p,q) needs integer parameters"),
+    (parse_knot_expr, "torus(4,6)", KnotParseError, "T(4,6) is a link, not a knot: gcd must be 1"),
+    (parse_knot_expr, "mirror()", KnotParseError, "unknown knot constructor ')'"),
+    (parse_knot_expr, "sum(unknot,unknot", KnotParseError, "unexpected end of knot expression"),
+    (parse_knot_expr, "unknot extra", KnotParseError, "trailing input after knot expression: 'extra'"),
+    (parse_knot_expr, "torus(2,3)!", KnotParseError, "unexpected character '!'"),
+    (parse_knot_expr, "TORUS(2,3)", KnotParseError, "unexpected character 'T'"),
+    (parse_knot_expr, "torus(-2,3)", KnotParseError, "unexpected character '-'"),
+    (parse_knot_expr, "torus(2,3)\x00", KnotParseError, "unexpected character '\\x00'"),
+    (parse_knot_expr, "torus(\u0663,4)", KnotParseError, "unexpected character '\u0663'"),
+    (LaurentPoly.parse, "", PolyParseError, "empty polynomial text"),
+    (LaurentPoly.parse, "t +", PolyParseError, "expected a coefficient or variable, got None"),
+    (LaurentPoly.parse, "* t", PolyParseError, "expected a coefficient or variable, got '*'"),
+    (LaurentPoly.parse, "t**2", PolyParseError, "expected a coefficient or variable, got '*'"),
+    (LaurentPoly.parse, "t ^", PolyParseError, "expected an integer"),
+    (LaurentPoly.parse, "t^x", PolyParseError, "expected an integer"),
+    (LaurentPoly.parse, "2t", PolyParseError, "expected '+' or '-' between terms, got 't'"),
+    (LaurentPoly.parse, "3 4", PolyParseError, "expected '+' or '-' between terms, got '4'"),
+    (LaurentPoly.parse, "(t)", PolyParseError, "unexpected character '('"),
+    (LaurentPoly.parse, "1..2", PolyParseError, "unexpected character '.'"),
+    (LaurentPoly.parse, "t\x00", PolyParseError, "unexpected character '\\x00'"),
+    (LaurentPoly.parse, "\u0663*t", PolyParseError, "unexpected character '\u0663'"),
+    (
+        _parse_fixed,
+        "s + 1",
+        PolyParseError,
+        "variable 's' is not in the expected set ('t',)",
+    ),
+    (
+        LaurentPoly.parse,
+        "t^9223372036854775807*t",
+        ExponentOverflowError,
+        "exponent 9223372036854775808 outside the signed 64-bit range",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "parse,text,error,message",
+    PARSE_ERROR_MESSAGES,
+    ids=[f"{parse.__name__}:{text}" for parse, text, _, _ in PARSE_ERROR_MESSAGES],
+)
+def test_parse_error_messages(parse, text, error, message):
+    with pytest.raises(error) as excinfo:
+        parse(text)
+    assert type(excinfo.value) is error
+    assert str(excinfo.value) == message

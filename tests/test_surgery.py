@@ -1,6 +1,6 @@
 import pytest
 
-from knotsurgery.knots import Torus, TorusKnotSpec, alexander_torus
+from knotsurgery.knots import TorusKnotSpec, alexander_torus
 from knotsurgery.laurent import INT64_MIN, LaurentPoly, VariableSet
 from knotsurgery.surgery import (
     KG_VARS,
@@ -31,7 +31,6 @@ class TestLinkFamilyMember:
         member = LinkFamilyMember(5)
         assert member.gamma == TorusKnotSpec(5, 6)
         assert member.linking_number == 1
-        assert member.companion_knot == Torus.of(2, 3)
 
     def test_rejects_bad_index(self):
         with pytest.raises(ValueError):
