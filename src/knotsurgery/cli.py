@@ -46,26 +46,20 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _emit(text: str) -> None:
-    sys.stdout.write(text if text.endswith("\n") else text + "\n")
+    print(text, end="" if text.endswith("\n") else "\n")
 
 
 def _cmd_alexander(args) -> int:
     expr = parse_knot_expr(args.expr)
     poly = alexander_expr(expr, symmetrize=not args.no_symmetrize)
-    if args.format == "json":
-        _emit(_dumps_indent2(poly.to_json_dict()))
-    else:
-        _emit(str(poly))
+    _emit(_dumps_indent2(poly) if args.format == "json" else str(poly))
     return EXIT_OK
 
 
 def _cmd_torres(args) -> int:
     poly = LaurentPoly.parse(args.poly)
     result = torres_specialize(poly, args.lk)
-    if args.format == "json":
-        _emit(_dumps_indent2(result.to_json_dict()))
-    else:
-        _emit(str(result))
+    _emit(_dumps_indent2(result) if args.format == "json" else str(result))
     return EXIT_OK
 
 

@@ -58,13 +58,14 @@ class FamilyRow:
     span: int
 
     def to_json_dict(self) -> dict:
+        """The row's fields; delta_gamma stays a LaurentPoly."""
         return {
             "p": self.p,
             "lower_bound": self.lower_bound,
             "lemma63_ok": self.lemma63_ok,
             "genus": self.genus,
             "span": self.span,
-            "delta_gamma": self.delta_gamma.to_json_dict(),
+            "delta_gamma": self.delta_gamma,
         }
 
 
@@ -74,6 +75,7 @@ class FamilyReport:
     rows: tuple[FamilyRow, ...]
 
     def to_json_dict(self) -> dict:
+        """n and the rows' documents, whose polynomials stay LaurentPoly."""
         return {"n": self.n, "rows": [row.to_json_dict() for row in self.rows]}
 
     def to_json(self) -> str:
@@ -88,7 +90,7 @@ class FamilyReport:
             lines.append(
                 f"{row.p},{row.lower_bound},{flag},{row.genus},{row.span},{row.delta_gamma}"
             )
-        return "\n".join(lines) + "\n"
+        return "\n".join([*lines, ""])
 
     def to_text(self) -> str:
         lines = [f"family report for n = {self.n}"]
@@ -98,7 +100,7 @@ class FamilyReport:
                 f"p={row.p} lower_bound={row.lower_bound} [{flag}] "
                 f"genus={row.genus} span={row.span} delta={row.delta_gamma}"
             )
-        return "\n".join(lines) + "\n"
+        return "\n".join([*lines, ""])
 
 
 @dataclass(frozen=True)

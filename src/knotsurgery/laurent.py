@@ -32,9 +32,9 @@ e.g. ``t_K^2*t_G^-1 - 3``; integers are ASCII digits, and the knot grammar
 shares this grammar's tokenizer.  JSON form: ``{"variables": [...], "terms":
 [{"exps": [...], "coeff": "<decimal string>"}]}`` -- coefficients travel as
 decimal strings so arbitrary precision survives transport.  ``to_json`` is
-compact; the indented documents the CLI prints, with polynomials nested in
-them, are written by one writer here that matches
-``json.dumps(doc, indent=2)`` byte for byte.
+compact.  The indented documents the CLI prints hold polynomials as
+``LaurentPoly`` values, and one writer here turns them into the bytes of
+``json.dumps(doc, indent=2, default=LaurentPoly.to_json_dict)``.
 """
 
 from __future__ import annotations
@@ -597,12 +597,12 @@ class LaurentPoly:
 
 
 def _dumps_indent2(doc) -> str:
-    """json.dumps(doc, indent=2), byte for byte.
+    """json.dumps(doc, indent=2, default=LaurentPoly.to_json_dict), byte for byte.
 
-    A polynomial document as to_json_dict builds it, found by its keys, is
-    written one term per f-string; everything else goes through json.dumps
-    one scalar at a time.  With indent set, json.dumps uses the pure-Python
-    encoder, whose per-value dispatch dominated large polynomial output.
+    A LaurentPoly in doc is written from its terms, one f-string per term;
+    everything else goes through json.dumps one scalar at a time.  With
+    indent set, json.dumps uses the pure-Python encoder, whose per-value
+    dispatch dominated large polynomial output.
     """
     parts: list[str] = []
     _write_indent2(doc, "\n", parts)
@@ -612,10 +612,9 @@ def _dumps_indent2(doc) -> str:
 def _write_indent2(value, newline: str, parts: list[str]) -> None:
     # newline is "\n" plus the indentation of the line where value starts
     inner = newline + "  "
-    if isinstance(value, dict) and value:
-        if tuple(value) == ("variables", "terms"):
-            _write_poly_indent2(value, newline, parts)
-            return
+    if isinstance(value, LaurentPoly):
+        _write_poly_indent2(value, newline, parts)
+    elif isinstance(value, dict) and value:
         opening = "{"
         for key, item in value.items():
             parts.append(f"{opening}{inner}{json.dumps(key)}: ")
@@ -633,22 +632,22 @@ def _write_indent2(value, newline: str, parts: list[str]) -> None:
         parts.append(json.dumps(value))
 
 
-def _write_poly_indent2(doc: dict, newline: str, parts: list[str]) -> None:
-    # exponents are ints and coefficients decimal strings, which JSON writes
-    # as they are; variable names are identifiers and need no escaping
+def _write_poly_indent2(poly: LaurentPoly, newline: str, parts: list[str]) -> None:
+    # exponents go out as JSON numbers and coefficients as quoted decimal
+    # strings, both as str gives them; variable names need no escaping
     n1, n2, n3, n4 = (newline + "  " * depth for depth in range(1, 5))
     parts.append(f'{{{n1}"variables": ')
-    _write_indent2(doc["variables"], n1, parts)
+    _write_indent2(list(poly.variables), n1, parts)
     parts.append(f',{n1}"terms": ')
-    if not doc["terms"]:
+    if poly.is_zero():
         parts.append("[]" + newline + "}")
         return
-    opening, closing = (f"[{n4}", f"{n3}]") if doc["variables"] else ("[", "]")
+    opening, closing = (f"[{n4}", f"{n3}]") if poly.variables else ("[", "]")
     sep = "," + n4
     terms = [
-        f'{{{n3}"exps": {opening}{sep.join(map(str, t["exps"]))}{closing},'
-        f'{n3}"coeff": "{t["coeff"]}"{n2}}}'
-        for t in doc["terms"]
+        f'{{{n3}"exps": {opening}{sep.join(map(str, exps))}{closing},'
+        f'{n3}"coeff": "{coeff}"{n2}}}'
+        for exps, coeff in poly.terms()
     ]
     parts.append(f"[{n2}" + f",{n2}".join(terms) + f"{n1}]{newline}}}")
 

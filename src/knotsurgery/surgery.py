@@ -109,14 +109,13 @@ class SWResult:
     basic_class_lower_bound: int
 
     def to_json_dict(self) -> dict:
+        """The result's fields, with its polynomials as LaurentPoly values."""
         return {
             "p": self.p,
             "n": self.n,
-            "specialization": self.specialization_at_tK1.to_json_dict(),
+            "specialization": self.specialization_at_tK1,
             "lower_bound": self.basic_class_lower_bound,
-            "full_polynomial": (
-                "unavailable" if self.polynomial is None else self.polynomial.to_json_dict()
-            ),
+            "full_polynomial": "unavailable" if self.polynomial is None else self.polynomial,
         }
 
 

@@ -1,5 +1,6 @@
 import json
 import time
+import tracemalloc
 
 import jsonschema
 import pytest
@@ -14,7 +15,9 @@ from knotsurgery.laurent import (
     NotSymmetrizableError,
     PolyParseError,
     VariableSet,
+    _dumps_indent2,
 )
+from knotsurgery.surgery import torres_specialize
 
 from _oracles import convolve, dense_divide
 
@@ -497,6 +500,18 @@ class TestJsonForm:
         poly = p("t^-2 + t^3 - t")
         data = poly.to_json_dict()
         assert [entry["exps"] for entry in data["terms"]] == [[3], [1], [-2]]
+
+    def test_indent2_writer_peak_is_within_five_times_its_output(self):
+        # the writer reads the terms straight off the polynomial: no JSON tree
+        # of dicts, lists and strings is built on the way
+        poly = torres_specialize(LaurentPoly.parse("1"), 100076)
+        tracemalloc.start()
+        try:
+            text = _dumps_indent2(poly)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * len(text)
 
     def test_zero_poly(self):
         data = LaurentPoly.zero(T).to_json_dict()

@@ -17,6 +17,16 @@ def test_sweep_run_reports_all_ops_correct():
     check_run("sweep")
 
 
+def test_report_run_reports_all_ops_correct():
+    # family reports as JSON and CSV, checked against the runner's own oracle
+    check_run("report")
+
+
+def test_oneshot_run_reports_all_ops_correct():
+    # alexander, torres and sw, whose JSON carries the largest polynomials
+    check_run("oneshot")
+
+
 def test_crosscheck_run_reports_all_ops_correct():
     # the only workload that runs exact_divide and equal_up_to_units
     check_run("crosscheck")

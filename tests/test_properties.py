@@ -3,7 +3,7 @@
 import json
 
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from knotsurgery.family import FamilyReport, FamilyRow, UnboundednessCertificate, Witness
@@ -79,6 +79,7 @@ any_poly = st.sampled_from([VariableSet(), T, XY, VariableSet("a", "b", "c")]).f
 counts = st.integers(min_value=0, max_value=10 ** 20)
 family_rows = st.builds(FamilyRow, counts, any_poly, counts, st.booleans(), counts, counts)
 documents = st.one_of(
+    any_poly,
     any_poly.map(LaurentPoly.to_json_dict),
     st.builds(SWResult, counts, counts, st.none() | any_poly, any_poly, counts).map(
         SWResult.to_json_dict
@@ -252,9 +253,12 @@ class TestSerialization:
         assert LaurentPoly.from_json(poly.to_json()) == poly
 
     @given(documents)
+    # plain dicts that only look like polynomial documents are plain dicts
+    @example({"variables": ["a"], "terms": [{"exps": [1], "coeff": 5}]})
+    @example({"variables": ["a"], "terms": [{"exps": [1], "coeff": "5", "note": None}]})
     @settings(deadline=None)
     def test_indent2_writer_matches_json_dumps(self, doc):
-        assert _dumps_indent2(doc) == json.dumps(doc, indent=2)
+        assert _dumps_indent2(doc) == json.dumps(doc, indent=2, default=LaurentPoly.to_json_dict)
 
 
 # -- the parsing gate: text and JSON loaders fail only with their own errors --

@@ -198,13 +198,15 @@ class TestSwSpecialized:
         assert data["n"] == 1
         assert data["lower_bound"] == 3
         assert data["full_polynomial"] == "unavailable"
-        assert data["specialization"]["variables"] == ["t_G"]
+        assert data["specialization"] is result.specialization_at_tK1
+        assert data["specialization"].variables == TG_VARS
 
     def test_json_with_full_polynomial(self):
         delta = LaurentPoly.parse("x*y", XY_VARS)
         result = sw_specialized(SurgerySpec(1, LinkFamilyMember(1)), delta)
         data = result.to_json_dict()
-        assert data["full_polynomial"]["variables"] == ["t_K", "t_G"]
+        assert data["full_polynomial"] is result.polynomial
+        assert data["full_polynomial"].variables == KG_VARS
 
 
 class TestBasicClassLowerBound:
