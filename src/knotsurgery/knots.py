@@ -6,7 +6,9 @@ Torus knots use the closed formula
 
 with the first quotient written down as (t - 1)(1 + t^p + ... + t^((q-1)p))
 and divided by t^q - 1 with the Laurent layer's running-sum kernel, one
-residue class mod q at a time, then symmetrized.
+residue class mod q at a time.  alexander_torus starts the numerator at
+t^-genus, so the kernel writes Delta already centered and symmetrize only
+checks it; the raw representative (symmetrize=False) starts at t^0.
 Connected sums multiply; mirroring is the identity on these invariants
 (Alexander polynomials cannot see chirality), so Mirror nodes exist purely
 to record how a knot was described.
@@ -26,6 +28,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from itertools import repeat
 
 from .laurent import (
     INT64_MAX,
@@ -130,16 +133,16 @@ class ConnectedSum(KnotExpr):
     right: KnotExpr
 
 
-def _torus_quotient(p: int, q: int) -> LaurentPoly:
-    # (t^(pq) - 1)(t - 1) / ((t^p - 1)(t^q - 1)) as an ordinary polynomial
+def _torus_quotient(p: int, q: int, low: int = 0) -> LaurentPoly:
+    # t^low (t^(pq) - 1)(t - 1) / ((t^p - 1)(t^q - 1)): from t^low upwards
     if p == 1:
         return LaurentPoly.one(T_VARS)
     if p * q > INT64_MAX:
         raise ExponentOverflowError(f"T({p},{q}) needs exponent {p * q} > {INT64_MAX}")
-    # (t - 1)(1 + t^p + ... + t^((q-1)p)), ascending; distinct terms as p >= 2
-    partial: list[tuple[int, int]] = []
-    for e in range(0, q * p, p):
-        partial += ((e, -1), (e + 1, 1))
+    # t^low (t - 1)(1 + t^p + ... + t^((q-1)p)), ascending; distinct terms as p >= 2
+    partial: list = [None] * (2 * q)
+    partial[0::2] = zip(range(low, low + q * p, p), repeat(-1))
+    partial[1::2] = zip(range(low + 1, low + 1 + q * p, p), repeat(1))
     quotient = _binomial_quotient(T_VARS, partial, q)
     span = quotient.span()
     if span != (p - 1) * (q - 1):
@@ -151,7 +154,7 @@ def _torus_quotient(p: int, q: int) -> LaurentPoly:
 
 def alexander_torus(k: TorusKnotSpec) -> LaurentPoly:
     """Symmetrized Alexander polynomial of a torus knot."""
-    return _torus_quotient(k.p, k.q).symmetrize()
+    return _torus_quotient(k.p, k.q, -((k.p - 1) * (k.q - 1) // 2)).symmetrize()
 
 
 def genus_torus(k: TorusKnotSpec) -> int:

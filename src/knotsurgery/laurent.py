@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import heapq
 import json
+import operator
 import re
 from typing import Iterable, Iterator, Mapping, Union
 
@@ -146,15 +147,18 @@ def _binomial_quotient(variables: VariableSet, num: list[tuple[int, int]], q: in
     # lowest exponent, in range, to N's highest minus q, checked here.
     if num and num[-1][0] - q >= num[0][0]:
         _checked_exponent(num[-1][0] - q)
-    state: dict[int, tuple[int, int]] = {}  # class -> (running sum, where it started)
+    sums: dict[int, int] = {}  # class -> running sum
+    starts: dict[int, int] = {}  # class -> exponent where that sum started
     terms: dict[tuple[int], int] = {}
     for e, c in num:
-        running, start = state.get(e % q, (0, e))
+        r = e % q
+        running = sums.get(r, 0)
         if running:
-            for x in range(start, e, q):
+            for x in range(starts[r], e, q):
                 terms[(x,)] = running
-        state[e % q] = (running - c, e)
-    if any(running for running, _ in state.values()):
+        sums[r] = running - c
+        starts[r] = e
+    if any(sums.values()):
         raise NotDivisibleError(f"division by t^{q} - 1 leaves a remainder")
     return _from_canonical(variables, terms)
 
@@ -355,7 +359,7 @@ class LaurentPoly:
         out: dict[tuple[int, ...], int] = {}
         for e1, c1 in a.items():
             for e2, c2 in b.items():
-                exps = tuple(x + y for x, y in zip(e1, e2))
+                exps = tuple(map(operator.add, e1, e2))
                 out[exps] = out.get(exps, 0) + c1 * c2
         return _from_canonical(self.variables, _nonzero(out))
 
@@ -472,6 +476,7 @@ class LaurentPoly:
     def symmetrize(self) -> "LaurentPoly":
         """The unit multiple ±t^k·P satisfying S(1/t) = S(t), top coefficient > 0.
 
+        A polynomial that already has both properties is returned as is.
         Raises :class:`NotSymmetrizableError` when no unit achieves symmetry
         (odd exponent span, or an asymmetric coefficient profile).
         """
@@ -488,10 +493,11 @@ class LaurentPoly:
             raise NotSymmetrizableError(
                 f"exponent span {hi - lo} is odd; no centering unit exists"
             )
-        for (e,), c in terms.items():
-            if terms.get((hi + lo - e,)) != c:
-                raise NotSymmetrizableError("no unit multiple is symmetric")
+        if {(hi + lo - e,): c for (e,), c in terms.items()} != terms:
+            raise NotSymmetrizableError("no unit multiple is symmetric")
         shift, sign = -((hi + lo) // 2), (1 if terms[(hi,)] > 0 else -1)
+        if not shift and sign > 0:
+            return self
         return _from_canonical(
             self.variables, {(e + shift,): sign * c for (e,), c in terms.items()}
         )
@@ -649,7 +655,7 @@ def _write_poly_indent2(poly: LaurentPoly, newline: str, parts: list[str]) -> No
         f'{n3}"coeff": "{coeff}"{n2}}}'
         for exps, coeff in poly.terms()
     ]
-    parts.append(f"[{n2}" + f",{n2}".join(terms) + f"{n1}]{newline}}}")
+    parts += (f"[{n2}", f",{n2}".join(terms), f"{n1}]{newline}}}")
 
 
 def _require_json_object(data, keys: set[str]) -> None:

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from knotsurgery import knots
+from knotsurgery import knots, laurent
 from knotsurgery.knots import (
     ConnectedSum,
     InternalInconsistencyError,
@@ -24,6 +24,7 @@ from knotsurgery.laurent import (
     ExponentOverflowError,
     LaurentPoly,
     NotDivisibleError,
+    NotSymmetrizableError,
     _binomial_quotient,
 )
 
@@ -106,6 +107,35 @@ class TestAlexanderTorus:
                 assert all(c in (-1, 1) for _, c in delta.terms())
                 assert delta.symmetrize() == delta
 
+    @pytest.mark.parametrize("pq", [(5, 6), (7, 9)])
+    def test_builds_one_polynomial(self, pq, monkeypatch):
+        # the kernel writes Delta centered, so symmetrize makes no copy
+        built = []
+        from_canonical = laurent._from_canonical
+
+        def counting(variables, terms):
+            built.append(len(terms))
+            return from_canonical(variables, terms)
+
+        monkeypatch.setattr(laurent, "_from_canonical", counting)
+        delta = alexander_torus(TorusKnotSpec(*pq))
+        assert len(built) == 1
+        assert delta == semigroup_delta_centered(*pq)
+
+    def test_symmetry_is_still_checked(self, monkeypatch):
+        # centered and of the right span, but t^1 and t^-1 differ
+        monkeypatch.setattr(
+            knots, "_binomial_quotient", lambda variables, num, q: poly("t + 2 - t^-1")
+        )
+        with pytest.raises(NotSymmetrizableError):
+            alexander_torus(TorusKnotSpec(2, 3))
+
+    @pytest.mark.parametrize("pq", [(2, 3), (2, 9), (3, 4), (3, 10), (5, 12), (7, 9), (11, 13)])
+    def test_raw_form_starts_at_t0(self, pq):
+        raw = alexander_expr(Torus.of(*pq), symmetrize=False)
+        assert min(raw.terms())[0] == (0,)
+        assert raw.span() == (pq[0] - 1) * (pq[1] - 1)
+
     @pytest.mark.parametrize("p,count", [(1, 1), (2, 3), (3, 5), (4, 7), (5, 9)])
     def test_adjacent_family_term_counts(self, p, count):
         # Delta_{T(p,p+1)} has exactly 2p - 1 nonzero terms
@@ -115,6 +145,11 @@ class TestAlexanderTorus:
 def raw_quotient(p: int, q: int) -> dict[int, int]:
     raw = alexander_expr(Torus.of(p, q), symmetrize=False)
     return {e: c for (e,), c in raw.terms()}
+
+
+def semigroup_delta_centered(p: int, q: int) -> LaurentPoly:
+    shift = (p - 1) * (q - 1) // 2
+    return LaurentPoly(T_VARS, {(e - shift,): c for e, c in semigroup_delta(p, q).items()})
 
 
 def coprime_pairs(lo: int, hi: int):

@@ -324,6 +324,14 @@ class TestSymmetrize:
         with pytest.raises(NotSymmetrizableError):
             LaurentPoly.zero(T).symmetrize()
 
+    def test_centered_positive_input_is_returned_as_is(self):
+        tre = p("t - 1 + t^-1")
+        assert tre.symmetrize() is tre
+        negated = -tre
+        sym = negated.symmetrize()
+        assert sym is not negated
+        assert sym == tre
+
     def test_result_is_involution_fixed_point(self):
         raw = p("3*t^7 - 2*t^5 + 3*t^4 - 2*t^3 + 3*t")
         sym = raw.symmetrize()
@@ -512,6 +520,18 @@ class TestJsonForm:
         finally:
             tracemalloc.stop()
         assert peak <= 5 * len(text)
+
+    def test_indent2_writer_peak_is_within_three_times_its_output(self):
+        # the joined term block goes into the parts list as it is, not copied
+        # once more into a string with its brackets
+        poly = torres_specialize(LaurentPoly.parse("1"), 100076)
+        tracemalloc.start()
+        try:
+            text = _dumps_indent2(poly)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * len(text)
 
     def test_zero_poly(self):
         data = LaurentPoly.zero(T).to_json_dict()
