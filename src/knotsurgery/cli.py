@@ -94,13 +94,8 @@ def _cmd_family(args) -> int:
 
 def _cmd_certify(args) -> int:
     if args.verify is not None:
-        try:
-            with open(args.verify, "r", encoding="utf-8") as handle:
-                text = handle.read()
-        except OSError as exc:
-            print(f"error: cannot read {args.verify}: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        certificate = UnboundednessCertificate.from_json(text)
+        with open(args.verify, "r", encoding="utf-8") as handle:
+            certificate = UnboundednessCertificate.from_json(handle.read())
         valid = verify_certificate(certificate)
         _emit(
             _dumps_indent2(

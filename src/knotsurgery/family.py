@@ -17,8 +17,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .knots import alexander_torus, genus_torus
-from .laurent import LaurentPoly, _dumps_indent2, _json_int, _json_loads, _require_json_object
-from .surgery import LinkFamilyMember, _require_int, basic_class_lower_bound
+from .laurent import (
+    LaurentPoly,
+    _dumps_indent2,
+    _json_int,
+    _json_loads,
+    _require_int,
+    _require_json_object,
+)
+from .surgery import LinkFamilyMember, basic_class_lower_bound
 
 __all__ = [
     "DEFAULT_P_CAP",

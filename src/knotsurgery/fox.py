@@ -49,7 +49,7 @@ class GroupPresentation:
         n = len(self.generators)
         for word in self.relators:
             for letter in word:
-                if not isinstance(letter, int) or letter == 0 or abs(letter) > n:
+                if type(letter) is not int or not 0 < abs(letter) <= n:  # a bool is not a letter
                     raise ValueError(f"letter {letter!r} is not a valid generator index")
             for a, b in zip(word, word[1:]):
                 if a == -b:

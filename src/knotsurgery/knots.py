@@ -6,12 +6,12 @@ Torus knots use the closed formula
 
 with the first quotient written down as (t - 1)(1 + t^p + ... + t^((q-1)p))
 and divided by t^q - 1 with the Laurent layer's running-sum kernel, one
-residue class mod q at a time.  alexander_torus starts the numerator at
-t^-genus, so the kernel writes Delta already centered and symmetrize only
-checks it; the raw representative (symmetrize=False) starts at t^0.
-Connected sums multiply; mirroring is the identity on these invariants
-(Alexander polynomials cannot see chirality), so Mirror nodes exist purely
-to record how a knot was described.
+residue class mod q at a time.  The numerator starts at t^-genus, so the
+kernel writes Delta already centered, connected sums multiply centered
+factors into a centered product, and symmetrize only checks the result; the
+raw representative (symmetrize=False) is that Delta times t^genus.
+Mirroring is the identity on these invariants (Alexander polynomials cannot
+see chirality), so Mirror nodes exist purely to record how a knot was described.
 
 Knot expressions have a small text grammar used by the CLI:
 
@@ -133,28 +133,27 @@ class ConnectedSum(KnotExpr):
     right: KnotExpr
 
 
-def _torus_quotient(p: int, q: int, low: int = 0) -> LaurentPoly:
-    # t^low (t^(pq) - 1)(t - 1) / ((t^p - 1)(t^q - 1)): from t^low upwards
+def _torus_quotient(p: int, q: int) -> LaurentPoly:
+    # t^-g (t^(pq) - 1)(t - 1) / ((t^p - 1)(t^q - 1)), g the genus: centered
     if p == 1:
         return LaurentPoly.one(T_VARS)
     if p * q > INT64_MAX:
         raise ExponentOverflowError(f"T({p},{q}) needs exponent {p * q} > {INT64_MAX}")
-    # t^low (t - 1)(1 + t^p + ... + t^((q-1)p)), ascending; distinct terms as p >= 2
+    g = (p - 1) * (q - 1) // 2
+    # t^-g (t - 1)(1 + t^p + ... + t^((q-1)p)), ascending; distinct terms as p >= 2
     partial: list = [None] * (2 * q)
-    partial[0::2] = zip(range(low, low + q * p, p), repeat(-1))
-    partial[1::2] = zip(range(low + 1, low + 1 + q * p, p), repeat(1))
+    partial[0::2] = zip(range(-g, q * p - g, p), repeat(-1))
+    partial[1::2] = zip(range(1 - g, 1 + q * p - g, p), repeat(1))
     quotient = _binomial_quotient(T_VARS, partial, q)
     span = quotient.span()
-    if span != (p - 1) * (q - 1):
-        raise InternalInconsistencyError(
-            f"T({p},{q}) quotient has span {span}, expected {(p - 1) * (q - 1)}"
-        )
+    if span != 2 * g:
+        raise InternalInconsistencyError(f"T({p},{q}) quotient has span {span}, expected {2 * g}")
     return quotient
 
 
 def alexander_torus(k: TorusKnotSpec) -> LaurentPoly:
     """Symmetrized Alexander polynomial of a torus knot."""
-    return _torus_quotient(k.p, k.q, -((k.p - 1) * (k.q - 1) // 2)).symmetrize()
+    return _torus_quotient(k.p, k.q).symmetrize()
 
 
 def genus_torus(k: TorusKnotSpec) -> int:
@@ -165,27 +164,27 @@ def genus_torus(k: TorusKnotSpec) -> int:
     return (k.p - 1) * (k.q - 1) // 2
 
 
-def _alexander_raw(k: KnotExpr) -> LaurentPoly:
+def _alexander_centered(k: KnotExpr) -> LaurentPoly:
     if isinstance(k, Unknot):
         return LaurentPoly.one(T_VARS)
     if isinstance(k, Torus):
         return _torus_quotient(k.spec.p, k.spec.q)
     if isinstance(k, Mirror):
-        return _alexander_raw(k.inner)
+        return _alexander_centered(k.inner)
     if isinstance(k, ConnectedSum):
-        return _alexander_raw(k.left) * _alexander_raw(k.right)
+        return _alexander_centered(k.left) * _alexander_centered(k.right)
     raise TypeError(f"not a knot expression: {k!r}")
 
 
 def alexander_expr(k: KnotExpr, symmetrize: bool = True) -> LaurentPoly:
     """Alexander polynomial of a knot expression.
 
-    Connected sums multiply and Mirror is the identity.  With symmetrize
-    false the result is the raw polynomial representative (the direct
-    closed-formula quotient and products thereof).
+    Connected sums multiply centered factors and Mirror is the identity, so
+    symmetrize only checks the product.  With symmetrize false the result is
+    the raw representative Delta * t^(span/2), which starts at t^0.
     """
-    raw = _alexander_raw(k)
-    return raw.symmetrize() if symmetrize else raw
+    delta = _alexander_centered(k).symmetrize()
+    return delta if symmetrize else delta * LaurentPoly.var(T_VARS, "t", delta.span() // 2)
 
 
 def format_knot_expr(k: KnotExpr) -> str:

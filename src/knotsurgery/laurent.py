@@ -92,6 +92,23 @@ def _as_int(value, what: str) -> int:
     return value
 
 
+def _require_int(value, what: str, minimum: int | None = None) -> None:
+    # minimum is 0 (nonnegative), 1 (positive) or None (any integer); a bool
+    # is an int to Python but not an integer argument here
+    if not isinstance(value, int) or isinstance(value, bool) or (
+        minimum is not None and value < minimum
+    ):
+        kind = {None: "an", 0: "a nonnegative", 1: "a positive"}[minimum]
+        raise ValueError(f"{what} must be {kind} integer, got {value!r}")
+
+
+def _require_one_variable(what: str, *polys: "LaurentPoly") -> None:
+    for poly in polys:
+        if len(poly.variables) > 1:
+            names = poly.variables.names
+            raise ValueError(f"{what} requires a single-variable polynomial, got {names}")
+
+
 def _nonzero(acc: dict) -> dict:
     # the one place where accumulated terms drop their zero coefficients
     return {k: c for k, c in acc.items() if c} if 0 in acc.values() else acc
@@ -225,7 +242,7 @@ class LaurentPoly:
 
     def __init__(self, variables: VariableSet, terms: TermsLike = ()):
         if not isinstance(variables, VariableSet):
-            variables = VariableSet(variables)
+            raise TypeError(f"variables must be a VariableSet, got {type(variables).__name__}")
         nslots = len(variables)
         items = terms.items() if isinstance(terms, Mapping) else terms
         acc: dict[tuple[int, ...], int] = {}
@@ -248,8 +265,6 @@ class LaurentPoly:
 
     @classmethod
     def constant(cls, variables: VariableSet, value: int) -> "LaurentPoly":
-        if not isinstance(variables, VariableSet):
-            variables = VariableSet(variables)
         return cls(variables, {(0,) * len(variables): value})
 
     @classmethod
@@ -259,8 +274,6 @@ class LaurentPoly:
     @classmethod
     def var(cls, variables: VariableSet, name: str, exponent: int = 1) -> "LaurentPoly":
         """The polynomial ``name^exponent`` (exponent may be negative)."""
-        if not isinstance(variables, VariableSet):
-            variables = VariableSet(variables)
         exps = [0] * len(variables)
         exps[variables.index(name)] = exponent
         return cls(variables, {tuple(exps): 1})
@@ -290,10 +303,7 @@ class LaurentPoly:
         """max exponent - min exponent, for polynomials in at most one variable."""
         if not self._terms:
             raise ValueError("the zero polynomial has no exponent span")
-        if len(self.variables) > 1:
-            raise ValueError(
-                f"operation requires a single-variable polynomial, got {self.variables.names}"
-            )
+        _require_one_variable("span", self)
         return max(self._terms)[0] - min(self._terms)[0] if self.variables else 0
 
     # -- ring operations ---------------------------------------------------
@@ -430,8 +440,7 @@ class LaurentPoly:
         the integers; that always signals a formula-application bug upstream.
         """
         self._require_same_variables(den)
-        if len(self.variables) > 1:
-            raise ValueError("exact_divide requires single-variable polynomials")
+        _require_one_variable("exact_divide", self)
         if den.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
         if self.is_zero():
@@ -480,8 +489,7 @@ class LaurentPoly:
         Raises :class:`NotSymmetrizableError` when no unit achieves symmetry
         (odd exponent span, or an asymmetric coefficient profile).
         """
-        if len(self.variables) > 1:
-            raise ValueError("symmetrize requires a single-variable polynomial")
+        _require_one_variable("symmetrize", self)
         if not self._terms:
             raise NotSymmetrizableError("cannot symmetrize the zero polynomial")
         if len(self.variables) == 0:
@@ -504,8 +512,7 @@ class LaurentPoly:
 
     def equal_up_to_units(self, other: "LaurentPoly") -> bool:
         """True iff self = ±t^k · other for some integer k."""
-        if len(self.variables) > 1 or len(other.variables) > 1:
-            raise ValueError("equal_up_to_units requires single-variable polynomials")
+        _require_one_variable("equal_up_to_units", self, other)
         if self.variables != other.variables:
             return False
         if self.is_zero() or other.is_zero():
@@ -676,11 +683,7 @@ def _json_int(value, what: str, minimum: int | None = None) -> int:
     # a JSON Schema integer is a number with no fractional part, never a boolean
     if isinstance(value, float) and value.is_integer():
         value = int(value)
-    if not isinstance(value, int) or isinstance(value, bool) or (
-        minimum is not None and value < minimum
-    ):
-        bound = "" if minimum is None else f" >= {minimum}"
-        raise ValueError(f"{what} must be an integer{bound}, got {value!r}")
+    _require_int(value, what, minimum)
     return value
 
 

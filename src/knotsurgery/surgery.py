@@ -32,7 +32,13 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .knots import TorusKnotSpec, alexander_torus
-from .laurent import LaurentPoly, VariableSet, _binomial_quotient
+from .laurent import (
+    LaurentPoly,
+    VariableSet,
+    _binomial_quotient,
+    _require_int,
+    _require_one_variable,
+)
 
 __all__ = [
     "KG_VARS",
@@ -51,16 +57,6 @@ __all__ = [
 KG_VARS = VariableSet("t_K", "t_G")
 TG_VARS = VariableSet("t_G")
 XY_VARS = VariableSet("x", "y")
-
-
-def _require_int(value, what: str, minimum: int | None = None) -> None:
-    # minimum is 0 (nonnegative), 1 (positive) or None (any integer); a bool
-    # is an int to Python but not an integer argument here
-    if not isinstance(value, int) or isinstance(value, bool) or (
-        minimum is not None and value < minimum
-    ):
-        kind = {None: "an", 0: "a nonnegative", 1: "a positive"}[minimum]
-        raise ValueError(f"{what} must be {kind} integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -129,8 +125,7 @@ def torres_specialize(delta_gamma: LaurentPoly, lk: int) -> LaurentPoly:
     lk = 1 gives delta_gamma back unchanged.
     """
     _require_int(lk, "linking number", 0)
-    if len(delta_gamma.variables) > 1:
-        raise ValueError("torres_specialize needs a single-variable polynomial")
+    _require_one_variable("torres_specialize", delta_gamma)
     if lk == 1:
         return delta_gamma
     if len(delta_gamma.variables) == 0:

@@ -5,10 +5,16 @@ import sys
 import jsonschema
 import pytest
 
-from knotsurgery import schemas
+from knotsurgery import knots, schemas
 from knotsurgery.cli import main
 from knotsurgery.family import UnboundednessCertificate
-from knotsurgery.knots import MAX_KNOT_DEPTH
+from knotsurgery.knots import MAX_KNOT_DEPTH, InternalInconsistencyError, Torus, alexander_expr
+from knotsurgery.laurent import (
+    LaurentPoly,
+    NotDivisibleError,
+    NotSymmetrizableError,
+    _binomial_quotient,
+)
 
 
 def run(capsys, *argv):
@@ -310,6 +316,12 @@ class TestCertifyCommand:
         assert code == 1
         assert "error" in err
 
+    def test_verify_missing_file_message(self, capsys, tmp_path):
+        path = str(tmp_path / "nope.json")
+        code, out, err = run(capsys, "certify", "--verify", path)
+        assert (code, out) == (1, "")
+        assert err == f"error: [Errno 2] No such file or directory: {path!r}\n"
+
     def test_cap_exhaustion_exits_1(self, capsys):
         # --target 1999 is first exceeded at p = 1001, one past the default cap
         for argv in (["--target", "100", "--cap", "10"], ["--target", "1999"]):
@@ -402,6 +414,35 @@ class TestJsonOutput:
         code, out, _ = run(capsys, *argv)
         assert code == 0
         assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+# a faulty torus-knot kernel, and the error each fault surfaces as
+KERNEL_FAULTS = {
+    # dividing by t^(q+1) - 1 instead of t^q - 1 leaves a remainder
+    "remainder": (
+        lambda variables, num, q: _binomial_quotient(variables, num, q + 1),
+        NotDivisibleError,
+    ),
+    # centered and of the right span, but t and t^-1 differ
+    "asymmetric": (
+        lambda variables, num, q: LaurentPoly.parse("t + 2 - t^-1", variables),
+        NotSymmetrizableError,
+    ),
+    "wrong_span": (
+        lambda variables, num, q: LaurentPoly.parse("1 - t", variables),
+        InternalInconsistencyError,
+    ),
+}
+
+
+@pytest.mark.parametrize("kernel,error", KERNEL_FAULTS.values(), ids=KERNEL_FAULTS.keys())
+def test_internal_inconsistency_exits_2(kernel, error, capsys, monkeypatch):
+    monkeypatch.setattr(knots, "_binomial_quotient", kernel)
+    with pytest.raises(error):
+        alexander_expr(Torus.of(2, 3))
+    code, out, err = run(capsys, "alexander", "torus(2,3)")
+    assert (code, out) == (2, "")
+    assert err.startswith("internal inconsistency: ")
 
 
 class TestParserBehavior:

@@ -32,10 +32,11 @@ def test_every_module_with_exports_is_checked():
 # importing module -> {defining module: private names it imports from there}
 PRIVATE_IMPORTS = {
     "knots": {"laurent": {"_binomial_quotient", "_tokenize"}},
-    "surgery": {"laurent": {"_binomial_quotient"}},
+    "surgery": {"laurent": {"_binomial_quotient", "_require_int", "_require_one_variable"}},
     "family": {
-        "laurent": {"_dumps_indent2", "_json_int", "_json_loads", "_require_json_object"},
-        "surgery": {"_require_int"},
+        "laurent": {
+            "_dumps_indent2", "_json_int", "_json_loads", "_require_int", "_require_json_object"
+        },
     },
     "cli": {"laurent": {"_dumps_indent2"}},
 }

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from knotsurgery import family
 from knotsurgery.family import (
     CapExhaustedError,
     FamilyReport,
@@ -159,6 +160,12 @@ class TestVerifyCertificate:
         cert = UnboundednessCertificate(target=0, witnesses=(Witness(3037000507, 1),))
         assert verify_certificate(cert) is False
 
+    def test_non_increasing_bound_fails(self, monkeypatch):
+        # every recomputed bound matches its witness, but the bounds stall
+        monkeypatch.setattr(family, "basic_class_lower_bound", lambda p: 5)
+        cert = UnboundednessCertificate(target=1, witnesses=(Witness(2, 5), Witness(3, 5)))
+        assert verify_certificate(cert) is False
+
     def test_duplicate_p_fails(self):
         w = Witness(p=3, lower_bound=5)
         cert = UnboundednessCertificate(target=1, witnesses=(w, w))
@@ -181,6 +188,22 @@ class TestCertificateJson:
         data["schema_version"] = 99
         with pytest.raises(ValueError):
             UnboundednessCertificate.from_json_dict(data)
+
+    @pytest.mark.parametrize(
+        "key,value,message",
+        [
+            ("p", 0, "certificate 'p' must be a positive integer, got 0"),
+            ("lower_bound", -1, "certificate 'lower_bound' must be a nonnegative integer, got -1"),
+            ("target", 1.5, "certificate 'target' must be a nonnegative integer, got 1.5"),
+            ("target", True, "certificate 'target' must be a nonnegative integer, got True"),
+        ],
+    )
+    def test_integer_field_messages(self, key, value, message):
+        data = json.loads(certify_unbounded(3).to_json())
+        (data if key == "target" else data["witnesses"][0])[key] = value
+        with pytest.raises(ValueError) as excinfo:
+            UnboundednessCertificate.from_json_dict(data)
+        assert str(excinfo.value) == message
 
     def test_rejects_malformed_payloads(self):
         with pytest.raises(ValueError):

@@ -37,6 +37,13 @@ class TestGroupPresentation:
             GroupPresentation(("x",), ((2,),))
         with pytest.raises(ValueError):
             GroupPresentation(("x",), ((0,),))
+        # bool subclasses int, but True is not generator number 1
+        with pytest.raises(ValueError, match="letter True is not a valid generator index"):
+            GroupPresentation(("x", "y"), ((True, True, -2, -2, -2),))
+
+    def test_torus_knot_rejects_nonpositive(self):
+        with pytest.raises(ValueError, match="positive p, q"):
+            GroupPresentation.torus_knot(0, 3)
 
     def test_rejects_duplicate_generators(self):
         with pytest.raises(ValueError):
@@ -83,6 +90,14 @@ class TestFoxOracle:
                 g = GroupPresentation.torus_knot(p, q)
                 got = alexander_fox_oracle(g, {"x": -q, "y": -p})
                 assert got.equal_up_to_units(alexander_torus(TorusKnotSpec(p, q)))
+
+    @pytest.mark.parametrize("pq", [(2, 3), (2, 5), (3, 4), (3, 5), (4, 7)])
+    def test_inverse_letters_of_the_first_generator(self, pq):
+        # <x, y | x^-p y^q> is the torus-knot group too; dr/dx runs over x^-1
+        p, q = pq
+        g = GroupPresentation(("x", "y"), ((-1,) * p + (2,) * q,))
+        got = alexander_fox_oracle(g, {"x": q, "y": p})
+        assert got.equal_up_to_units(alexander_torus(TorusKnotSpec(p, q)))
 
     def test_relator_must_die_under_abelianization(self):
         g = GroupPresentation.torus_knot(2, 3)

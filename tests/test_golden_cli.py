@@ -23,6 +23,9 @@ COMMANDS = [
     ),
     ["alexander", "torus(2,401)"],
     ["alexander", "--no-symmetrize", "torus(7,9)"],
+    ["alexander", "--no-symmetrize", "sum(torus(2,3),mirror(torus(3,4)))"],
+    ["alexander", "--no-symmetrize", "--format", "json", "sum(torus(2,3),mirror(torus(3,4)))"],
+    ["alexander", "--no-symmetrize", "unknot"],
     ["alexander", "--format", "json", "sum(torus(2,3),mirror(torus(3,4)))"],
     *(
         ["torres", "--lk", str(lk), poly, "--format", f]
@@ -55,6 +58,15 @@ GOLDEN = {
     ),
     "alexander --no-symmetrize 'torus(7,9)'": (
         0, "d533f7736c3231aba46871e36a200acb21e813f831775649b4418d83a247d574"
+    ),
+    "alexander --no-symmetrize 'sum(torus(2,3),mirror(torus(3,4)))'": (
+        0, "ff79f74b76ec5f4abcb6ab5371e83896f18de9eadee70aa963a9642ff21c0c2c"
+    ),
+    "alexander --no-symmetrize --format json 'sum(torus(2,3),mirror(torus(3,4)))'": (
+        0, "601d21848a6f42c5175a39db2648825192408288cbc8d483725e94867c9eba54"
+    ),
+    "alexander --no-symmetrize unknot": (
+        0, "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865"
     ),
     "alexander --format json 'sum(torus(2,3),mirror(torus(3,4)))'": (
         0, "356904405b49813ae6cedf9b282232cceaefa1b8a6453b58997dd708eb5e28a6"

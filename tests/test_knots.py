@@ -122,6 +122,17 @@ class TestAlexanderTorus:
         assert len(built) == 1
         assert delta == semigroup_delta_centered(*pq)
 
+        # alexander_expr: one per torus factor, plus one per product
+        for expr, count in [
+            (Torus.of(*pq), 1),
+            (Mirror(Torus.of(*pq)), 1),
+            (ConnectedSum(Torus.of(*pq), Torus.of(2, 3)), 3),
+            (ConnectedSum(Torus.of(*pq), ConnectedSum(Torus.of(2, 3), Torus.of(3, 4))), 5),
+        ]:
+            built.clear()
+            alexander_expr(expr)
+            assert len(built) == count, format_knot_expr(expr)
+
     def test_symmetry_is_still_checked(self, monkeypatch):
         # centered and of the right span, but t^1 and t^-1 differ
         monkeypatch.setattr(
@@ -243,6 +254,12 @@ class TestAlexanderExpr:
     def test_rejects_foreign_objects(self):
         with pytest.raises(TypeError):
             alexander_expr("torus(2,3)")
+
+    @pytest.mark.parametrize("function", [alexander_expr, format_knot_expr])
+    @pytest.mark.parametrize("value", ["torus(2,3)", TorusKnotSpec(2, 3), None])
+    def test_non_expressions_raise_type_error(self, function, value):
+        with pytest.raises(TypeError, match="not a knot expression"):
+            function(value)
 
 
 class TestExprGrammar:

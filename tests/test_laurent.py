@@ -632,3 +632,75 @@ class TestMiscellany:
         b = p("t^-1 - 1 + t")
         assert a == b
         assert hash(a) == hash(b)
+
+    def test_unknown_schema_name(self):
+        with pytest.raises(ValueError, match="no such schema 'nope'"):
+            schemas.load("nope")
+
+
+class TestEdgeBranches:
+    @pytest.mark.parametrize("c", [3, -3])
+    def test_symmetrize_without_variables(self, c):
+        constant = LaurentPoly.constant(VariableSet(), c)
+        assert constant.symmetrize() == LaurentPoly.constant(VariableSet(), 3)
+
+    def test_equal_up_to_units_on_other_variables_or_term_counts(self):
+        assert not p("t - 1").equal_up_to_units(p("y - 1", VariableSet("y")))
+        assert not p("t - 1").equal_up_to_units(p("t^2 - t + 1"))
+
+    @pytest.mark.parametrize(
+        "operation",
+        [lambda a: a + "a", lambda a: "a" - a, lambda a: a * "a"],
+        ids=["add", "rsub", "mul"],
+    )
+    def test_non_polynomial_operands_raise_type_error(self, operation):
+        with pytest.raises(TypeError):
+            operation(p("t - 1"))
+
+    def test_equality_with_other_types_is_false(self):
+        assert (p("1") == 1) is False
+        assert (VariableSet("t") == "t") is False
+
+    def test_repr(self):
+        assert repr(p("t - 1")) == "LaurentPoly('t - 1', variables=('t',))"
+        assert repr(VariableSet("t_K", "t_G")) == "VariableSet('t_K', 't_G')"
+
+    def test_variables_must_be_a_variable_set(self):
+        with pytest.raises(TypeError, match="must be a VariableSet, got tuple"):
+            LaurentPoly(("t",), {})
+
+
+XY = VariableSet("x", "y")
+
+# every guarded single-variable operation, with its exact message
+SINGLE_VARIABLE_ERRORS = {
+    "span": (
+        lambda: p("x*y + 1", XY).span(),
+        "span requires a single-variable polynomial, got ('x', 'y')",
+    ),
+    "exact_divide": (
+        lambda: p("x*y - 1", XY).exact_divide(p("x", XY)),
+        "exact_divide requires a single-variable polynomial, got ('x', 'y')",
+    ),
+    "symmetrize": (
+        lambda: p("x*y + 1", XY).symmetrize(),
+        "symmetrize requires a single-variable polynomial, got ('x', 'y')",
+    ),
+    "equal_up_to_units": (
+        lambda: p("t").equal_up_to_units(p("x*y", XY)),
+        "equal_up_to_units requires a single-variable polynomial, got ('x', 'y')",
+    ),
+    "torres_specialize": (
+        lambda: torres_specialize(p("x - y", XY), 2),
+        "torres_specialize requires a single-variable polynomial, got ('x', 'y')",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "call,message", SINGLE_VARIABLE_ERRORS.values(), ids=SINGLE_VARIABLE_ERRORS.keys()
+)
+def test_single_variable_messages(call, message):
+    with pytest.raises(ValueError) as excinfo:
+        call()
+    assert str(excinfo.value) == message

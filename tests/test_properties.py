@@ -1,13 +1,24 @@
 """Property-based checks of the algebra layer and of the four input parsers."""
 
 import json
+import math
+from functools import reduce
 
 import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from knotsurgery.family import FamilyReport, FamilyRow, UnboundednessCertificate, Witness
-from knotsurgery.knots import KnotParseError, format_knot_expr, parse_knot_expr
+from knotsurgery.knots import (
+    ConnectedSum,
+    KnotParseError,
+    Mirror,
+    Torus,
+    Unknot,
+    alexander_expr,
+    format_knot_expr,
+    parse_knot_expr,
+)
 from knotsurgery.laurent import (
     INT64_MAX,
     INT64_MIN,
@@ -20,7 +31,7 @@ from knotsurgery.laurent import (
 )
 from knotsurgery.surgery import SWResult, torres_specialize
 
-from _oracles import convolve, dense_divide, geometric_sum, schoolbook
+from _oracles import convolve, dense_divide, geometric_sum, schoolbook, semigroup_delta
 
 T = VariableSet("t")
 XY = VariableSet("x", "y")
@@ -215,6 +226,54 @@ class TestSymmetrize:
     def test_equal_up_to_units_accepts_all_units(self, a, shift, flip):
         unit = LaurentPoly(T, {(shift,): -1 if flip else 1})
         assert a.equal_up_to_units(a * unit)
+
+
+# torus factors with p <= q and pq <= 200, T(1, q) being the unknot
+torus_leaves = (
+    st.integers(1, 14)
+    .flatmap(lambda p: st.tuples(st.just(p), st.integers(p, 200 // p)))
+    .filter(lambda pq: math.gcd(*pq) == 1)
+    .map(lambda pq: Torus.of(*pq))
+)
+
+
+def knot_exprs(depth: int = 4):
+    """Knot expressions with at most `depth` mirror/sum levels."""
+    leaves = st.one_of(st.just(Unknot()), torus_leaves)
+    if depth == 0:
+        return leaves
+    inner = knot_exprs(depth - 1)
+    return st.one_of(
+        leaves,
+        inner.map(Mirror),
+        st.tuples(inner, inner).map(lambda pair: ConnectedSum(*pair)),
+    )
+
+
+def torus_factors(expr) -> list:
+    if isinstance(expr, Torus):
+        return [expr.spec]
+    if isinstance(expr, Mirror):
+        return torus_factors(expr.inner)
+    if isinstance(expr, ConnectedSum):
+        return torus_factors(expr.left) + torus_factors(expr.right)
+    return []
+
+
+class TestKnotExpressions:
+    @given(knot_exprs())
+    @settings(deadline=None)
+    def test_both_representatives_match_semigroup_oracle(self, expr):
+        factors = [semigroup_delta(spec.p, spec.q) for spec in torus_factors(expr)]
+        expected = reduce(convolve, factors, {0: 1})
+        raw = alexander_expr(expr, symmetrize=False)
+        assert raw == from_dict(expected)
+        assert min(raw.terms())[0] == (0,)
+        half = raw.span() // 2
+        symmetric = alexander_expr(expr)
+        assert symmetric == from_dict({e - half: c for e, c in expected.items()})
+        assert alexander_expr(Mirror(expr), symmetrize=False) == raw
+        assert alexander_expr(Mirror(expr)) == symmetric
 
 
 class TestSubstitutionAndEvaluation:
