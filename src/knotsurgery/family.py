@@ -14,12 +14,11 @@ E(n) parameter, so neither a certificate nor its verification names one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .knots import alexander_torus, genus_torus
 from .laurent import (
     LaurentPoly,
     _dumps_indent2,
+    _Frozen,
     _json_int,
     _json_loads,
     _require_int,
@@ -55,14 +54,15 @@ class CapExhaustedError(ValueError):
     """
 
 
-@dataclass(frozen=True)
-class FamilyRow:
-    p: int
-    delta_gamma: LaurentPoly
-    lower_bound: int
-    lemma63_ok: bool
-    genus: int
-    span: int
+class FamilyRow(_Frozen):
+    def __init__(
+        self, p: int, delta_gamma: LaurentPoly, lower_bound: int, lemma63_ok: bool,
+        genus: int, span: int
+    ):
+        self._store(
+            p=p, delta_gamma=delta_gamma, lower_bound=lower_bound, lemma63_ok=lemma63_ok,
+            genus=genus, span=span
+        )
 
     def to_json_dict(self) -> dict:
         """The row's fields; delta_gamma stays a LaurentPoly."""
@@ -76,10 +76,9 @@ class FamilyRow:
         }
 
 
-@dataclass(frozen=True)
-class FamilyReport:
-    n: int
-    rows: tuple[FamilyRow, ...]
+class FamilyReport(_Frozen):
+    def __init__(self, n: int, rows: tuple[FamilyRow, ...]):
+        self._store(n=n, rows=rows)
 
     def to_json_dict(self) -> dict:
         """n and the rows' documents, whose polynomials stay LaurentPoly."""
@@ -110,17 +109,15 @@ class FamilyReport:
         return "\n".join([*lines, ""])
 
 
-@dataclass(frozen=True)
-class Witness:
-    p: int
-    lower_bound: int
+class Witness(_Frozen):
+    def __init__(self, p: int, lower_bound: int):
+        self._store(p=p, lower_bound=lower_bound)
 
     def to_json_dict(self) -> dict:
         return {"p": self.p, "lower_bound": self.lower_bound}
 
 
-@dataclass(frozen=True)
-class UnboundednessCertificate:
+class UnboundednessCertificate(_Frozen):
     """Witnesses that the basic-class lower bounds exceed a target.
 
     Construction does not validate the monotonicity claims; that is
@@ -128,8 +125,8 @@ class UnboundednessCertificate:
     certificates and report them false rather than refuse to hold them.
     """
 
-    target: int
-    witnesses: tuple[Witness, ...]
+    def __init__(self, target: int, witnesses: tuple[Witness, ...]):
+        self._store(target=target, witnesses=witnesses)
 
     def to_json_dict(self) -> dict:
         return {

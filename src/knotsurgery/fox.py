@@ -16,10 +16,9 @@ and -k is its inverse.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping
+from collections.abc import Mapping
 
-from .laurent import LaurentPoly, VariableSet
+from .laurent import LaurentPoly, VariableSet, _Frozen
 
 __all__ = [
     "UnsupportedPresentationError",
@@ -34,32 +33,29 @@ class UnsupportedPresentationError(ValueError):
     """The oracle only handles <x | > and 2-generator 1-relator presentations."""
 
 
-@dataclass(frozen=True)
-class GroupPresentation:
+class GroupPresentation(_Frozen):
     """A finite presentation with freely reduced relators."""
 
-    generators: tuple[str, ...]
-    relators: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "generators", tuple(self.generators))
-        object.__setattr__(self, "relators", tuple(tuple(w) for w in self.relators))
-        if len(set(self.generators)) != len(self.generators):
+    def __init__(self, generators: tuple[str, ...], relators: tuple[tuple[int, ...], ...]):
+        generators = tuple(generators)
+        relators = tuple(tuple(w) for w in relators)
+        if len(set(generators)) != len(generators):
             raise ValueError("duplicate generator names")
-        n = len(self.generators)
-        for word in self.relators:
+        n = len(generators)
+        for word in relators:
             for letter in word:
                 if type(letter) is not int or not 0 < abs(letter) <= n:  # a bool is not a letter
                     raise ValueError(f"letter {letter!r} is not a valid generator index")
             for a, b in zip(word, word[1:]):
                 if a == -b:
                     raise ValueError(f"relator {word!r} is not freely reduced")
+        self._store(generators=generators, relators=relators)
 
     @classmethod
     def torus_knot(cls, p: int, q: int) -> "GroupPresentation":
         """<x, y | x^p y^-q>, the standard torus-knot group presentation."""
-        if p < 1 or q < 1:
-            raise ValueError("torus knot presentation needs positive p, q")
+        if not all(isinstance(v, int) and not isinstance(v, bool) and v >= 1 for v in (p, q)):
+            raise ValueError(f"torus knot presentation needs positive p, q, got {p!r}, {q!r}")
         return cls(("x", "y"), ((1,) * p + (-2,) * q,))
 
     @classmethod

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from itertools import repeat
 
 from .laurent import (
@@ -36,6 +35,7 @@ from .laurent import (
     LaurentPoly,
     VariableSet,
     _binomial_quotient,
+    _Frozen,
     _tokenize,
 )
 
@@ -74,29 +74,20 @@ class KnotParseError(ValueError):
     """A knot expression string could not be parsed."""
 
 
-@dataclass(frozen=True)
-class TorusKnotSpec:
+class TorusKnotSpec(_Frozen):
     """The torus knot T(p, q), normalized so p <= q.
 
     p and q must be positive and coprime; T(1, q) is the unknot.
     """
 
-    p: int
-    q: int
-
-    def __post_init__(self):
-        if not all(isinstance(v, int) and not isinstance(v, bool) for v in (self.p, self.q)):
+    def __init__(self, p: int, q: int):
+        if not all(isinstance(v, int) and not isinstance(v, bool) for v in (p, q)):
             raise TypeError("torus knot parameters must be integers")
-        if self.p < 1 or self.q < 1:
-            raise ValueError(f"torus knot parameters must be positive, got T({self.p},{self.q})")
-        if math.gcd(self.p, self.q) != 1:
-            raise ValueError(
-                f"T({self.p},{self.q}) is a link, not a knot: gcd must be 1"
-            )
-        if self.p > self.q:
-            p, q = self.p, self.q
-            object.__setattr__(self, "p", q)
-            object.__setattr__(self, "q", p)
+        if p < 1 or q < 1:
+            raise ValueError(f"torus knot parameters must be positive, got T({p},{q})")
+        if math.gcd(p, q) != 1:
+            raise ValueError(f"T({p},{q}) is a link, not a knot: gcd must be 1")
+        self._store(p=min(p, q), q=max(p, q))
 
     def is_unknot(self) -> bool:
         return self.p == 1
@@ -108,29 +99,27 @@ class KnotExpr:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Unknot(KnotExpr):
+class Unknot(KnotExpr, _Frozen):
     pass
 
 
-@dataclass(frozen=True)
-class Torus(KnotExpr):
-    spec: TorusKnotSpec
+class Torus(KnotExpr, _Frozen):
+    def __init__(self, spec: TorusKnotSpec):
+        self._store(spec=spec)
 
     @classmethod
     def of(cls, p: int, q: int) -> "Torus":
         return cls(TorusKnotSpec(p, q))
 
 
-@dataclass(frozen=True)
-class Mirror(KnotExpr):
-    inner: KnotExpr
+class Mirror(KnotExpr, _Frozen):
+    def __init__(self, inner: KnotExpr):
+        self._store(inner=inner)
 
 
-@dataclass(frozen=True)
-class ConnectedSum(KnotExpr):
-    left: KnotExpr
-    right: KnotExpr
+class ConnectedSum(KnotExpr, _Frozen):
+    def __init__(self, left: KnotExpr, right: KnotExpr):
+        self._store(left=left, right=right)
 
 
 def _torus_quotient(p: int, q: int) -> LaurentPoly:

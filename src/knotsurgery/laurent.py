@@ -43,7 +43,7 @@ import heapq
 import json
 import operator
 import re
-from typing import Iterable, Iterator, Mapping, Union
+from collections.abc import Iterable, Iterator, Mapping
 
 INT64_MIN = -(1 << 63)
 INT64_MAX = (1 << 63) - 1
@@ -107,6 +107,33 @@ def _require_one_variable(what: str, *polys: "LaurentPoly") -> None:
         if len(poly.variables) > 1:
             names = poly.variables.names
             raise ValueError(f"{what} requires a single-variable polynomial, got {names}")
+
+
+class _Frozen:
+    # base of the package's immutable records: each __init__ stores its fields
+    # once, in field order, through _store, and the instance dict then gives
+    # equality (same class, equal fields), the hash of the field tuple and the
+    # repr Name(field=value, ...)
+    def _store(self, **fields) -> None:
+        self.__dict__.update(fields)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __hash__(self) -> int:
+        return hash(tuple(vars(self).values()))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in vars(self).items())
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 def _nonzero(acc: dict) -> dict:
@@ -232,15 +259,12 @@ class VariableSet:
         return f"VariableSet{self.names!r}"
 
 
-TermsLike = Union[Mapping[tuple, int], Iterable[tuple]]
-
-
 class LaurentPoly:
     """Sparse Laurent polynomial in canonical form (no zero coefficients)."""
 
     __slots__ = ("variables", "_terms")
 
-    def __init__(self, variables: VariableSet, terms: TermsLike = ()):
+    def __init__(self, variables: VariableSet, terms: Mapping[tuple, int] | Iterable[tuple] = ()):
         if not isinstance(variables, VariableSet):
             raise TypeError(f"variables must be a VariableSet, got {type(variables).__name__}")
         nslots = len(variables)

@@ -28,7 +28,6 @@ route to that bound and the only memo; it holds the ints this process computed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .knots import TorusKnotSpec, alexander_torus
@@ -36,6 +35,7 @@ from .laurent import (
     LaurentPoly,
     VariableSet,
     _binomial_quotient,
+    _Frozen,
     _require_int,
     _require_one_variable,
 )
@@ -59,35 +59,26 @@ TG_VARS = VariableSet("t_G")
 XY_VARS = VariableSet("x", "y")
 
 
-@dataclass(frozen=True)
-class LinkFamilyMember:
+class LinkFamilyMember(_Frozen):
     """The link L_p = K u Gamma_p with Gamma_p = T(p, p+1) and lk = 1.
 
     No invariant computed here depends on the companion knot K.
     """
 
-    p: int
-    gamma: TorusKnotSpec = field(init=False)
-    linking_number: int = field(init=False, default=1)
-
-    def __post_init__(self):
-        _require_int(self.p, "family index", 1)
-        object.__setattr__(self, "gamma", TorusKnotSpec(self.p, self.p + 1))
+    def __init__(self, p: int):
+        _require_int(p, "family index", 1)
+        self._store(p=p, gamma=TorusKnotSpec(p, p + 1), linking_number=1)
 
 
-@dataclass(frozen=True)
-class SurgerySpec:
+class SurgerySpec(_Frozen):
     """The manifold X_p = E(n, 1; L_p): an E(n) parameter and a family member."""
 
-    n: int
-    member: LinkFamilyMember
-
-    def __post_init__(self):
-        _require_int(self.n, "E(n) parameter", 1)
+    def __init__(self, n: int, member: LinkFamilyMember):
+        _require_int(n, "E(n) parameter", 1)
+        self._store(n=n, member=member)
 
 
-@dataclass(frozen=True)
-class SWResult:
+class SWResult(_Frozen):
     """SW data for one X_p.
 
     polynomial is the full two-variable SW polynomial when a closed-form
@@ -98,11 +89,14 @@ class SWResult:
     not depend on the prefactor.
     """
 
-    p: int
-    n: int
-    polynomial: LaurentPoly | None
-    specialization_at_tK1: LaurentPoly
-    basic_class_lower_bound: int
+    def __init__(
+        self, p: int, n: int, polynomial: LaurentPoly | None,
+        specialization_at_tK1: LaurentPoly, basic_class_lower_bound: int
+    ):
+        self._store(
+            p=p, n=n, polynomial=polynomial, specialization_at_tK1=specialization_at_tK1,
+            basic_class_lower_bound=basic_class_lower_bound
+        )
 
     def to_json_dict(self) -> dict:
         """The result's fields, with its polynomials as LaurentPoly values."""

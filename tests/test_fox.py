@@ -45,6 +45,11 @@ class TestGroupPresentation:
         with pytest.raises(ValueError, match="positive p, q"):
             GroupPresentation.torus_knot(0, 3)
 
+    @pytest.mark.parametrize("p, q", [(True, 3), (3, False), (2.0, 3)])
+    def test_torus_knot_rejects_non_int(self, p, q):
+        with pytest.raises(ValueError, match="positive p, q"):
+            GroupPresentation.torus_knot(p, q)
+
     def test_rejects_duplicate_generators(self):
         with pytest.raises(ValueError):
             GroupPresentation(("x", "x"), ())
