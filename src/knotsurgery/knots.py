@@ -4,9 +4,10 @@ Torus knots use the closed formula
 
     Delta_{T(p,q)}(t) = (t^(p*q) - 1)(t - 1) / ((t^p - 1)(t^q - 1)),
 
-with the first quotient written down as (t - 1)(1 + t^p + ... + t^((q-1)p))
-and divided by t^q - 1 with the Laurent layer's running-sum kernel, one
-residue class mod q at a time.  The numerator starts at t^-genus, so the
+with the first quotient written down as (t - 1)(1 + t^q + ... + t^((p-1)q))
+and divided by t^p - 1, the smaller binomial as p <= q, with the Laurent
+layer's running-sum kernel, one residue class mod p at a time: the numerator
+has 2p terms whatever q is.  The numerator starts at t^-genus, so the
 kernel writes Delta already centered, connected sums multiply centered
 factors into a centered product, and symmetrize only checks the result; the
 raw representative (symmetrize=False) is that Delta times t^genus.
@@ -129,11 +130,11 @@ def _torus_quotient(p: int, q: int) -> LaurentPoly:
     if p * q > INT64_MAX:
         raise ExponentOverflowError(f"T({p},{q}) needs exponent {p * q} > {INT64_MAX}")
     g = (p - 1) * (q - 1) // 2
-    # t^-g (t - 1)(1 + t^p + ... + t^((q-1)p)), ascending; distinct terms as p >= 2
-    partial: list = [None] * (2 * q)
-    partial[0::2] = zip(range(-g, q * p - g, p), repeat(-1))
-    partial[1::2] = zip(range(1 - g, 1 + q * p - g, p), repeat(1))
-    quotient = _binomial_quotient(T_VARS, partial, q)
+    # t^-g (t - 1)(1 + t^q + ... + t^((p-1)q)), ascending; distinct terms as q >= 3
+    partial: list = [None] * (2 * p)
+    partial[0::2] = zip(range(-g, p * q - g, q), repeat(-1))
+    partial[1::2] = zip(range(1 - g, 1 + p * q - g, q), repeat(1))
+    quotient = _binomial_quotient(T_VARS, partial, p)
     span = quotient.span()
     if span != 2 * g:
         raise InternalInconsistencyError(f"T({p},{q}) quotient has span {span}, expected {2 * g}")

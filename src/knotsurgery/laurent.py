@@ -188,21 +188,24 @@ def _binomial_quotient(variables: VariableSet, num: list[tuple[int, int]], q: in
     # residue class mod q, Q is a running sum of -N, constant between the
     # class's terms of N, so the cost follows the input and output terms; a
     # class whose sum is not 0 leaves a remainder.  A nonzero Q runs from N's
-    # lowest exponent, in range, to N's highest minus q, checked here.
+    # lowest exponent, in range, to N's highest minus q, checked here.  The
+    # class state is two lists of length q, indexed by class, and both
+    # callers keep them no longer than N: a torus knot T(p, q) passes 2p
+    # terms with q = p, and Torres passes q = 1.
     if num and num[-1][0] - q >= num[0][0]:
         _checked_exponent(num[-1][0] - q)
-    sums: dict[int, int] = {}  # class -> running sum
-    starts: dict[int, int] = {}  # class -> exponent where that sum started
+    sums = [0] * q  # class -> running sum
+    starts = [0] * q  # class -> exponent where that sum started
     terms: dict[tuple[int], int] = {}
     for e, c in num:
         r = e % q
-        running = sums.get(r, 0)
+        running = sums[r]
         if running:
             for x in range(starts[r], e, q):
                 terms[(x,)] = running
         sums[r] = running - c
         starts[r] = e
-    if any(sums.values()):
+    if any(sums):
         raise NotDivisibleError(f"division by t^{q} - 1 leaves a remainder")
     return _from_canonical(variables, terms)
 
@@ -520,14 +523,20 @@ class LaurentPoly:
             c = self._terms[()]
             return self if c > 0 else -self
         terms = self._terms
-        (lo,), (hi,) = min(terms), max(terms)
+        keys = sorted(terms)
+        (lo,), (hi,) = keys[0], keys[-1]
         if (hi - lo) % 2:
             raise NotSymmetrizableError(
                 f"exponent span {hi - lo} is odd; no centering unit exists"
             )
-        if {(hi + lo - e,): c for (e,), c in terms.items()} != terms:
+        # symmetric: the coefficients read the same both ways along the sorted
+        # keys, and the i-th exponents from either end sum to lo + hi
+        coeffs = list(map(terms.__getitem__, keys))
+        exps = list(map(operator.itemgetter(0), keys))
+        mirrored = list(map(operator.add, exps, reversed(exps)))
+        if coeffs != coeffs[::-1] or mirrored.count(lo + hi) != len(exps):
             raise NotSymmetrizableError("no unit multiple is symmetric")
-        shift, sign = -((hi + lo) // 2), (1 if terms[(hi,)] > 0 else -1)
+        shift, sign = -((hi + lo) // 2), (1 if coeffs[-1] > 0 else -1)
         if not shift and sign > 0:
             return self
         return _from_canonical(

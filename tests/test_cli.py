@@ -112,6 +112,16 @@ class TestTorresCommand:
         assert (code, out) == (1, "")
         assert err.startswith("error: Exceeds the limit (4300 digits)")
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_coefficient_past_the_output_digit_limit_exits_1(self, fmt, capsys):
+        # the product is exact and in range, but its 8,000-digit coefficients
+        # are longer than CPython's int-to-string limit: a documented exit-1 bound
+        nines = "9" * 4000
+        code, out, err = run(capsys, "torres", "--lk", "2", "--format", fmt, f"{nines}*{nines}")
+        assert (code, out) == (1, "")
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
     def test_lk1_unchanged(self, capsys):
         code, out, _ = run(capsys, "torres", "--lk", "1", "t - 1 + t^-1")
         assert code == 0

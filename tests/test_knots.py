@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -192,6 +193,31 @@ class TestTorusKernel:
         # (t^6 - 1)(t - 1) / (t^3 - 1) = t^4 - t^3 + t - 1
         num = [(0, 1), (1, -1), (6, -1), (7, 1)]
         assert _binomial_quotient(T_VARS, num, 3) == poly("t^4 - t^3 + t - 1")
+
+    @pytest.mark.parametrize("pq", [(2, 40001), (5, 12), (300, 301)])
+    def test_divides_by_the_smaller_binomial(self, pq, monkeypatch):
+        # (t - 1)(1 + t^q + ... + t^((p-1)q)) has 2p terms, divided by t^p - 1
+        calls = []
+
+        def spy(variables, num, q):
+            calls.append((q, len(num)))
+            return _binomial_quotient(variables, num, q)
+
+        monkeypatch.setattr(knots, "_binomial_quotient", spy)
+        p, q = pq
+        assert alexander_torus(TorusKnotSpec(p, q)).span() == (p - 1) * (q - 1)
+        assert calls == [(p, 2 * p)]
+
+    def test_peak_memory_is_within_one_and_a_half_times_the_result(self):
+        # the 4-term numerator of T(2, q) costs nothing next to the q terms of Delta
+        tracemalloc.start()
+        try:
+            delta = alexander_torus(TorusKnotSpec(2, 100001))
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert delta.term_count() == 100001
+        assert peak <= 1.5 * held
 
     def test_nonzero_class_sum_is_a_remainder(self):
         # t - 1 is not a multiple of t^3 - 1: classes 0 and 1 each keep a term

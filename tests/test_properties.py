@@ -27,6 +27,7 @@ from knotsurgery.laurent import (
     NotDivisibleError,
     PolyParseError,
     VariableSet,
+    _binomial_quotient,
     _dumps_indent2,
 )
 from knotsurgery.surgery import SWResult, torres_specialize
@@ -205,6 +206,43 @@ class TestDivision:
         else:
             got = a.exact_divide(b)
             assert got == LaurentPoly(T, {(e,): c for e, c in expected.items()})
+
+
+# quotients for the binomial kernel: runs of one coefficient, as a torus
+# knot's Delta has, over negative and positive exponents, plus sparse terms
+quotient_runs = st.lists(
+    st.tuples(st.integers(-60, 60), st.integers(1, 40), mixed_coefficients), max_size=4
+)
+sparse_quotient_terms = st.dictionaries(
+    st.integers(-40, 40).map(lambda k: 97 * k), mixed_coefficients, max_size=6
+)
+
+
+class TestBinomialKernel:
+    @given(quotient_runs, sparse_quotient_terms, st.integers(1, 9), st.data())
+    @settings(deadline=None)
+    def test_inverts_multiplication_and_detects_a_remainder(self, runs, sparse, q, data):
+        quotient = dict(sparse)
+        for start, length, c in runs:
+            for e in range(start, start + length):
+                quotient[e] = quotient.get(e, 0) + c
+        quotient = {e: c for e, c in quotient.items() if c}
+        product = convolve(quotient, {q: 1, 0: -1})
+        # ascending pairs, with some terms split over a repeated exponent
+        num = []
+        for e in sorted(product):
+            part = data.draw(st.integers(-3, 3), label="split")
+            num += [(e, part), (e, product[e] - part)] if part else [(e, product[e])]
+        assert _binomial_quotient(T, num, q) == from_dict(quotient)
+        # Q (t^q - 1) + d t^e is no multiple of t^q - 1 for d != 0
+        delta = data.draw(mixed_coefficients, label="change")
+        if num:
+            i = data.draw(st.integers(0, len(num) - 1), label="at")
+            num[i] = (num[i][0], num[i][1] + delta)
+        else:
+            num = [(0, delta)]
+        with pytest.raises(NotDivisibleError):
+            _binomial_quotient(T, num, q)
 
 
 class TestSymmetrize:
