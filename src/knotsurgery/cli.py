@@ -26,7 +26,9 @@ from .laurent import (
     LaurentPoly,
     NotDivisibleError,
     NotSymmetrizableError,
-    _dumps_indent2,
+    _check_digits,
+    _write_indent2,
+    _write_text,
 )
 from .surgery import LinkFamilyMember, SurgerySpec, sw_specialized, torres_specialize
 
@@ -45,21 +47,27 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _emit(text: str) -> None:
-    print(text, end="" if text.endswith("\n") else "\n")
+def _stream(doc, write_doc) -> None:
+    # write_doc(doc, write) straight to stdout, then a newline.  An error
+    # writes no stdout byte: the one error writing can hit is raised by
+    # _check_digits before the first write
+    _check_digits(doc)
+    write = sys.stdout.write
+    write_doc(doc, write)
+    write("\n")
 
 
 def _cmd_alexander(args) -> int:
     expr = parse_knot_expr(args.expr)
     poly = alexander_expr(expr, symmetrize=not args.no_symmetrize)
-    _emit(_dumps_indent2(poly) if args.format == "json" else str(poly))
+    _stream(poly, _write_indent2 if args.format == "json" else _write_text)
     return EXIT_OK
 
 
 def _cmd_torres(args) -> int:
     poly = LaurentPoly.parse(args.poly)
     result = torres_specialize(poly, args.lk)
-    _emit(_dumps_indent2(result) if args.format == "json" else str(result))
+    _stream(result, _write_indent2 if args.format == "json" else _write_text)
     return EXIT_OK
 
 
@@ -68,10 +76,10 @@ def _cmd_sw(args) -> int:
     delta_L = None if args.delta_l is None else LaurentPoly.parse(args.delta_l)
     result = sw_specialized(spec, delta_L)
     if args.format == "json":
-        _emit(_dumps_indent2(result.to_json_dict()))
+        _stream(result.to_json_dict(), _write_indent2)
     else:
         full = "unavailable" if result.polynomial is None else str(result.polynomial)
-        _emit(
+        print(
             f"p = {result.p}\n"
             f"n = {result.n}\n"
             f"specialization at t_K = 1: {result.specialization_at_tK1}\n"
@@ -84,11 +92,11 @@ def _cmd_sw(args) -> int:
 def _cmd_family(args) -> int:
     report = analyze_family(args.n, args.pmin, args.pmax, p_cap=args.pcap)
     if args.format == "json":
-        _emit(report.to_json())
-    elif args.format == "csv":
-        _emit(report.to_csv())
+        _stream(report.to_json_dict(), _write_indent2)
     else:
-        _emit(report.to_text())
+        # the rows end in their own newline
+        _check_digits(report.to_json_dict())
+        report._write_rows(args.format, sys.stdout.write)
     return EXIT_OK
 
 
@@ -97,18 +105,15 @@ def _cmd_certify(args) -> int:
         with open(args.verify, "r", encoding="utf-8") as handle:
             certificate = UnboundednessCertificate.from_json(handle.read())
         valid = verify_certificate(certificate)
-        _emit(
-            _dumps_indent2(
-                {
-                    "valid": valid,
-                    "target": certificate.target,
-                    "witness_count": len(certificate.witnesses),
-                }
-            )
-        )
+        verdict = {
+            "valid": valid,
+            "target": certificate.target,
+            "witness_count": len(certificate.witnesses),
+        }
+        _stream(verdict, _write_indent2)
         return EXIT_OK if valid else EXIT_USAGE
     certificate = certify_unbounded(args.target, p_cap=args.cap)
-    _emit(certificate.to_json())
+    print(certificate.to_json())
     return EXIT_OK
 
 

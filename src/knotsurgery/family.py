@@ -19,10 +19,12 @@ from .laurent import (
     LaurentPoly,
     _dumps_indent2,
     _Frozen,
+    _joined,
     _json_int,
     _json_loads,
     _require_int,
     _require_json_object,
+    _write_text,
 )
 from .surgery import LinkFamilyMember, basic_class_lower_bound
 
@@ -88,25 +90,30 @@ class FamilyReport(_Frozen):
         return _dumps_indent2(self.to_json_dict())
 
     def to_csv(self) -> str:
-        # no field is quoted, since none can hold a comma, quote or newline:
-        # ints, true/false, and polynomials over identifier names
-        lines = [",".join(CSV_COLUMNS)]
-        for row in self.rows:
-            flag = "true" if row.lemma63_ok else "false"
-            lines.append(
-                f"{row.p},{row.lower_bound},{flag},{row.genus},{row.span},{row.delta_gamma}"
-            )
-        return "\n".join([*lines, ""])
+        return _joined(self._write_rows, "csv")
 
     def to_text(self) -> str:
-        lines = [f"family report for n = {self.n}"]
+        return _joined(self._write_rows, "text")
+
+    def _write_rows(self, fmt: str, write) -> None:
+        # the csv or text report through write, a line head and then the
+        # row's polynomial per row, and a final newline.  No csv field is
+        # quoted, since none can hold a comma, quote or newline: ints,
+        # true/false, and polynomials over identifier names
+        csv = fmt == "csv"
+        write(",".join(CSV_COLUMNS) if csv else f"family report for n = {self.n}")
         for row in self.rows:
-            flag = "ok" if row.lemma63_ok else "FAIL"
-            lines.append(
-                f"p={row.p} lower_bound={row.lower_bound} [{flag}] "
-                f"genus={row.genus} span={row.span} delta={row.delta_gamma}"
-            )
-        return "\n".join([*lines, ""])
+            if csv:
+                flag = "true" if row.lemma63_ok else "false"
+                write(f"\n{row.p},{row.lower_bound},{flag},{row.genus},{row.span},")
+            else:
+                flag = "ok" if row.lemma63_ok else "FAIL"
+                write(
+                    f"\np={row.p} lower_bound={row.lower_bound} [{flag}] "
+                    f"genus={row.genus} span={row.span} delta="
+                )
+            _write_text(row.delta_gamma, write)
+        write("\n")
 
 
 class Witness(_Frozen):

@@ -32,9 +32,18 @@ e.g. ``t_K^2*t_G^-1 - 3``; integers are ASCII digits, and the knot grammar
 shares this grammar's tokenizer.  JSON form: ``{"variables": [...], "terms":
 [{"exps": [...], "coeff": "<decimal string>"}]}`` -- coefficients travel as
 decimal strings so arbitrary precision survives transport.  ``to_json`` is
-compact.  The indented documents the CLI prints hold polynomials as
-``LaurentPoly`` values, and one writer here turns them into the bytes of
-``json.dumps(doc, indent=2, default=LaurentPoly.to_json_dict)``.
+compact.
+
+Two writers stream what the CLI prints through a ``write`` callable, and
+neither builds the whole output: ``_write_text`` writes one polynomial's
+text form, and ``_write_indent2`` writes an indented document that holds
+polynomials as ``LaurentPoly`` values, as the bytes of
+``json.dumps(doc, indent=2, default=LaurentPoly.to_json_dict)``.  ``str``
+and ``_dumps_indent2`` join what they write.  A one-variable polynomial goes
+out from one sort of its keys, a slice of 4,096 terms per call.  Writing
+can fail in one way only, on CPython's int-to-string digit limit, and
+``_check_digits`` raises that error for a whole document before the first
+write, so a caller that streams to stdout writes all of it or nothing.
 """
 
 from __future__ import annotations
@@ -43,10 +52,12 @@ import heapq
 import json
 import operator
 import re
+from bisect import bisect_left
 from collections.abc import Iterable, Iterator, Mapping
 
 INT64_MIN = -(1 << 63)
 INT64_MAX = (1 << 63) - 1
+_SLICE = 4096  # keys per chunk when a one-variable polynomial is written
 
 __all__ = [
     "INT64_MIN",
@@ -316,7 +327,8 @@ class LaurentPoly:
 
     def terms(self) -> list[tuple[tuple[int, ...], int]]:
         """Terms as (exponent vector, coefficient), in canonical order."""
-        return sorted(self._terms.items(), key=lambda kv: kv[0], reverse=True)
+        # keys are unique, so the items sort by key alone
+        return sorted(self._terms.items(), reverse=True)
 
     def coefficient(self, exps: Iterable[int]) -> int:
         return self._terms.get(tuple(exps), 0)
@@ -571,24 +583,7 @@ class LaurentPoly:
     # -- serialization -------------------------------------------------------
 
     def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        names = self.variables.names
-        parts: list[str] = []
-        for exps, coeff in self.terms():
-            mon = _format_monomial(names, exps)
-            mag = abs(coeff)
-            if mon and mag == 1:
-                body = mon
-            elif mon:
-                body = f"{mag}*{mon}"
-            else:
-                body = str(mag)
-            if not parts:
-                parts.append(body if coeff > 0 else f"-{body}")
-            else:
-                parts.append(f" + {body}" if coeff > 0 else f" - {body}")
-        return "".join(parts)
+        return _joined(_write_text, self)
 
     def __repr__(self) -> str:
         return f"LaurentPoly({str(self)!r}, variables={self.variables.names!r})"
@@ -642,60 +637,156 @@ class LaurentPoly:
         return cls.from_json_dict(_json_loads(text, PolyParseError, "invalid JSON"))
 
 
-def _dumps_indent2(doc) -> str:
-    """json.dumps(doc, indent=2, default=LaurentPoly.to_json_dict), byte for byte.
-
-    A LaurentPoly in doc is written from its terms, one f-string per term;
-    everything else goes through json.dumps one scalar at a time.  With
-    indent set, json.dumps uses the pure-Python encoder, whose per-value
-    dispatch dominated large polynomial output.
-    """
+def _joined(writer, *args) -> str:
+    # everything writer(*args, write) writes, as one string
     parts: list[str] = []
-    _write_indent2(doc, "\n", parts)
+    writer(*args, parts.append)
     return "".join(parts)
 
 
-def _write_indent2(value, newline: str, parts: list[str]) -> None:
-    # newline is "\n" plus the indentation of the line where value starts
+def _check_digits(doc) -> None:
+    """Raise, before anything is written, the one error writing doc can hit.
+
+    That is CPython's int-to-string digit limit on a coefficient.  The
+    coefficient of largest magnitude has the most digits, so converting it
+    fails if and only if converting any coefficient of its polynomial would.
+    doc is a LaurentPoly, or a dict or list holding documents; other values
+    pass.
+    """
+    if isinstance(doc, LaurentPoly):
+        if doc._terms:
+            coeffs = doc._terms.values()
+            str(max(max(coeffs), -min(coeffs)))
+    elif isinstance(doc, (dict, list)):
+        for item in doc.values() if isinstance(doc, dict) else doc:
+            _check_digits(item)
+
+
+def _slices(keys: list, start: int, stop: int) -> Iterator[list]:
+    # keys[start:stop] of an ascending key list, from the top down, _SLICE
+    # keys at a time, so a writer holds one slice's text at once
+    for end in range(stop, start, -_SLICE):
+        part = keys[max(end - _SLICE, start):end]
+        part.reverse()
+        yield part
+
+
+def _signed_term(mon: str, coeff: int) -> str:
+    mag = abs(coeff)
+    body = mon if mon and mag == 1 else f"{mag}*{mon}" if mon else str(mag)
+    return f" + {body}" if coeff > 0 else f" - {body}"
+
+
+def _text_chunks(poly: LaurentPoly) -> Iterator[str]:
+    # the text form as nonempty chunks, each term led by " + " or " - ".  A
+    # one-variable polynomial goes out from one sort of its keys, a slice at
+    # a time; t^1 and t^0, the exponents that print no "^", are at most two
+    # terms and take the per-term route
+    names, terms = poly.variables.names, poly._terms
+    if len(names) != 1:
+        yield "".join([_signed_term(_format_monomial(names, exps), c) for exps, c in poly.terms()])
+        return
+    (name,) = names
+
+    def formatted(part: list) -> str:
+        return "".join([
+            f" + {name}^{e}" if c == 1
+            else f" - {name}^{e}" if c == -1
+            else f" + {c}*{name}^{e}" if c > 0
+            else f" - {-c}*{name}^{e}"
+            for (e,), c in zip(part, map(terms.__getitem__, part))
+        ])
+
+    keys = sorted(terms)
+    low, high = bisect_left(keys, (0,)), bisect_left(keys, (2,))
+    yield from map(formatted, _slices(keys, high, len(keys)))
+    if high > low:
+        units = reversed(keys[low:high])
+        yield "".join([_signed_term(_format_monomial(names, key), terms[key]) for key in units])
+    yield from map(formatted, _slices(keys, 0, low))
+
+
+def _write_text(poly: LaurentPoly, write) -> None:
+    """Write str(poly) through write, one slice of terms per call."""
+    if not poly._terms:
+        write("0")
+        return
+    chunks = _text_chunks(poly)
+    lead = next(chunks)
+    write(lead[3:] if lead[1] == "+" else f"-{lead[3:]}")
+    for chunk in chunks:
+        write(chunk)
+
+
+def _dumps_indent2(doc) -> str:
+    """json.dumps(doc, indent=2, default=LaurentPoly.to_json_dict), byte for byte."""
+    return _joined(_write_indent2, doc)
+
+
+def _write_indent2(value, write, newline: str = "\n") -> None:
+    """Write _dumps_indent2(value) through write.
+
+    A LaurentPoly in value is written from its terms, one f-string per term;
+    everything else goes through json.dumps one scalar at a time.  With
+    indent set, json.dumps uses the pure-Python encoder, whose per-value
+    dispatch dominated large polynomial output.  newline is "\n" plus the
+    indentation of the line where value starts.
+    """
     inner = newline + "  "
     if isinstance(value, LaurentPoly):
-        _write_poly_indent2(value, newline, parts)
+        _write_poly_indent2(value, write, newline)
     elif isinstance(value, dict) and value:
         opening = "{"
         for key, item in value.items():
-            parts.append(f"{opening}{inner}{json.dumps(key)}: ")
-            _write_indent2(item, inner, parts)
+            write(f"{opening}{inner}{json.dumps(key)}: ")
+            _write_indent2(item, write, inner)
             opening = ","
-        parts.append(newline + "}")
+        write(newline + "}")
     elif isinstance(value, list) and value:
         opening = "["
         for item in value:
-            parts.append(opening + inner)
-            _write_indent2(item, inner, parts)
+            write(opening + inner)
+            _write_indent2(item, write, inner)
             opening = ","
-        parts.append(newline + "]")
+        write(newline + "]")
     else:
-        parts.append(json.dumps(value))
+        write(json.dumps(value))
 
 
-def _write_poly_indent2(poly: LaurentPoly, newline: str, parts: list[str]) -> None:
+def _write_poly_indent2(poly: LaurentPoly, write, newline: str) -> None:
     # exponents go out as JSON numbers and coefficients as quoted decimal
-    # strings, both as str gives them; variable names need no escaping
+    # strings, both as str gives them; variable names need no escaping.  A
+    # one-variable polynomial goes out from one sort of its keys, a slice at
+    # a time; others, which only SW results hold, in one term list
     n1, n2, n3, n4 = (newline + "  " * depth for depth in range(1, 5))
-    parts.append(f'{{{n1}"variables": ')
-    _write_indent2(list(poly.variables), n1, parts)
-    parts.append(f',{n1}"terms": ')
-    if poly.is_zero():
-        parts.append("[]" + newline + "}")
+    write(f'{{{n1}"variables": ')
+    _write_indent2(list(poly.variables), write, n1)
+    write(f',{n1}"terms": ')
+    terms = poly._terms
+    if not terms:
+        write("[]" + newline + "}")
         return
-    opening, closing = (f"[{n4}", f"{n3}]") if poly.variables else ("[", "]")
-    sep = "," + n4
-    terms = [
-        f'{{{n3}"exps": {opening}{sep.join(map(str, exps))}{closing},'
-        f'{n3}"coeff": "{coeff}"{n2}}}'
-        for exps, coeff in poly.terms()
-    ]
-    parts += (f"[{n2}", f",{n2}".join(terms), f"{n1}]{newline}}}")
+    sep = f",{n2}"
+    if len(poly.variables) != 1:
+        opening, closing = (f"[{n4}", f"{n3}]") if poly.variables else ("[", "]")
+        inner = "," + n4
+        write(f"[{n2}")
+        write(sep.join([
+            f'{{{n3}"exps": {opening}{inner.join(map(str, exps))}{closing},'
+            f'{n3}"coeff": "{coeff}"{n2}}}'
+            for exps, coeff in poly.terms()
+        ]))
+    else:
+        keys = sorted(terms)
+        opening = f"[{n2}"
+        for part in _slices(keys, 0, len(keys)):
+            write(opening)
+            write(sep.join([
+                f'{{{n3}"exps": [{n4}{e}{n3}],{n3}"coeff": "{c}"{n2}}}'
+                for (e,), c in zip(part, map(terms.__getitem__, part))
+            ]))
+            opening = sep
+    write(f"{n1}]{newline}}}")
 
 
 def _require_json_object(data, keys: set[str]) -> None:

@@ -98,3 +98,25 @@ def semigroup_delta(p: int, q: int) -> dict[int, int]:
             if s < c:
                 out[s + 1] = out.get(s + 1, 0) - 1
     return {e: v for e, v in out.items() if v}
+
+
+def format_one_variable(poly: dict[int, int], name: str) -> str:
+    """Text form of a one-variable {exponent: coefficient} map, highest term first.
+
+    Written out case by case from the grammar: no factor at exponent 0, the
+    bare name at exponent 1, and no coefficient 1 in front of a factor.
+    """
+    text = ""
+    for e in sorted(poly, reverse=True):
+        c = poly[e]
+        digits = str(abs(c))
+        if e == 0:
+            body = digits
+        else:
+            factor = name if e == 1 else name + "^" + str(e)
+            body = factor if digits == "1" else digits + "*" + factor
+        if not text:
+            text = body if c > 0 else "-" + body
+        else:
+            text += (" + " if c > 0 else " - ") + body
+    return text or "0"

@@ -5,16 +5,21 @@ import sys
 import jsonschema
 import pytest
 
-from knotsurgery import knots, schemas
+from knotsurgery import cli, knots, schemas
 from knotsurgery.cli import main
-from knotsurgery.family import UnboundednessCertificate
+from knotsurgery.family import FamilyReport, FamilyRow, UnboundednessCertificate, analyze_family
 from knotsurgery.knots import MAX_KNOT_DEPTH, InternalInconsistencyError, Torus, alexander_expr
 from knotsurgery.laurent import (
     LaurentPoly,
     NotDivisibleError,
     NotSymmetrizableError,
+    VariableSet,
     _binomial_quotient,
+    _dumps_indent2,
 )
+from knotsurgery.surgery import LinkFamilyMember, SurgerySpec, sw_specialized, torres_specialize
+
+from _oracles import format_one_variable
 
 
 def run(capsys, *argv):
@@ -122,6 +127,16 @@ class TestTorresCommand:
         assert err.startswith("error:")
         assert "Traceback" not in err
 
+    def test_coefficient_past_the_digit_limit_in_a_later_slice_exits_1(self, capsys):
+        # 5,000 small terms come first, so a writer that only failed on
+        # reaching the last term would already have written a slice
+        nines = "9" * 4000
+        text = " + ".join(f"t^{e}" for e in range(5000, 0, -1)) + f" + {nines}*{nines}"
+        for fmt in ("text", "json"):
+            code, out, err = run(capsys, "torres", "--lk", "1", "--format", fmt, text)
+            assert (code, out) == (1, "")
+            assert err.startswith("error: Exceeds the limit (4300 digits)")
+
     def test_lk1_unchanged(self, capsys):
         code, out, _ = run(capsys, "torres", "--lk", "1", "t - 1 + t^-1")
         assert code == 0
@@ -177,6 +192,17 @@ class TestSwCommand:
         data = json.loads(out)
         jsonschema.validate(instance=data, schema=schemas.load("sw"))
         assert data["full_polynomial"] != "unavailable"
+
+    def test_coefficient_past_the_output_digit_limit_exits_1(self, capsys):
+        # the 8,000-digit coefficient is in the full polynomial, the last
+        # field of the document: nothing before it may reach stdout
+        nines = "9" * 4000
+        code, out, err = run(
+            capsys, "sw", "--p", "2", "--n", "3", "--format", "json",
+            "--delta-l", f"{nines}*{nines}*x*y - 1",
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("error: Exceeds the limit (4300 digits)")
 
     def test_bad_delta_l_variables_exit_1(self, capsys):
         code, _, err = run(capsys, "sw", "--p", "1", "--delta-l", "t - 1")
@@ -453,6 +479,77 @@ def test_internal_inconsistency_exits_2(kernel, error, capsys, monkeypatch):
     code, out, err = run(capsys, "alexander", "torus(2,3)")
     assert (code, out) == (2, "")
     assert err.startswith("internal inconsistency: ")
+
+
+def _slice_edge_poly(count: int) -> LaurentPoly:
+    # count terms over consecutive exponents around t^-1, t^0 and t^1, led by
+    # a negative term, with coefficients 1, -1 and larger magnitudes
+    top = count // 2
+    coeffs = (-3, 1, -1, 2, 1, 10 ** 30, -1, -7)
+    return LaurentPoly(
+        VariableSet("t"), {(top - i,): coeffs[i % len(coeffs)] for i in range(count)}
+    )
+
+
+class TestStreamedOutput:
+    """The CLI writes to stdout as it goes, with the bytes str and json.dumps give."""
+
+    @pytest.mark.parametrize("count", [4095, 4096, 4097, 8193])
+    def test_polynomials_across_slice_boundaries(self, count, capsys):
+        poly = _slice_edge_poly(count)
+        text = str(poly)
+        assert text == format_one_variable({e: c for (e,), c in poly.terms()}, "t")
+        assert text.startswith(f"-3*t^{count // 2} + ")
+        code, out, _ = run(capsys, "torres", "--lk", "1", "--", text)
+        assert (code, out) == (0, text + "\n")
+        code, out, _ = run(capsys, "torres", "--lk", "1", "--format", "json", "--", text)
+        assert (code, out) == (0, _dumps_indent2(poly) + "\n")
+        assert out == json.dumps(poly.to_json_dict(), indent=2) + "\n"
+
+    @pytest.mark.parametrize("lk,text", [("0", "t"), ("1", "-7"), ("2", "5"), ("1", "t - 2")])
+    def test_zero_constant_and_small(self, lk, text, capsys):
+        poly = torres_specialize(LaurentPoly.parse(text), int(lk))
+        for fmt, want in (("text", str(poly)), ("json", _dumps_indent2(poly))):
+            code, out, _ = run(capsys, "torres", "--lk", lk, "--format", fmt, "--", text)
+            assert (code, out) == (0, want + "\n")
+
+    @pytest.mark.parametrize("n", ["1", "3"])
+    def test_sw_json_with_a_two_variable_polynomial(self, n, capsys):
+        delta_L = LaurentPoly.parse("x*y - 2 + y^-1")
+        code, out, _ = run(
+            capsys, "sw", "--p", "3", "--n", n, "--format", "json", "--delta-l", str(delta_L)
+        )
+        doc = sw_specialized(SurgerySpec(int(n), LinkFamilyMember(3)), delta_L).to_json_dict()
+        assert (code, out) == (0, _dumps_indent2(doc) + "\n")
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+    def test_family_report(self, fmt, capsys):
+        code, out, _ = run(
+            capsys, "family", "--n", "2", "--pmin", "1", "--pmax", "40", "--format", fmt
+        )
+        report = analyze_family(2, 1, 40)
+        want = {"json": report.to_json() + "\n", "csv": report.to_csv(), "text": report.to_text()}
+        assert (code, out) == (0, want[fmt])
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+    def test_family_digit_limit_writes_nothing(self, fmt, capsys, monkeypatch):
+        # the check reaches into the rows: the first row would print fine
+        report = analyze_family(1, 1, 2)
+        big = LaurentPoly(VariableSet("t"), {(0,): 10 ** 5000})
+        rows = (report.rows[0], FamilyRow(2, big, 1, True, 0, 0))
+        monkeypatch.setattr(cli, "analyze_family", lambda *args, **kwargs: FamilyReport(1, rows))
+        code, out, err = run(capsys, "family", "--pmin", "1", "--pmax", "2", "--format", fmt)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: Exceeds the limit (4300 digits)")
+
+    def test_writes_in_slices(self, capsys, monkeypatch):
+        # one write per slice of terms, not one per document
+        writes = []
+        monkeypatch.setattr(sys.stdout, "write", writes.append)
+        assert main(["torres", "--lk", "10000", "1"]) == 0
+        # y^9999..y^2 in three slices, then y + 1, then the newline
+        assert len(writes) == 5
+        assert "".join(writes) == str(torres_specialize(LaurentPoly.parse("1"), 10000)) + "\n"
 
 
 class TestParserBehavior:

@@ -31,18 +31,18 @@ def test_every_module_with_exports_is_checked():
 
 # importing module -> {defining module: private names it imports from there}
 PRIVATE_IMPORTS = {
-    "knots": {"laurent": {"_Frozen", "_binomial_quotient", "_tokenize"}},
+    "knots": {"laurent": {"_Frozen", "_binomial_quotient", "_require_int", "_tokenize"}},
     "surgery": {
         "laurent": {"_Frozen", "_binomial_quotient", "_require_int", "_require_one_variable"},
     },
     "family": {
         "laurent": {
-            "_Frozen", "_dumps_indent2", "_json_int", "_json_loads", "_require_int",
-            "_require_json_object",
+            "_Frozen", "_dumps_indent2", "_joined", "_json_int", "_json_loads",
+            "_require_int", "_require_json_object", "_write_text",
         },
     },
     "fox": {"laurent": {"_Frozen"}},
-    "cli": {"laurent": {"_dumps_indent2"}},
+    "cli": {"laurent": {"_check_digits", "_write_indent2", "_write_text"}},
 }
 
 

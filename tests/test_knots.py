@@ -52,13 +52,13 @@ class TestTorusKnotSpec:
             TorusKnotSpec(2, -3)
 
     def test_rejects_non_integclass(self):
-        with pytest.raises(TypeError):
+        with pytest.raises(ValueError, match=r"torus knot parameter must be an integer, got 2\.0"):
             TorusKnotSpec(2.0, 3)
 
     @pytest.mark.parametrize("pq", [(True, 2), (2, True), (False, 3)])
     def test_rejects_bool(self, pq):
         # bool subclasses int, but True is not a torus knot parameter
-        with pytest.raises(TypeError, match="must be integers"):
+        with pytest.raises(ValueError, match="torus knot parameter must be an integer"):
             TorusKnotSpec(*pq)
 
     def test_unknot_detection(self):

@@ -15,7 +15,10 @@ from knotsurgery.laurent import (
     NotSymmetrizableError,
     PolyParseError,
     VariableSet,
+    _check_digits,
     _dumps_indent2,
+    _write_indent2,
+    _write_text,
 )
 from knotsurgery.surgery import torres_specialize
 
@@ -535,6 +538,32 @@ class TestJsonForm:
         finally:
             tracemalloc.stop()
         assert peak <= 3 * len(text)
+
+    @pytest.mark.parametrize("writer", [_write_text, _write_indent2])
+    def test_writers_stream_in_bounded_memory(self, writer):
+        # a sorted key list and one slice of text at a time, never the
+        # document: str of this polynomial alone is about 1 MB
+        poly = torres_specialize(LaurentPoly.parse("1"), 100076)
+        written = []
+        tracemalloc.start()
+        try:
+            writer(poly, lambda chunk: written.append(len(chunk)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2_000_000
+        assert sum(written) == len(_dumps_indent2(poly) if writer is _write_indent2 else str(poly))
+
+    def test_digit_check_reaches_every_polynomial_of_a_document(self):
+        big = -(10 ** 5000)
+        _check_digits({"rows": [{"delta": p("t - 1")}], "n": 3, "name": "x"})
+        for doc in (
+            from_dict({3: 1, 0: big}),
+            {"a": 1, "rows": [{"delta": p("t")}, {"delta": from_dict({1: 2, 0: big})}]},
+            [LaurentPoly.zero(T), LaurentPoly(VariableSet("x", "y"), {(1, 2): big})],
+        ):
+            with pytest.raises(ValueError, match="4300 digits"):
+                _check_digits(doc)
 
     def test_zero_poly(self):
         data = LaurentPoly.zero(T).to_json_dict()

@@ -3,11 +3,13 @@
 import json
 import math
 from functools import reduce
+from unittest import mock
 
 import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
+from knotsurgery import laurent
 from knotsurgery.family import FamilyReport, FamilyRow, UnboundednessCertificate, Witness
 from knotsurgery.knots import (
     ConnectedSum,
@@ -32,7 +34,14 @@ from knotsurgery.laurent import (
 )
 from knotsurgery.surgery import SWResult, torres_specialize
 
-from _oracles import convolve, dense_divide, geometric_sum, schoolbook, semigroup_delta
+from _oracles import (
+    convolve,
+    dense_divide,
+    format_one_variable,
+    geometric_sum,
+    schoolbook,
+    semigroup_delta,
+)
 
 T = VariableSet("t")
 XY = VariableSet("x", "y")
@@ -348,6 +357,22 @@ class TestSerialization:
     @given(polys(variables=XY, max_terms=6, coeff=big_coefficients))
     def test_two_variable_json_round_trip(self, poly):
         assert LaurentPoly.from_json(poly.to_json()) == poly
+
+    @given(
+        st.dictionaries(
+            exponents | st.sampled_from([INT64_MIN, INT64_MAX]),
+            st.sampled_from([1, -1, 2, -2]) | big_coefficients.filter(bool),
+            max_size=40,
+        ),
+        st.sampled_from([1, 2, 3, 5, 4096]),
+    )
+    def test_one_variable_writers_match_independent_formatters(self, terms, slice_size):
+        # small slices put t^1, t^0 and the leading term on every side of a
+        # slice boundary
+        poly = from_dict(terms)
+        with mock.patch.object(laurent, "_SLICE", slice_size):
+            assert str(poly) == format_one_variable(terms, "t")
+            assert _dumps_indent2(poly) == json.dumps(poly.to_json_dict(), indent=2)
 
     @given(documents)
     # plain dicts that only look like polynomial documents are plain dicts
