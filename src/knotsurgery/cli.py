@@ -39,18 +39,10 @@ EXIT_USAGE = 1
 EXIT_INTERNAL = 2
 
 
-class _Parser(argparse.ArgumentParser):
-    # argparse exits with status 2 on usage errors by default; the published
-    # contract reserves 2 for internal inconsistencies
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
-
-
 def _stream(doc, write_doc) -> None:
-    # write_doc(doc, write) straight to stdout, then a newline.  An error
-    # writes no stdout byte: the one error writing can hit is raised by
-    # _check_digits before the first write
+    # write_doc(doc, write) straight to stdout, then a newline.  This is the
+    # one route to stdout, and an error writes no stdout byte: the one error
+    # writing can hit is raised by _check_digits before the first write
     _check_digits(doc)
     write = sys.stdout.write
     write_doc(doc, write)
@@ -75,28 +67,30 @@ def _cmd_sw(args) -> int:
     spec = SurgerySpec(args.n, LinkFamilyMember(args.p))
     delta_L = None if args.delta_l is None else LaurentPoly.parse(args.delta_l)
     result = sw_specialized(spec, delta_L)
-    if args.format == "json":
-        _stream(result.to_json_dict(), _write_indent2)
-    else:
-        full = "unavailable" if result.polynomial is None else str(result.polynomial)
-        print(
-            f"p = {result.p}\n"
-            f"n = {result.n}\n"
-            f"specialization at t_K = 1: {result.specialization_at_tK1}\n"
-            f"basic-class lower bound: {result.basic_class_lower_bound}\n"
-            f"full polynomial: {full}"
-        )
+    _stream(result.to_json_dict(), _write_indent2 if args.format == "json" else _write_sw_text)
     return EXIT_OK
+
+
+def _write_sw_text(doc: dict, write) -> None:
+    # the text form of an SWResult document, both polynomials streamed
+    write(f"p = {doc['p']}\nn = {doc['n']}\nspecialization at t_K = 1: ")
+    _write_text(doc["specialization"], write)
+    write(f"\nbasic-class lower bound: {doc['lower_bound']}\nfull polynomial: ")
+    full = doc["full_polynomial"]
+    if isinstance(full, str):
+        write(full)
+    else:
+        _write_text(full, write)
 
 
 def _cmd_family(args) -> int:
     report = analyze_family(args.n, args.pmin, args.pmax, p_cap=args.pcap)
     if args.format == "json":
-        _stream(report.to_json_dict(), _write_indent2)
+        write_doc = _write_indent2
     else:
-        # the rows end in their own newline
-        _check_digits(report.to_json_dict())
-        report._write_rows(args.format, sys.stdout.write)
+        def write_doc(_, write):
+            report._write_rows(args.format, write)
+    _stream(report.to_json_dict(), write_doc)
     return EXIT_OK
 
 
@@ -113,12 +107,12 @@ def _cmd_certify(args) -> int:
         _stream(verdict, _write_indent2)
         return EXIT_OK if valid else EXIT_USAGE
     certificate = certify_unbounded(args.target, p_cap=args.cap)
-    print(certificate.to_json())
+    _stream(certificate.to_json_dict(), _write_indent2)
     return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
+    parser = argparse.ArgumentParser(
         prog="knotsurgery",
         description="Exact invariants for torus-knot link-surgery families.",
     )
@@ -190,7 +184,9 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+        # argparse exits with 2 on a usage error, which the published
+        # contract reserves for internal inconsistencies, and with 0 after --help
+        return EXIT_OK if exc.code == 0 else EXIT_USAGE
     try:
         return args.func(args)
     # parse errors and an exhausted scan cap are ValueErrors, and every

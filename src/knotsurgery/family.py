@@ -90,14 +90,14 @@ class FamilyReport(_Frozen):
         return _dumps_indent2(self.to_json_dict())
 
     def to_csv(self) -> str:
-        return _joined(self._write_rows, "csv")
+        return _joined(self._write_rows, "csv") + "\n"
 
     def to_text(self) -> str:
-        return _joined(self._write_rows, "text")
+        return _joined(self._write_rows, "text") + "\n"
 
     def _write_rows(self, fmt: str, write) -> None:
         # the csv or text report through write, a line head and then the
-        # row's polynomial per row, and a final newline.  No csv field is
+        # row's polynomial per row, with no final newline.  No csv field is
         # quoted, since none can hold a comma, quote or newline: ints,
         # true/false, and polynomials over identifier names
         csv = fmt == "csv"
@@ -113,7 +113,6 @@ class FamilyReport(_Frozen):
                     f"genus={row.genus} span={row.span} delta="
                 )
             _write_text(row.delta_gamma, write)
-        write("\n")
 
 
 class Witness(_Frozen):

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 
-from .laurent import LaurentPoly, VariableSet, _Frozen
+from .laurent import LaurentPoly, VariableSet, _Frozen, _require_int
 
 __all__ = [
     "UnsupportedPresentationError",
@@ -54,8 +54,8 @@ class GroupPresentation(_Frozen):
     @classmethod
     def torus_knot(cls, p: int, q: int) -> "GroupPresentation":
         """<x, y | x^p y^-q>, the standard torus-knot group presentation."""
-        if not all(isinstance(v, int) and not isinstance(v, bool) and v >= 1 for v in (p, q)):
-            raise ValueError(f"torus knot presentation needs positive p, q, got {p!r}, {q!r}")
+        for v in (p, q):
+            _require_int(v, "torus knot presentation parameter", 1)
         return cls(("x", "y"), ((1,) * p + (-2,) * q,))
 
     @classmethod

@@ -39,8 +39,8 @@ neither builds the whole output: ``_write_text`` writes one polynomial's
 text form, and ``_write_indent2`` writes an indented document that holds
 polynomials as ``LaurentPoly`` values, as the bytes of
 ``json.dumps(doc, indent=2, default=LaurentPoly.to_json_dict)``.  ``str``
-and ``_dumps_indent2`` join what they write.  A one-variable polynomial goes
-out from one sort of its keys, a slice of 4,096 terms per call.  Writing
+and ``_dumps_indent2`` join what they write.  Every polynomial goes out
+from one sort of its keys, a slice of 4,096 terms per call.  Writing
 can fail in one way only, on CPython's int-to-string digit limit, and
 ``_check_digits`` raises that error for a whole document before the first
 write, so a caller that streams to stdout writes all of it or nothing.
@@ -57,7 +57,7 @@ from collections.abc import Iterable, Iterator, Mapping
 
 INT64_MIN = -(1 << 63)
 INT64_MAX = (1 << 63) - 1
-_SLICE = 4096  # keys per chunk when a one-variable polynomial is written
+_SLICE = 4096  # keys per chunk when a polynomial is written
 
 __all__ = [
     "INT64_MIN",
@@ -97,13 +97,7 @@ def _checked_exponent(e: int) -> int:
     return e
 
 
-def _as_int(value, what: str) -> int:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise TypeError(f"{what} must be int, got {type(value).__name__}")
-    return value
-
-
-def _require_int(value, what: str, minimum: int | None = None) -> None:
+def _require_int(value, what: str, minimum: int | None = None) -> int:
     # minimum is 0 (nonnegative), 1 (positive) or None (any integer); a bool
     # is an int to Python but not an integer argument here
     if not isinstance(value, int) or isinstance(value, bool) or (
@@ -111,6 +105,7 @@ def _require_int(value, what: str, minimum: int | None = None) -> None:
     ):
         kind = {None: "an", 0: "a nonnegative", 1: "a positive"}[minimum]
         raise ValueError(f"{what} must be {kind} integer, got {value!r}")
+    return value
 
 
 def _require_one_variable(what: str, *polys: "LaurentPoly") -> None:
@@ -231,8 +226,6 @@ class VariableSet:
     __slots__ = ("names", "_index")
 
     def __init__(self, *names: str):
-        if len(names) == 1 and not isinstance(names[0], str):
-            names = tuple(names[0])
         for name in names:
             if not isinstance(name, str) or not _NAME_RE.match(name):
                 raise ValueError(f"invalid variable name: {name!r}")
@@ -285,8 +278,8 @@ class LaurentPoly:
         items = terms.items() if isinstance(terms, Mapping) else terms
         acc: dict[tuple[int, ...], int] = {}
         for exps, coeff in items:
-            coeff = _as_int(coeff, "coefficient")
-            exps = tuple(_checked_exponent(_as_int(e, "exponent")) for e in exps)
+            coeff = _require_int(coeff, "coefficient")
+            exps = tuple(_checked_exponent(_require_int(e, "exponent")) for e in exps)
             if len(exps) != nslots:
                 raise ValueError(
                     f"exponent vector {exps} does not match variables {variables.names}"
@@ -415,9 +408,7 @@ class LaurentPoly:
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
-        k = _as_int(k, "power")
-        if k < 0:
-            raise ValueError("negative powers are not defined for Laurent polynomials")
+        k = _require_int(k, "power", 0)
         result = LaurentPoly.one(self.variables)
         base = self
         while k:
@@ -446,7 +437,7 @@ class LaurentPoly:
         for name in self.variables.names:
             if name not in mapping:
                 raise ValueError(f"unmapped variable {name!r} in substitution")
-            image = tuple(_checked_exponent(_as_int(e, "exponent")) for e in mapping[name])
+            image = tuple(_checked_exponent(_require_int(e, "exponent")) for e in mapping[name])
             if len(image) != width:
                 raise ValueError(
                     f"image of {name!r} has {len(image)} exponent slots, expected {width}"
@@ -619,7 +610,7 @@ class LaurentPoly:
         """
         try:
             _require_json_object(data, {"variables", "terms"})
-            variables = VariableSet(_json_list(data["variables"]))
+            variables = VariableSet(*_json_list(data["variables"]))
             terms = []
             for entry in _json_list(data["terms"]):
                 _require_json_object(entry, {"exps", "coeff"})
@@ -671,20 +662,27 @@ def _slices(keys: list, start: int, stop: int) -> Iterator[list]:
         yield part
 
 
-def _signed_term(mon: str, coeff: int) -> str:
+def _signed_term(names: tuple[str, ...], exps: tuple[int, ...], coeff: int) -> str:
+    # one term of any variable count, led by " + " or " - "
+    mon = "*".join([name if e == 1 else f"{name}^{e}" for name, e in zip(names, exps) if e])
     mag = abs(coeff)
     body = mon if mon and mag == 1 else f"{mag}*{mon}" if mon else str(mag)
     return f" + {body}" if coeff > 0 else f" - {body}"
 
 
 def _text_chunks(poly: LaurentPoly) -> Iterator[str]:
-    # the text form as nonempty chunks, each term led by " + " or " - ".  A
-    # one-variable polynomial goes out from one sort of its keys, a slice at
-    # a time; t^1 and t^0, the exponents that print no "^", are at most two
-    # terms and take the per-term route
+    # the text form as nonempty chunks, each term led by " + " or " - ", from
+    # one sort of the keys, a slice at a time.  A one-variable term takes one
+    # f-string, except t^1 and t^0, the exponents that print no "^", which
+    # take the general formatter, as every term of other variable counts does
     names, terms = poly.variables.names, poly._terms
+    keys = sorted(terms)
+
+    def general(part: list) -> str:
+        return "".join([_signed_term(names, key, terms[key]) for key in part])
+
     if len(names) != 1:
-        yield "".join([_signed_term(_format_monomial(names, exps), c) for exps, c in poly.terms()])
+        yield from map(general, _slices(keys, 0, len(keys)))
         return
     (name,) = names
 
@@ -697,12 +695,9 @@ def _text_chunks(poly: LaurentPoly) -> Iterator[str]:
             for (e,), c in zip(part, map(terms.__getitem__, part))
         ])
 
-    keys = sorted(terms)
     low, high = bisect_left(keys, (0,)), bisect_left(keys, (2,))
     yield from map(formatted, _slices(keys, high, len(keys)))
-    if high > low:
-        units = reversed(keys[low:high])
-        yield "".join([_signed_term(_format_monomial(names, key), terms[key]) for key in units])
+    yield from map(general, _slices(keys, low, high))
     yield from map(formatted, _slices(keys, 0, low))
 
 
@@ -755,9 +750,9 @@ def _write_indent2(value, write, newline: str = "\n") -> None:
 
 def _write_poly_indent2(poly: LaurentPoly, write, newline: str) -> None:
     # exponents go out as JSON numbers and coefficients as quoted decimal
-    # strings, both as str gives them; variable names need no escaping.  A
-    # one-variable polynomial goes out from one sort of its keys, a slice at
-    # a time; others, which only SW results hold, in one term list
+    # strings, both as str gives them; variable names need no escaping.  The
+    # terms go out from one sort of the keys, a slice at a time; a
+    # one-variable term takes one f-string
     n1, n2, n3, n4 = (newline + "  " * depth for depth in range(1, 5))
     write(f'{{{n1}"variables": ')
     _write_indent2(list(poly.variables), write, n1)
@@ -766,26 +761,29 @@ def _write_poly_indent2(poly: LaurentPoly, write, newline: str) -> None:
     if not terms:
         write("[]" + newline + "}")
         return
-    sep = f",{n2}"
-    if len(poly.variables) != 1:
-        opening, closing = (f"[{n4}", f"{n3}]") if poly.variables else ("[", "]")
-        inner = "," + n4
-        write(f"[{n2}")
-        write(sep.join([
-            f'{{{n3}"exps": {opening}{inner.join(map(str, exps))}{closing},'
-            f'{n3}"coeff": "{coeff}"{n2}}}'
-            for exps, coeff in poly.terms()
-        ]))
-    else:
-        keys = sorted(terms)
-        opening = f"[{n2}"
-        for part in _slices(keys, 0, len(keys)):
-            write(opening)
-            write(sep.join([
+    if len(poly.variables) == 1:
+        def entries(part: list) -> list[str]:
+            return [
                 f'{{{n3}"exps": [{n4}{e}{n3}],{n3}"coeff": "{c}"{n2}}}'
                 for (e,), c in zip(part, map(terms.__getitem__, part))
-            ]))
-            opening = sep
+            ]
+    else:
+        start, end = (f"[{n4}", f"{n3}]") if poly.variables else ("[", "]")
+        inner = "," + n4
+
+        def entries(part: list) -> list[str]:
+            return [
+                f'{{{n3}"exps": {start}{inner.join(map(str, exps))}{end},'
+                f'{n3}"coeff": "{terms[exps]}"{n2}}}'
+                for exps in part
+            ]
+    keys = sorted(terms)
+    sep = f",{n2}"
+    opening = f"[{n2}"
+    for part in _slices(keys, 0, len(keys)):
+        write(opening)
+        write(sep.join(entries(part)))
+        opening = sep
     write(f"{n1}]{newline}}}")
 
 
@@ -807,23 +805,13 @@ def _json_int(value, what: str, minimum: int | None = None) -> int:
     # a JSON Schema integer is a number with no fractional part, never a boolean
     if isinstance(value, float) and value.is_integer():
         value = int(value)
-    _require_int(value, what, minimum)
-    return value
+    return _require_int(value, what, minimum)
 
 
 def _json_list(value) -> list:
     if not isinstance(value, list):
         raise TypeError(f"expected a JSON array, got {type(value).__name__}")
     return value
-
-
-def _format_monomial(names: tuple[str, ...], exps: tuple[int, ...]) -> str:
-    factors = []
-    for name, e in zip(names, exps):
-        if e == 0:
-            continue
-        factors.append(name if e == 1 else f"{name}^{e}")
-    return "*".join(factors)
 
 
 _SIGN_TOKENS = (("op", "+"), ("op", "-"))
@@ -857,63 +845,50 @@ def _parse_poly(cls, text: str, variables: VariableSet | None):
     tokens = _tokenize(_TOKEN_RE, text, PolyParseError)
     if not tokens:
         raise PolyParseError("empty polynomial text")
+    tokens.append((None, None))  # the end marker, which no rule accepts
     pos = 0
-    seen_names: list[str] = []
+    seen_names: dict[str, None] = {}
     raw_terms: list[tuple[dict[str, int], int]] = []
 
-    def peek():
-        return tokens[pos] if pos < len(tokens) else (None, None)
-
-    def take():
+    def sign() -> int:
+        # fold the run of '+' / '-' tokens at pos into one sign
         nonlocal pos
-        tok = peek()
-        pos += 1
-        return tok
+        folded = 1
+        while tokens[pos] in _SIGN_TOKENS:
+            if tokens[pos][1] == "-":
+                folded = -folded
+            pos += 1
+        return folded
 
-    def take_signs() -> int:
-        # fold a run of '+' / '-' tokens into one sign
-        sign = 1
-        while peek() in _SIGN_TOKENS:
-            if take() == ("op", "-"):
-                sign = -sign
-        return sign
-
-    def parse_signed_int() -> int:
-        sign = take_signs()
-        kind, value = take()
-        if kind != "int":
-            raise PolyParseError("expected an integer")
-        return sign * _int_literal(value)
-
-    def parse_factor(term_exps: dict[str, int]) -> int:
-        kind, value = take()
-        if kind == "int":
-            return _int_literal(value)
-        if kind == "name":
-            if value not in seen_names:
-                seen_names.append(value)
-            exponent = 1
-            if peek() == ("op", "^"):
-                take()
-                exponent = parse_signed_int()
-            term_exps[value] = term_exps.get(value, 0) + exponent
-            return 1
-        raise PolyParseError(f"expected a coefficient or variable, got {value!r}")
-
-    def parse_term(sign: int) -> None:
-        coeff = sign
-        exps: dict[str, int] = {}
-        coeff *= parse_factor(exps)
-        while peek() == ("op", "*"):
-            take()
-            coeff *= parse_factor(exps)
+    while True:
+        # one term: its signs, then factors joined by '*'
+        coeff, exps = sign(), {}
+        while True:
+            kind, value = tokens[pos]
+            pos += 1
+            if kind == "int":
+                coeff *= _int_literal(value)
+            elif kind == "name":
+                seen_names[value] = None
+                exponent = 1
+                if tokens[pos] == ("op", "^"):
+                    pos += 1
+                    exponent = sign()
+                    if tokens[pos][0] != "int":
+                        raise PolyParseError("expected an integer")
+                    exponent *= _int_literal(tokens[pos][1])
+                    pos += 1
+                exps[value] = exps.get(value, 0) + exponent
+            else:
+                raise PolyParseError(f"expected a coefficient or variable, got {value!r}")
+            if tokens[pos] != ("op", "*"):
+                break
+            pos += 1
         raw_terms.append((exps, coeff))
-
-    parse_term(take_signs())
-    while pos < len(tokens):
-        if peek() not in _SIGN_TOKENS:
-            raise PolyParseError(f"expected '+' or '-' between terms, got {peek()[1]!r}")
-        parse_term(take_signs())
+        if tokens[pos] == (None, None):
+            break
+        if tokens[pos] not in _SIGN_TOKENS:
+            raise PolyParseError(f"expected '+' or '-' between terms, got {tokens[pos][1]!r}")
 
     if variables is None:
         variables = VariableSet(*seen_names)

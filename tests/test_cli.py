@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -193,12 +194,13 @@ class TestSwCommand:
         jsonschema.validate(instance=data, schema=schemas.load("sw"))
         assert data["full_polynomial"] != "unavailable"
 
-    def test_coefficient_past_the_output_digit_limit_exits_1(self, capsys):
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_coefficient_past_the_output_digit_limit_exits_1(self, fmt, capsys):
         # the 8,000-digit coefficient is in the full polynomial, the last
         # field of the document: nothing before it may reach stdout
         nines = "9" * 4000
         code, out, err = run(
-            capsys, "sw", "--p", "2", "--n", "3", "--format", "json",
+            capsys, "sw", "--p", "2", "--n", "3", "--format", fmt,
             "--delta-l", f"{nines}*{nines}*x*y - 1",
         )
         assert (code, out) == (1, "")
@@ -569,6 +571,42 @@ class TestParserBehavior:
         code, out, _ = run(capsys, "--help")
         assert code == 0
         assert "alexander" in out
+
+
+# argv -> the stderr argparse writes for it at 80 columns, usage line first
+USAGE_ERRORS = {
+    ("frobnicate",): (
+        "usage: knotsurgery [-h] command ...\n"
+        "knotsurgery: error: argument command: invalid choice: 'frobnicate' "
+        "(choose from 'alexander', 'torres', 'sw', 'family', 'certify')\n"
+    ),
+    ("family", "--pmin", "1", "--pmax", "3", "--format", "xml"): (
+        "usage: knotsurgery family [-h] [--n N] --pmin PMIN --pmax PMAX [--pcap PCAP]\n"
+        "                          [--format {text,json,csv}]\n"
+        "knotsurgery family: error: argument --format: invalid choice: 'xml' "
+        "(choose from 'text', 'json', 'csv')\n"
+    ),
+    ("torres", "t"): (
+        "usage: knotsurgery torres [-h] --lk LK [--format {text,json}] poly\n"
+        "knotsurgery torres: error: the following arguments are required: --lk\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", list(USAGE_ERRORS), ids=lambda argv: " ".join(argv))
+class TestUsageErrors:
+    def test_in_process(self, argv, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        assert run(capsys, *argv) == (1, "", USAGE_ERRORS[argv])
+
+    def test_through_python_dash_m(self, argv):
+        proc = subprocess.run(
+            [sys.executable, "-m", "knotsurgery", *argv],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "COLUMNS": "80"},
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", USAGE_ERRORS[argv])
 
 
 class TestModuleEntryPoint:

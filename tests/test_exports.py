@@ -41,7 +41,7 @@ PRIVATE_IMPORTS = {
             "_require_int", "_require_json_object", "_write_text",
         },
     },
-    "fox": {"laurent": {"_Frozen"}},
+    "fox": {"laurent": {"_Frozen", "_require_int"}},
     "cli": {"laurent": {"_check_digits", "_write_indent2", "_write_text"}},
 }
 
@@ -59,3 +59,25 @@ def test_private_imports_across_modules_are_pinned():
                 if alias.name.startswith("_"):
                     found.setdefault(path.stem, {}).setdefault(source, set()).add(alias.name)
     assert found == PRIVATE_IMPORTS
+
+
+
+def test_cli_writes_stdout_through_one_route():
+    # in cli.py, sys.stdout appears only inside _stream, and print only as
+    # the callee of a call whose one keyword is file=sys.stderr
+    tree = ast.parse((Path(knotsurgery.__path__[0]) / "cli.py").read_text(encoding="utf-8"))
+    stream = next(
+        node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "_stream"
+    )
+    inside_stream = {id(node) for node in ast.walk(stream)}
+    to_stderr = {
+        id(node.func) for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and list(map(ast.unparse, node.keywords)) == ["file=sys.stderr"]
+    }
+    stdout = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and ast.unparse(node) == "sys.stdout"
+    ]
+    prints = [node for node in ast.walk(tree) if isinstance(node, ast.Name) and node.id == "print"]
+    assert stdout and all(id(node) in inside_stream for node in stdout)
+    assert prints and all(id(node) in to_stderr for node in prints)

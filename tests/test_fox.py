@@ -42,12 +42,12 @@ class TestGroupPresentation:
             GroupPresentation(("x", "y"), ((True, True, -2, -2, -2),))
 
     def test_torus_knot_rejects_nonpositive(self):
-        with pytest.raises(ValueError, match="positive p, q"):
+        with pytest.raises(ValueError, match="must be a positive integer"):
             GroupPresentation.torus_knot(0, 3)
 
     @pytest.mark.parametrize("p, q", [(True, 3), (3, False), (2.0, 3)])
     def test_torus_knot_rejects_non_int(self, p, q):
-        with pytest.raises(ValueError, match="positive p, q"):
+        with pytest.raises(ValueError, match="must be a positive integer"):
             GroupPresentation.torus_knot(p, q)
 
     def test_rejects_duplicate_generators(self):

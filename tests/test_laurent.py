@@ -1,4 +1,5 @@
 import json
+import re
 import time
 import tracemalloc
 
@@ -51,6 +52,11 @@ class TestVariableSet:
         with pytest.raises(ValueError):
             VariableSet("a b")
 
+    @pytest.mark.parametrize("name", [5, None, ["x", "y"]], ids=["int", "None", "list"])
+    def test_names_are_the_arguments(self, name):
+        with pytest.raises(ValueError, match=f"^invalid variable name: {re.escape(repr(name))}$"):
+            VariableSet(name)
+
     def test_without(self):
         vs = VariableSet("x", "y")
         assert vs.without("x").names == ("y",)
@@ -69,11 +75,11 @@ class TestConstruction:
         assert poly == LaurentPoly.constant(T, 5)
 
     def test_rejects_float_coefficients(self):
-        with pytest.raises(TypeError):
+        with pytest.raises(ValueError):
             LaurentPoly(T, {(0,): 1.5})
 
     def test_rejects_bool_coefficients(self):
-        with pytest.raises(TypeError):
+        with pytest.raises(ValueError):
             LaurentPoly(T, {(0,): True})
 
     def test_rejects_wrong_arity(self):
@@ -87,7 +93,7 @@ class TestConstruction:
 
     @pytest.mark.parametrize(
         "exps,error",
-        [((1, 2), ValueError), (("a",), TypeError), ((2 ** 70,), ExponentOverflowError)],
+        [((1, 2), ValueError), (("a",), ValueError), ((2 ** 70,), ExponentOverflowError)],
         ids=["wrong_arity", "str_exponent", "exponent_beyond_64_bits"],
     )
     def test_zero_coefficient_terms_are_validated(self, exps, error):
@@ -394,8 +400,8 @@ class TestSubstituteAndEvaluate:
             ({"x": (1, 0)}, ValueError),  # y unmapped
             ({"x": (1,), "y": (0, 1)}, ValueError),  # image narrower than the target
             ({"x": (1, 0, 0), "y": (0, 1)}, ValueError),  # image wider than the target
-            ({"x": (1.0, 0), "y": (0, 1)}, TypeError),
-            ({"x": (True, 0), "y": (0, 1)}, TypeError),
+            ({"x": (1.0, 0), "y": (0, 1)}, ValueError),
+            ({"x": (True, 0), "y": (0, 1)}, ValueError),
         ]
         for mapping, error in bad_mappings:
             with pytest.raises(error):
@@ -542,17 +548,21 @@ class TestJsonForm:
     @pytest.mark.parametrize("writer", [_write_text, _write_indent2])
     def test_writers_stream_in_bounded_memory(self, writer):
         # a sorted key list and one slice of text at a time, never the
-        # document: str of this polynomial alone is about 1 MB
-        poly = torres_specialize(LaurentPoly.parse("1"), 100076)
-        written = []
-        tracemalloc.start()
-        try:
-            writer(poly, lambda chunk: written.append(len(chunk)))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 2_000_000
-        assert sum(written) == len(_dumps_indent2(poly) if writer is _write_indent2 else str(poly))
+        # document: str of either polynomial alone is about 1 MB
+        for poly in (
+            torres_specialize(LaurentPoly.parse("1"), 100076),
+            LaurentPoly(XY, {(e, e % 7 - 3): e % 5 - 2 or 1 for e in range(100_000)}),
+        ):
+            written = []
+            tracemalloc.start()
+            try:
+                writer(poly, lambda chunk: written.append(len(chunk)))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 2_000_000
+            want = _dumps_indent2(poly) if writer is _write_indent2 else str(poly)
+            assert sum(written) == len(want)
 
     def test_digit_check_reaches_every_polynomial_of_a_document(self):
         big = -(10 ** 5000)
