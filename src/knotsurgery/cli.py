@@ -6,6 +6,10 @@ byte.  Exit codes: 0 success, 1 usage or parse error (including a
 certificate that fails verification, a scan cap too small for the target,
 and exponents outside 64 bits), 2 internal inconsistency (a closed formula
 violated one of its guarantees).
+
+An exit-1 error writes no stdout byte.  `family` writes each row as it is
+built, so an exit 2 raised while building a row can follow the rows before
+it, each written in full.
 """
 
 from __future__ import annotations
@@ -15,8 +19,10 @@ import sys
 
 from .family import (
     DEFAULT_P_CAP,
+    FamilyRow,
     UnboundednessCertificate,
-    analyze_family,
+    _family_rows,
+    _write_rows,
     certify_unbounded,
     verify_certificate,
 )
@@ -42,7 +48,8 @@ EXIT_INTERNAL = 2
 def _stream(doc, write_doc) -> None:
     # write_doc(doc, write) straight to stdout, then a newline.  This is the
     # one route to stdout, and an error writes no stdout byte: the one error
-    # writing can hit is raised by _check_digits before the first write
+    # writing can hit is raised by _check_digits before the first write.
+    # An iterator in doc goes undrawn, so its items are checked as drawn
     _check_digits(doc)
     write = sys.stdout.write
     write_doc(doc, write)
@@ -84,14 +91,22 @@ def _write_sw_text(doc: dict, write) -> None:
 
 
 def _cmd_family(args) -> int:
-    report = analyze_family(args.n, args.pmin, args.pmax, p_cap=args.pcap)
+    # the rows are built as they are written, so one Delta is held at once
+    rows = map(_checked_row, _family_rows(args.n, args.pmin, args.pmax, args.pcap))
     if args.format == "json":
-        write_doc = _write_indent2
+        _stream({"n": args.n, "rows": map(FamilyRow.to_json_dict, rows)}, _write_indent2)
     else:
-        def write_doc(_, write):
-            report._write_rows(args.format, write)
-    _stream(report.to_json_dict(), write_doc)
+        def write_doc(rows, write):
+            _write_rows(args.format, args.n, rows, write)
+        _stream(rows, write_doc)
     return EXIT_OK
+
+
+def _checked_row(row: FamilyRow) -> FamilyRow:
+    # _stream cannot check rows not built yet, so each row is checked when
+    # it is drawn, before its first byte
+    _check_digits(row.delta_gamma)
+    return row
 
 
 def _cmd_certify(args) -> int:

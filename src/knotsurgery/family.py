@@ -14,7 +14,9 @@ E(n) parameter, so neither a certificate nor its verification names one.
 
 from __future__ import annotations
 
-from .knots import alexander_torus, genus_torus
+from collections.abc import Iterator
+
+from .knots import _check_torus_exponent, alexander_torus, genus_torus
 from .laurent import (
     LaurentPoly,
     _dumps_indent2,
@@ -90,29 +92,31 @@ class FamilyReport(_Frozen):
         return _dumps_indent2(self.to_json_dict())
 
     def to_csv(self) -> str:
-        return _joined(self._write_rows, "csv") + "\n"
+        return _joined(_write_rows, "csv", self.n, self.rows) + "\n"
 
     def to_text(self) -> str:
-        return _joined(self._write_rows, "text") + "\n"
+        return _joined(_write_rows, "text", self.n, self.rows) + "\n"
 
-    def _write_rows(self, fmt: str, write) -> None:
-        # the csv or text report through write, a line head and then the
-        # row's polynomial per row, with no final newline.  No csv field is
-        # quoted, since none can hold a comma, quote or newline: ints,
-        # true/false, and polynomials over identifier names
-        csv = fmt == "csv"
-        write(",".join(CSV_COLUMNS) if csv else f"family report for n = {self.n}")
-        for row in self.rows:
-            if csv:
-                flag = "true" if row.lemma63_ok else "false"
-                write(f"\n{row.p},{row.lower_bound},{flag},{row.genus},{row.span},")
-            else:
-                flag = "ok" if row.lemma63_ok else "FAIL"
-                write(
-                    f"\np={row.p} lower_bound={row.lower_bound} [{flag}] "
-                    f"genus={row.genus} span={row.span} delta="
-                )
-            _write_text(row.delta_gamma, write)
+
+def _write_rows(fmt: str, n: int, rows, write) -> None:
+    # the csv or text report of n and an iterable of rows through write, a
+    # line head and then the row's polynomial per row, with no final
+    # newline; each row is drawn just before its first byte.  No csv field
+    # is quoted, since none can hold a comma, quote or newline: ints,
+    # true/false, and polynomials over identifier names
+    csv = fmt == "csv"
+    write(",".join(CSV_COLUMNS) if csv else f"family report for n = {n}")
+    for row in rows:
+        if csv:
+            flag = "true" if row.lemma63_ok else "false"
+            write(f"\n{row.p},{row.lower_bound},{flag},{row.genus},{row.span},")
+        else:
+            flag = "ok" if row.lemma63_ok else "FAIL"
+            write(
+                f"\np={row.p} lower_bound={row.lower_bound} [{flag}] "
+                f"genus={row.genus} span={row.span} delta="
+            )
+        _write_text(row.delta_gamma, write)
 
 
 class Witness(_Frozen):
@@ -178,7 +182,19 @@ def analyze_family(
     The lower bound per row does not depend on n: the E(n) prefactor
     contributes no t_G terms.  n is carried through to the report so the
     emitted artifact names the manifold family it describes.
+
+    The report holds every row's polynomial at once.  The CLI does not call
+    this: it writes the same rows one at a time, holding one Delta at once.
     """
+    return FamilyReport(n=n, rows=tuple(_family_rows(n, p_min, p_max, p_cap)))
+
+
+def _family_rows(n: int, p_min: int, p_max: int, p_cap: int) -> Iterator[FamilyRow]:
+    # analyze_family's rows, each built when it is drawn.  Every error the
+    # arguments can cause is raised here, before the first row: the range
+    # checks, and the 64-bit check on T(p_max, p_max + 1), whose exponent
+    # p(p + 1) bounds every smaller row's.  A row's coefficients are +-1, so
+    # none can then fail to be built or hit the digit limit when written
     _require_int(n, "E(n) parameter", 1)
     for name, value in (("p_min", p_min), ("p_max", p_max), ("p_cap", p_cap)):
         _require_int(value, name)
@@ -186,24 +202,25 @@ def analyze_family(
         raise ValueError(
             f"need 1 <= p_min <= p_max <= {p_cap}, got p_min={p_min} p_max={p_max}"
         )
-    rows = []
-    for p in range(p_min, p_max + 1):
-        spec = LinkFamilyMember(p).gamma
-        delta = alexander_torus(spec)
-        bound = delta.term_count()
-        genus = genus_torus(spec)
-        rows.append(
-            FamilyRow(
-                p=p,
-                delta_gamma=delta,
-                lower_bound=bound,
-                lemma63_ok=bound >= p,
-                genus=genus,
-                # alexander_torus raises unless span(delta) = (p-1)(q-1) = 2 * genus
-                span=2 * genus,
-            )
-        )
-    return FamilyReport(n=n, rows=tuple(rows))
+    largest = LinkFamilyMember(p_max).gamma
+    _check_torus_exponent(largest.p, largest.q)
+    return map(_family_row, range(p_min, p_max + 1))
+
+
+def _family_row(p: int) -> FamilyRow:
+    spec = LinkFamilyMember(p).gamma
+    delta = alexander_torus(spec)
+    bound = delta.term_count()
+    genus = genus_torus(spec)
+    return FamilyRow(
+        p=p,
+        delta_gamma=delta,
+        lower_bound=bound,
+        lemma63_ok=bound >= p,
+        genus=genus,
+        # alexander_torus raises unless span(delta) = (p-1)(q-1) = 2 * genus
+        span=2 * genus,
+    )
 
 
 def certify_unbounded(

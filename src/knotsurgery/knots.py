@@ -124,12 +124,17 @@ class ConnectedSum(KnotExpr, _Frozen):
         self._store(left=left, right=right)
 
 
+def _check_torus_exponent(p: int, q: int) -> None:
+    # the closed formula for T(p, q), p > 1, needs the exponent pq
+    if p * q > INT64_MAX:
+        raise ExponentOverflowError(f"T({p},{q}) needs exponent {p * q} > {INT64_MAX}")
+
+
 def _torus_quotient(p: int, q: int) -> LaurentPoly:
     # t^-g (t^(pq) - 1)(t - 1) / ((t^p - 1)(t^q - 1)), g the genus: centered
     if p == 1:
         return LaurentPoly.one(T_VARS)
-    if p * q > INT64_MAX:
-        raise ExponentOverflowError(f"T({p},{q}) needs exponent {p * q} > {INT64_MAX}")
+    _check_torus_exponent(p, q)
     g = (p - 1) * (q - 1) // 2
     # t^-g (t - 1)(1 + t^q + ... + t^((p-1)q)), ascending; distinct terms as q >= 3
     partial: list = [None] * (2 * p)

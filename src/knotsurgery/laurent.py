@@ -43,7 +43,9 @@ and ``_dumps_indent2`` join what they write.  Every polynomial goes out
 from one sort of its keys, a slice of 4,096 terms per call.  Writing
 can fail in one way only, on CPython's int-to-string digit limit, and
 ``_check_digits`` raises that error for a whole document before the first
-write, so a caller that streams to stdout writes all of it or nothing.
+write, so a caller that streams to stdout writes all of it or nothing.  An
+iterator in a document is written as a list, drawn one item at a time,
+and ``_check_digits`` leaves it undrawn: its caller checks each item.
 """
 
 from __future__ import annotations
@@ -642,7 +644,7 @@ def _check_digits(doc) -> None:
     coefficient of largest magnitude has the most digits, so converting it
     fails if and only if converting any coefficient of its polynomial would.
     doc is a LaurentPoly, or a dict or list holding documents; other values
-    pass.
+    pass, and an iterator passes undrawn.
     """
     if isinstance(doc, LaurentPoly):
         if doc._terms:
@@ -722,10 +724,11 @@ def _write_indent2(value, write, newline: str = "\n") -> None:
     """Write _dumps_indent2(value) through write.
 
     A LaurentPoly in value is written from its terms, one f-string per term;
-    everything else goes through json.dumps one scalar at a time.  With
-    indent set, json.dumps uses the pure-Python encoder, whose per-value
-    dispatch dominated large polynomial output.  newline is "\n" plus the
-    indentation of the line where value starts.
+    an iterator is written as the list of its items, each drawn just before
+    it is written; everything else goes through json.dumps one scalar at a
+    time.  With indent set, json.dumps uses the pure-Python encoder, whose
+    per-value dispatch dominated large polynomial output.  newline is "\n"
+    plus the indentation of the line where value starts.
     """
     inner = newline + "  "
     if isinstance(value, LaurentPoly):
@@ -737,13 +740,13 @@ def _write_indent2(value, write, newline: str = "\n") -> None:
             _write_indent2(item, write, inner)
             opening = ","
         write(newline + "}")
-    elif isinstance(value, list) and value:
+    elif isinstance(value, (list, Iterator)):
         opening = "["
         for item in value:
             write(opening + inner)
             _write_indent2(item, write, inner)
             opening = ","
-        write(newline + "]")
+        write("[]" if opening == "[" else newline + "]")
     else:
         write(json.dumps(value))
 

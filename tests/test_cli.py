@@ -2,14 +2,21 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import jsonschema
 import pytest
 
-from knotsurgery import cli, knots, schemas
+from knotsurgery import cli, family, knots, schemas
 from knotsurgery.cli import main
 from knotsurgery.family import FamilyReport, FamilyRow, UnboundednessCertificate, analyze_family
-from knotsurgery.knots import MAX_KNOT_DEPTH, InternalInconsistencyError, Torus, alexander_expr
+from knotsurgery.knots import (
+    MAX_KNOT_DEPTH,
+    InternalInconsistencyError,
+    Torus,
+    alexander_expr,
+    alexander_torus,
+)
 from knotsurgery.laurent import (
     LaurentPoly,
     NotDivisibleError,
@@ -27,6 +34,18 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _unclosed(report: FamilyReport, fmt: str) -> str:
+    # what the CLI writes of report when it stops after the last row: every
+    # row in full, without the closing bytes
+    text, end = {
+        "json": (report.to_json(), "\n  ]\n}"),
+        "csv": (report.to_csv(), "\n"),
+        "text": (report.to_text(), "\n"),
+    }[fmt]
+    assert text.endswith(end)
+    return text[: -len(end)]
 
 
 class TestAlexanderCommand:
@@ -254,6 +273,40 @@ class TestFamilyCommand:
         code, _, err = run(capsys, "family", "--n", "1", "--pmin", "5", "--pmax", "2")
         assert code == 1
         assert "error" in err
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--pmin", "5", "--pmax", "2"],
+            ["--pmin", "0", "--pmax", "2"],
+            ["--n", "0", "--pmin", "1", "--pmax", "2"],
+            ["--pmin", "1", "--pmax", "1001"],
+            # T(p_max, p_max + 1) needs the exponent 3037000500 * 3037000501 > INT64_MAX
+            ["--pmin", "1", "--pmax", "3037000500", "--pcap", "4000000000"],
+        ],
+    )
+    def test_input_errors_exit_1_before_any_row(self, argv, fmt, capsys, monkeypatch):
+        # the kernel is patched to fail, so a missing check stops at the
+        # first row past p = 1 instead of starting the oversize sweep
+        def no_kernel(variables, num, q):
+            raise AssertionError("the torus kernel ran")
+
+        monkeypatch.setattr(knots, "_binomial_quotient", no_kernel)
+        code, out, err = run(capsys, "family", *argv, "--format", fmt)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ")
+
+    def test_largest_row_in_64_bits_is_attempted(self, monkeypatch):
+        # 3037000499 * 3037000500 <= INT64_MAX, so the row gets past the
+        # checks; the patched builder stops it before any allocation
+        def no_delta(spec):
+            raise AssertionError(f"row {spec.p} was built")
+
+        monkeypatch.setattr(family, "alexander_torus", no_delta)
+        p = "3037000499"
+        with pytest.raises(AssertionError, match=f"row {p} was built"):
+            main(["family", "--pmin", p, "--pmax", p, "--pcap", "4000000000"])
 
     def test_deterministic_output(self, capsys):
         _, out1, _ = run(capsys, "family", "--pmin", "1", "--pmax", "8", "--format", "json")
@@ -534,15 +587,49 @@ class TestStreamedOutput:
         assert (code, out) == (0, want[fmt])
 
     @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
-    def test_family_digit_limit_writes_nothing(self, fmt, capsys, monkeypatch):
-        # the check reaches into the rows: the first row would print fine
+    def test_family_digit_limit_stops_before_the_row(self, fmt, capsys, monkeypatch):
+        # each row is checked as it is drawn: the first row goes out in
+        # full, and nothing of the second, whose coefficient cannot print
         report = analyze_family(1, 1, 2)
         big = LaurentPoly(VariableSet("t"), {(0,): 10 ** 5000})
         rows = (report.rows[0], FamilyRow(2, big, 1, True, 0, 0))
-        monkeypatch.setattr(cli, "analyze_family", lambda *args, **kwargs: FamilyReport(1, rows))
+        monkeypatch.setattr(cli, "_family_rows", lambda *args: iter(rows))
         code, out, err = run(capsys, "family", "--pmin", "1", "--pmax", "2", "--format", fmt)
-        assert (code, out) == (1, "")
+        assert (code, out) == (1, _unclosed(FamilyReport(1, rows[:1]), fmt))
         assert err.startswith("error: Exceeds the limit (4300 digits)")
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+    def test_family_internal_inconsistency_follows_the_rows_written(
+        self, fmt, capsys, monkeypatch
+    ):
+        def faulty(spec):
+            if spec.p == 3:
+                raise InternalInconsistencyError("T(3,4) quotient is wrong")
+            return alexander_torus(spec)
+
+        monkeypatch.setattr(family, "alexander_torus", faulty)
+        code, out, err = run(capsys, "family", "--pmin", "1", "--pmax", "5", "--format", fmt)
+        assert (code, out) == (2, _unclosed(analyze_family(1, 1, 2), fmt))
+        assert err.startswith("internal inconsistency: ")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_family_holds_one_row_at_a_time(self, fmt, monkeypatch):
+        # the 400 rows hold about 19 MB together; one row and one slice of
+        # its text are well under 2 MB
+        class Discard:
+            def write(self, text):
+                return len(text)
+
+        monkeypatch.setattr(sys, "stdout", Discard())
+        tracemalloc.start()
+        try:
+            code = main(["family", "--pmin", "1", "--pmax", "400", "--format", fmt])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 2_000_000
 
     def test_writes_in_slices(self, capsys, monkeypatch):
         # one write per slice of terms, not one per document

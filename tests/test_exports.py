@@ -36,13 +36,17 @@ PRIVATE_IMPORTS = {
         "laurent": {"_Frozen", "_binomial_quotient", "_require_int", "_require_one_variable"},
     },
     "family": {
+        "knots": {"_check_torus_exponent"},
         "laurent": {
             "_Frozen", "_dumps_indent2", "_joined", "_json_int", "_json_loads",
             "_require_int", "_require_json_object", "_write_text",
         },
     },
     "fox": {"laurent": {"_Frozen", "_require_int"}},
-    "cli": {"laurent": {"_check_digits", "_write_indent2", "_write_text"}},
+    "cli": {
+        "family": {"_family_rows", "_write_rows"},
+        "laurent": {"_check_digits", "_write_indent2", "_write_text"},
+    },
 }
 
 

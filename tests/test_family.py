@@ -146,6 +146,11 @@ class TestVerifyCertificate:
         inflated = UnboundednessCertificate(target=99, witnesses=cert.witnesses)
         assert verify_certificate(inflated) is False
 
+    def test_final_bound_equal_to_target_fails(self):
+        # the bounds of p = 1, 2 are 1 and 3: the last must exceed 3, not equal it
+        cert = UnboundednessCertificate(3, (Witness(1, 1), Witness(2, 3)))
+        assert verify_certificate(cert) is False
+
     def test_empty_certificate_fails(self):
         assert verify_certificate(UnboundednessCertificate(target=0, witnesses=())) is False
 

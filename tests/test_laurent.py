@@ -1,7 +1,12 @@
 import json
+import os
 import re
+import subprocess
+import sys
+import textwrap
 import time
 import tracemalloc
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -25,6 +30,7 @@ from knotsurgery.surgery import torres_specialize
 
 from _oracles import convolve, dense_divide
 
+SRC = Path(__file__).resolve().parents[1] / "src"
 T = VariableSet("t")
 
 
@@ -219,8 +225,17 @@ class TestExactDivide:
         assert num.exact_divide(den) == p("t - 1")
 
     def test_not_divisible(self):
-        with pytest.raises(NotDivisibleError):
-            p("t^2 + 1").exact_divide(p("t - 1"))
+        # in a child process with a time bound, so a division that never
+        # ends fails here instead of hanging the suite
+        child = textwrap.dedent("""
+            import pytest
+            from knotsurgery.laurent import LaurentPoly, NotDivisibleError
+            p = LaurentPoly.parse
+            with pytest.raises(NotDivisibleError):
+                p("t^2 + 1").exact_divide(p("t - 1"))
+        """)
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        subprocess.run([sys.executable, "-c", child], env=env, check=True, timeout=30)
 
     def test_not_divisible_by_content(self):
         with pytest.raises(NotDivisibleError):
@@ -248,6 +263,9 @@ class TestExactDivide:
             LaurentPoly(T, {(INT64_MIN,): 1}).exact_divide(p("t"))
         top = LaurentPoly(T, {(INT64_MAX,): 1, (INT64_MAX - 1,): 1})
         assert top.exact_divide(p("t + 1")) == LaurentPoly(T, {(INT64_MAX - 1,): 1})
+        # the quotient t^(INT64_MIN - 5) + t^-5 leaves the range at the low end
+        with pytest.raises(ExponentOverflowError):
+            LaurentPoly(T, {(INT64_MIN,): 1, (0,): 1}).exact_divide(p("t^5"))
 
     def test_quotient_top_overflow_detected(self):
         # (t - 1) t^m (1 + t^(2^63)) with m = INT64_MIN stays in range, but
@@ -520,6 +538,21 @@ class TestJsonForm:
         poly = p("t^-2 + t^3 - t")
         data = poly.to_json_dict()
         assert [entry["exps"] for entry in data["terms"]] == [[3], [1], [-2]]
+
+    @pytest.mark.parametrize(
+        "doc", [[], [1, "a"], [{"rows": [p("t - 1"), []]}, {}], {"n": 2, "rows": [p("3")]}]
+    )
+    def test_indent2_writer_writes_an_iterator_as_its_list(self, doc):
+        # each list in doc, the outermost too, passed as an iterator instead
+        def lazy(value):
+            if isinstance(value, dict):
+                return {key: lazy(item) for key, item in value.items()}
+            return map(lazy, value) if isinstance(value, list) else value
+
+        assert laurent._joined(_write_indent2, lazy(doc)) == _dumps_indent2(doc)
+        assert _dumps_indent2(doc) == json.dumps(
+            doc, indent=2, default=LaurentPoly.to_json_dict
+        )
 
     def test_indent2_writer_peak_is_within_five_times_its_output(self):
         # the writer reads the terms straight off the polynomial: no JSON tree
