@@ -4,12 +4,13 @@ All behavior is controlled by flags; there are no config files, environment
 switches, or random choices, so every invocation is reproducible byte for
 byte.  Exit codes: 0 success, 1 usage or parse error (including a
 certificate that fails verification, a scan cap too small for the target,
-and exponents outside 64 bits), 2 internal inconsistency (a closed formula
-violated one of its guarantees).
+and exponents outside 64 bits, and an input too large for the memory the
+process can get), 2 internal inconsistency (a closed formula violated one
+of its guarantees).
 
-An exit-1 error writes no stdout byte.  `family` writes each row as it is
-built, so an exit 2 raised while building a row can follow the rows before
-it, each written in full.
+An exit-1 error writes no stdout byte, with one exception: `family` writes
+each row as it is built, so running out of memory while building a row, like
+an exit 2 raised there, can follow the rows before it, each written in full.
 """
 
 from __future__ import annotations
@@ -208,6 +209,11 @@ def main(argv=None) -> int:
     # exponent comes from user input
     except (ValueError, OSError, ExponentOverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError:
+        # an input whose result cannot be held, such as a torus knot with
+        # billions of terms; its exponents can still pass the 64-bit rule
+        print("error: out of memory: the input is too large to compute", file=sys.stderr)
         return EXIT_USAGE
     except (NotDivisibleError, NotSymmetrizableError, InternalInconsistencyError) as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)

@@ -7,10 +7,17 @@ Coefficients are plain Python ints and never overflow.  Exponents are
 restricted to the signed 64-bit range, and any operation that would leave
 that range raises :class:`ExponentOverflowError` instead of wrapping.
 
-The zero polynomial is the empty map.  Values are immutable and every
-operation is a pure function, so instances can be shared freely between
-concurrent callers.  Operations accumulate terms and drop the zero
-coefficients in one place, so canonical form is enforced once.
+A polynomial is stored as two aligned sequences in ascending key order: the
+keys, and a list of their nonzero coefficients.  For one variable a key is
+the exponent and the keys are an ``array('q')``, about 16 bytes a term with
+the coefficient's slot; otherwise a key is the exponent tuple and the keys
+are a list.  Values are immutable and every operation is a pure function,
+so instances can be shared freely between concurrent callers.  Operations
+that accumulate terms in a dict (construction, ``+``, the pair loop of
+``*``, substitution) end in ``_sorted_terms``, which sorts the keys once and
+drops zero coefficients; the kernels write ascending sequences directly, and
+every reader walks them, with no sort: ``terms()`` and the writers from the
+top, ``coefficient`` by bisection, ``symmetrize`` against their reversal.
 
 A product checks its exponent range before any work: per variable, the sums
 of the factors' lowest and of their highest exponents.  Both always occur in
@@ -40,7 +47,8 @@ text form, and ``_write_indent2`` writes an indented document that holds
 polynomials as ``LaurentPoly`` values, as the bytes of
 ``json.dumps(doc, indent=2, default=LaurentPoly.to_json_dict)``.  ``str``
 and ``_dumps_indent2`` join what they write.  Every polynomial goes out
-from one sort of its keys, a slice of 4,096 terms per call.  Writing
+from the top of its sequences, a slice of 4,096 terms per call, with no
+sort.  Writing
 can fail in one way only, on CPython's int-to-string digit limit, and
 ``_check_digits`` raises that error for a whole document before the first
 write, so a caller that streams to stdout writes all of it or nothing.  An
@@ -54,12 +62,15 @@ import heapq
 import json
 import operator
 import re
+from array import array
 from bisect import bisect_left
 from collections.abc import Iterable, Iterator, Mapping
+from itertools import compress, islice, repeat
 
 INT64_MIN = -(1 << 63)
 INT64_MAX = (1 << 63) - 1
-_SLICE = 4096  # keys per chunk when a polynomial is written
+_SLICE = 4096  # terms per chunk when a polynomial is written
+_WINDOW = 2048  # least exponents per residue class in a window of the binomial kernel
 
 __all__ = [
     "INT64_MIN",
@@ -144,50 +155,68 @@ class _Frozen:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
-def _nonzero(acc: dict) -> dict:
-    # the one place where accumulated terms drop their zero coefficients
-    return {k: c for k, c in acc.items() if c} if 0 in acc.values() else acc
+def _sorted_terms(variables: "VariableSet", acc: dict) -> tuple:
+    # the one place where accumulated terms take the stored layout: the keys
+    # sorted once, zero coefficients dropped.  acc is keyed by the exponent
+    # for one variable and by the exponent tuple otherwise, and every
+    # exponent in it is already in range
+    keys = sorted(acc)
+    coeffs = list(map(acc.__getitem__, keys))
+    keys = compress(keys, coeffs)
+    return (array("q", keys) if len(variables) == 1 else list(keys)), list(filter(None, coeffs))
 
 
-def _from_canonical(variables: "VariableSet", terms: dict) -> "LaurentPoly":
-    # trusted constructor: the caller guarantees nonzero int coefficients keyed
-    # by exponent tuples of the right width, every exponent already in range
+def _from_canonical(variables: "VariableSet", keys, coeffs: list) -> "LaurentPoly":
+    # trusted constructor: the caller guarantees strictly ascending keys of
+    # the stored layout, aligned nonzero int coefficients, every exponent
+    # already in range
     poly = object.__new__(LaurentPoly)
     poly.variables = variables
-    poly._terms = terms
+    poly._keys = keys
+    poly._terms = coeffs
     return poly
 
 
-def _packed_product(a: dict, lo_a: int, hi_a: int, b: dict, lo_b: int, hi_b: int) -> dict:
-    # Kronecker substitution: each factor becomes one int holding the
-    # coefficient of t^(lo + k) in slot k of `width` bytes, and one C-level
-    # multiply convolves them.  Every product coefficient lies strictly
-    # between -half and half, so adding half to every slot leaves each digit
-    # in [1, 2^(8*width) - 1]: the bytes decode slot by slot, with no carries.
-    bound = min(len(a), len(b)) * max(map(abs, a.values())) * max(map(abs, b.values()))
+def _from_dict(variables: "VariableSet", acc: dict) -> "LaurentPoly":
+    return _from_canonical(variables, *_sorted_terms(variables, acc))
+
+
+def _vector_sum(e1: tuple, e2: tuple) -> tuple:
+    return tuple(map(operator.add, e1, e2))
+
+
+def _packed_product(a: "LaurentPoly", b: "LaurentPoly") -> "LaurentPoly":
+    # Kronecker substitution for one-variable factors of two or more terms:
+    # each factor becomes one int holding the coefficient of t^(lo + k) in
+    # slot k of `width` bytes, and one C-level multiply convolves them.
+    # Every product coefficient lies strictly between -half and half, so
+    # adding half to every slot leaves each digit in [1, 2^(8*width) - 1]:
+    # the bytes decode slot by slot, with no carries, in ascending order.
+    bound = min(len(a._terms), len(b._terms)) * max(map(abs, a._terms)) * max(map(abs, b._terms))
     width = (bound.bit_length() + 8) // 8
     half = 1 << (8 * width - 1)
 
-    def pack(factor: dict, lo: int, hi: int) -> int:
-        positive = bytearray((hi - lo + 1) * width)
+    def pack(factor: LaurentPoly) -> int:
+        keys = factor._keys
+        lo = keys[0]
+        positive = bytearray((keys[-1] - lo + 1) * width)
         negative = bytearray(len(positive))
-        for (e,), c in factor.items():
+        for e, c in zip(keys, factor._terms):
             at = (e - lo) * width
             (positive if c > 0 else negative)[at:at + width] = abs(c).to_bytes(width, "little")
         return int.from_bytes(positive, "little") - int.from_bytes(negative, "little")
 
-    slots = hi_a - lo_a + hi_b - lo_b + 1
-    biased = pack(a, lo_a, hi_a) * pack(b, lo_b, hi_b) + int.from_bytes(
-        half.to_bytes(width, "little") * slots, "little"
-    )
+    slots = a.span() + b.span() + 1
+    biased = pack(a) * pack(b) + int.from_bytes(half.to_bytes(width, "little") * slots, "little")
     raw = biased.to_bytes(slots * width, "little")
-    lo = lo_a + lo_b
-    out = {}
+    lo = a._keys[0] + b._keys[0]
+    keys, coeffs = array("q"), []
     for k in range(slots):
         c = int.from_bytes(raw[k * width:(k + 1) * width], "little") - half
         if c:
-            out[(lo + k,)] = c
-    return out
+            keys.append(lo + k)
+            coeffs.append(c)
+    return _from_canonical(a.variables, keys, coeffs)
 
 
 def _binomial_quotient(variables: VariableSet, num: list[tuple[int, int]], q: int) -> LaurentPoly:
@@ -196,26 +225,55 @@ def _binomial_quotient(variables: VariableSet, num: list[tuple[int, int]], q: in
     # residue class mod q, Q is a running sum of -N, constant between the
     # class's terms of N, so the cost follows the input and output terms; a
     # class whose sum is not 0 leaves a remainder.  A nonzero Q runs from N's
-    # lowest exponent, in range, to N's highest minus q, checked here.  The
-    # class state is two lists of length q, indexed by class, and both
-    # callers keep them no longer than N: a torus knot T(p, q) passes 2p
-    # terms with q = p, and Torres passes q = 1.
+    # lowest exponent, in range, to N's highest minus q, checked here.
     if num and num[-1][0] - q >= num[0][0]:
         _checked_exponent(num[-1][0] - q)
-    sums = [0] * q  # class -> running sum
-    starts = [0] * q  # class -> exponent where that sum started
-    terms: dict[tuple[int], int] = {}
-    for e, c in num:
-        r = e % q
-        running = sums[r]
+    remainder = f"division by t^{q} - 1 leaves a remainder"
+    keys, coeffs = array("q"), []
+    if q == 1:
+        # Torres: one class, whose runs ascend and extend the sequences
+        running = start = 0
+        for e, c in num:
+            if running:
+                keys.extend(range(start, e))
+                coeffs.extend(repeat(running, e - start))
+            running, start = running - c, e
         if running:
-            for x in range(starts[r], e, q):
-                terms[(x,)] = running
-        sums[r] = running - c
-        starts[r] = e
-    if any(sums):
-        raise NotDivisibleError(f"division by t^{q} - 1 leaves a remainder")
-    return _from_canonical(variables, terms)
+            raise NotDivisibleError(remainder)
+        return _from_canonical(variables, keys, coeffs)
+    # a torus knot T(p, q) passes 2p terms with q = p, and the classes' runs
+    # interleave.  Each pass over N takes Q's terms in one window of q * w
+    # exponents, w = max(_WINDOW, len(N)), into an exponent-keyed dict,
+    # sorted once: at most a window's exponents are int objects at a time,
+    # and the passes cost at most N's span over q plus one pass, so one
+    # window holds all of Delta_T(p,p+1) for every p.  The class state is
+    # two lists of length q, indexed by class
+    width = q * max(_WINDOW, len(num))
+    low = num[0][0] if num else 0
+    while True:
+        high = low + width
+        sums = [0] * q  # class -> running sum
+        starts = [0] * q  # class -> exponent where that sum started
+        acc = {}
+        for e, c in num:
+            r = e % q
+            running = sums[r]
+            if running:
+                start = starts[r]
+                if start < low:
+                    start = low + (start - low) % q
+                for x in range(start, e if e < high else high, q):
+                    acc[x] = running
+            sums[r] = running - c
+            starts[r] = e
+        if any(sums):
+            raise NotDivisibleError(remainder)
+        window = sorted(acc)
+        keys.fromlist(window)
+        coeffs.extend(map(acc.__getitem__, window))
+        if not num or high > num[-1][0] - q:
+            return _from_canonical(variables, keys, coeffs)
+        low = high
 
 
 class VariableSet:
@@ -271,14 +329,16 @@ class VariableSet:
 class LaurentPoly:
     """Sparse Laurent polynomial in canonical form (no zero coefficients)."""
 
-    __slots__ = ("variables", "_terms")
+    # _keys ascend, and _terms holds their nonzero coefficients in the same
+    # order; see the module docstring for the layout
+    __slots__ = ("variables", "_keys", "_terms")
 
     def __init__(self, variables: VariableSet, terms: Mapping[tuple, int] | Iterable[tuple] = ()):
         if not isinstance(variables, VariableSet):
             raise TypeError(f"variables must be a VariableSet, got {type(variables).__name__}")
         nslots = len(variables)
         items = terms.items() if isinstance(terms, Mapping) else terms
-        acc: dict[tuple[int, ...], int] = {}
+        acc: dict = {}
         for exps, coeff in items:
             coeff = _require_int(coeff, "coefficient")
             exps = tuple(_checked_exponent(_require_int(e, "exponent")) for e in exps)
@@ -286,9 +346,10 @@ class LaurentPoly:
                 raise ValueError(
                     f"exponent vector {exps} does not match variables {variables.names}"
                 )
-            acc[exps] = acc.get(exps, 0) + coeff
+            key = exps[0] if nslots == 1 else exps
+            acc[key] = acc.get(key, 0) + coeff
         self.variables = variables
-        self._terms = _nonzero(acc)
+        self._keys, self._terms = _sorted_terms(variables, acc)
 
     # -- constructors ------------------------------------------------------
 
@@ -320,25 +381,35 @@ class LaurentPoly:
         """Number of nonzero terms in canonical form."""
         return len(self._terms)
 
+    def _vectors(self) -> Iterable[tuple]:
+        # the keys as exponent vectors, ascending
+        return zip(self._keys) if len(self.variables) == 1 else self._keys
+
     def terms(self) -> list[tuple[tuple[int, ...], int]]:
         """Terms as (exponent vector, coefficient), in canonical order."""
-        # keys are unique, so the items sort by key alone
-        return sorted(self._terms.items(), reverse=True)
+        keys = reversed(self._keys)
+        return list(zip(zip(keys) if len(self.variables) == 1 else keys, reversed(self._terms)))
 
     def coefficient(self, exps: Iterable[int]) -> int:
-        return self._terms.get(tuple(exps), 0)
+        key, keys = tuple(exps), self._keys
+        if len(self.variables) == 1:
+            if len(key) != 1:
+                return 0
+            (key,) = key
+        i = bisect_left(keys, key)
+        return self._terms[i] if i < len(keys) and keys[i] == key else 0
 
     def exponents_of(self, name: str) -> list[int]:
         """All exponents of one variable that occur in the support."""
         i = self.variables.index(name)
-        return sorted({exps[i] for exps in self._terms})
+        return sorted({exps[i] for exps in self._vectors()})
 
     def span(self) -> int:
         """max exponent - min exponent, for polynomials in at most one variable."""
         if not self._terms:
             raise ValueError("the zero polynomial has no exponent span")
         _require_one_variable("span", self)
-        return max(self._terms)[0] - min(self._terms)[0] if self.variables else 0
+        return self._keys[-1] - self._keys[0] if self.variables else 0
 
     # -- ring operations ---------------------------------------------------
 
@@ -360,15 +431,15 @@ class LaurentPoly:
         if other is None:
             return NotImplemented
         self._require_same_variables(other)
-        out = dict(self._terms)
-        for exps, c in other._terms.items():
-            out[exps] = out.get(exps, 0) + c
-        return _from_canonical(self.variables, _nonzero(out))
+        out = dict(zip(self._keys, self._terms))
+        for key, c in zip(other._keys, other._terms):
+            out[key] = out.get(key, 0) + c
+        return _from_dict(self.variables, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _from_canonical(self.variables, {exps: -c for exps, c in self._terms.items()})
+        return _from_canonical(self.variables, self._keys, [-c for c in self._terms])
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -387,25 +458,30 @@ class LaurentPoly:
         if other is None:
             return NotImplemented
         self._require_same_variables(other)
-        a, b = self._terms, other._terms
+        a, b = self._keys, other._keys
         # over Z the extreme terms in each slot never cancel (no zero
         # divisors), so a product's exponents lie in range iff these sums do
-        for slot_a, slot_b in zip(zip(*a), zip(*b)):
-            _checked_exponent(min(slot_a) + min(slot_b))
-            _checked_exponent(max(slot_a) + max(slot_b))
-        if len(self.variables) == 1 and min(len(a), len(b)) > 1:
-            # packed when the product's slots are no more than the term pairs
-            # the loop below would visit; a single-term factor needs no merging
-            (lo_a,), (hi_a,), (lo_b,), (hi_b,) = min(a), max(a), min(b), max(b)
-            if hi_a - lo_a + hi_b - lo_b < len(a) * len(b):
-                terms = _packed_product(a, lo_a, hi_a, b, lo_b, hi_b)
-                return _from_canonical(self.variables, terms)
-        out: dict[tuple[int, ...], int] = {}
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
-                exps = tuple(map(operator.add, e1, e2))
-                out[exps] = out.get(exps, 0) + c1 * c2
-        return _from_canonical(self.variables, _nonzero(out))
+        if len(self.variables) == 1:
+            add = operator.add
+            if a and b:
+                _checked_exponent(a[0] + b[0])
+                _checked_exponent(a[-1] + b[-1])
+                # packed when the product's slots are no more than the term
+                # pairs the loop below would visit; a single-term factor
+                # needs no merging
+                if min(len(a), len(b)) > 1 and a[-1] - a[0] + b[-1] - b[0] < len(a) * len(b):
+                    return _packed_product(self, other)
+        else:
+            add = _vector_sum
+            for slot_a, slot_b in zip(zip(*a), zip(*b)):
+                _checked_exponent(min(slot_a) + min(slot_b))
+                _checked_exponent(max(slot_a) + max(slot_b))
+        out: dict = {}
+        for e1, c1 in zip(a, self._terms):
+            for e2, c2 in zip(b, other._terms):
+                e = add(e1, e2)
+                out[e] = out.get(e, 0) + c1 * c2
+        return _from_dict(self.variables, out)
 
     __rmul__ = __mul__
 
@@ -445,15 +521,16 @@ class LaurentPoly:
                     f"image of {name!r} has {len(image)} exponent slots, expected {width}"
                 )
             images.append([(slot, ie) for slot, ie in enumerate(image) if ie])
-        out: dict[tuple[int, ...], int] = {}
-        for exps, coeff in self._terms.items():
+        out: dict = {}
+        for exps, coeff in zip(self._vectors(), self._terms):
             acc = [0] * width
             for e, image in zip(exps, images):
                 for slot, ie in image:
                     acc[slot] += e * ie
             key = tuple(_checked_exponent(e) for e in acc)
+            key = key[0] if width == 1 else key
             out[key] = out.get(key, 0) + coeff
-        return _from_canonical(into, _nonzero(out))
+        return _from_dict(into, out)
 
     def evaluate_at_one(self, name: str) -> "LaurentPoly":
         """Set one variable to 1: substitute the empty monomial for it."""
@@ -478,20 +555,20 @@ class LaurentPoly:
         if self.is_zero():
             return self
         if len(self.variables) == 0:
-            q, r = divmod(self._terms[()], den._terms[()])
+            qc, r = divmod(self._terms[0], den._terms[0])
             if r:
                 raise NotDivisibleError("constant division leaves a remainder")
-            return _from_canonical(self.variables, {(): q})
+            return _from_canonical(self.variables, [()], [qc])
 
-        num, div = self._terms, den._terms
-        (dlead,) = max(div)
-        dlc = div[(dlead,)]
+        div, dcoeffs = den._keys, den._terms
+        dlead, dlc = div[-1], dcoeffs[-1]
         # every quotient exponent lies between shift and max(num) - dlead
-        shift = min(num)[0] - min(div)[0]
-        rem = {e: c for (e,), c in num.items()}
-        heap = [-e for e in rem]
-        heapq.heapify(heap)
-        quotient: dict[tuple[int], int] = {}
+        shift = self._keys[0] - div[0]
+        rem = dict(zip(self._keys, self._terms))
+        heap = [-e for e in reversed(self._keys)]  # ascending, so already a heap
+        # each step takes the highest remaining exponent, so the quotient's
+        # exponents come out strictly descending
+        qkeys, qcoeffs = [], []
         while heap:
             e = -heapq.heappop(heap)
             if e not in rem:
@@ -500,8 +577,9 @@ class LaurentPoly:
             qc, r = divmod(rem[e], dlc)
             if qe < shift or r:
                 raise NotDivisibleError(f"{self} is not an exact multiple of {den}")
-            quotient[(qe,)] = qc
-            for (de,), dc in div.items():
+            qkeys.append(qe)
+            qcoeffs.append(qc)
+            for de, dc in zip(div, dcoeffs):
                 ne = qe + de
                 merged = rem.get(ne, 0) - qc * dc
                 if merged:
@@ -511,8 +589,9 @@ class LaurentPoly:
                 else:
                     rem.pop(ne, None)
         _checked_exponent(shift)
-        _checked_exponent(max(quotient)[0])
-        return _from_canonical(self.variables, quotient)
+        _checked_exponent(qkeys[0])
+        qcoeffs.reverse()
+        return _from_canonical(self.variables, array("q", reversed(qkeys)), qcoeffs)
 
     def symmetrize(self) -> "LaurentPoly":
         """The unit multiple ±t^k·P satisfying S(1/t) = S(t), top coefficient > 0.
@@ -524,29 +603,32 @@ class LaurentPoly:
         _require_one_variable("symmetrize", self)
         if not self._terms:
             raise NotSymmetrizableError("cannot symmetrize the zero polynomial")
+        keys, coeffs = self._keys, self._terms
         if len(self.variables) == 0:
-            c = self._terms[()]
-            return self if c > 0 else -self
-        terms = self._terms
-        keys = sorted(terms)
-        (lo,), (hi,) = keys[0], keys[-1]
+            return self if coeffs[0] > 0 else -self
+        lo, hi = keys[0], keys[-1]
         if (hi - lo) % 2:
             raise NotSymmetrizableError(
                 f"exponent span {hi - lo} is odd; no centering unit exists"
             )
-        # symmetric: the coefficients read the same both ways along the sorted
-        # keys, and the i-th exponents from either end sum to lo + hi
-        coeffs = list(map(terms.__getitem__, keys))
-        exps = list(map(operator.itemgetter(0), keys))
-        mirrored = list(map(operator.add, exps, reversed(exps)))
-        if coeffs != coeffs[::-1] or mirrored.count(lo + hi) != len(exps):
+        # symmetric: the coefficients read the same both ways along the keys,
+        # and the i-th exponents from either end sum to lo + hi.  The first
+        # half, middle term included, is walked against the reversal, with
+        # no copy of either sequence
+        half = (len(keys) + 1) // 2
+        if not (
+            all(map(operator.eq, islice(coeffs, half), reversed(coeffs)))
+            and all(map((lo + hi).__eq__, map(operator.add, islice(keys, half), reversed(keys))))
+        ):
             raise NotSymmetrizableError("no unit multiple is symmetric")
-        shift, sign = -((hi + lo) // 2), (1 if coeffs[-1] > 0 else -1)
-        if not shift and sign > 0:
+        shift = -((hi + lo) // 2)
+        if shift:
+            keys = array("q", map(shift.__add__, keys))
+        if coeffs[-1] < 0:
+            coeffs = [-c for c in coeffs]
+        elif not shift:
             return self
-        return _from_canonical(
-            self.variables, {(e + shift,): sign * c for (e,), c in terms.items()}
-        )
+        return _from_canonical(self.variables, keys, coeffs)
 
     def equal_up_to_units(self, other: "LaurentPoly") -> bool:
         """True iff self = ±t^k · other for some integer k."""
@@ -557,21 +639,24 @@ class LaurentPoly:
             return self.is_zero() and other.is_zero()
         if len(self._terms) != len(other._terms):
             return False
-        a = self._terms
         if self.variables:
-            shift = min(other._terms)[0] - min(a)[0]
-            a = {(e + shift,): c for (e,), c in a.items()}
-        return a == other._terms or a == (-other)._terms
+            a, b = self._keys, other._keys
+            shift = b[0] - a[0]
+            if [e + shift for e in a] != b.tolist():
+                return False
+        a, b = self._terms, other._terms
+        return a == b or a == [-c for c in b]
 
     # -- equality / hashing --------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        return self.variables == other.variables and self._terms == other._terms
+        fields = operator.attrgetter("variables", "_keys", "_terms")
+        return fields(self) == fields(other)
 
     def __hash__(self) -> int:
-        return hash((self.variables, frozenset(self._terms.items())))
+        return hash((self.variables, tuple(self._keys), tuple(self._terms)))
 
     # -- serialization -------------------------------------------------------
 
@@ -647,21 +732,22 @@ def _check_digits(doc) -> None:
     pass, and an iterator passes undrawn.
     """
     if isinstance(doc, LaurentPoly):
-        if doc._terms:
-            coeffs = doc._terms.values()
+        coeffs = doc._terms
+        if coeffs:
             str(max(max(coeffs), -min(coeffs)))
     elif isinstance(doc, (dict, list)):
         for item in doc.values() if isinstance(doc, dict) else doc:
             _check_digits(item)
 
 
-def _slices(keys: list, start: int, stop: int) -> Iterator[list]:
-    # keys[start:stop] of an ascending key list, from the top down, _SLICE
-    # keys at a time, so a writer holds one slice's text at once
+def _slices(poly: LaurentPoly, start: int, stop: int) -> Iterator[Iterator[tuple]]:
+    # poly's terms start..stop-1, from the top down, _SLICE terms at a time,
+    # each slice as (key, coefficient) pairs, so a writer holds one slice's
+    # text at once
+    keys, coeffs = poly._keys, poly._terms
     for end in range(stop, start, -_SLICE):
-        part = keys[max(end - _SLICE, start):end]
-        part.reverse()
-        yield part
+        begin = max(end - _SLICE, start)
+        yield zip(reversed(keys[begin:end]), reversed(coeffs[begin:end]))
 
 
 def _signed_term(names: tuple[str, ...], exps: tuple[int, ...], coeff: int) -> str:
@@ -673,34 +759,34 @@ def _signed_term(names: tuple[str, ...], exps: tuple[int, ...], coeff: int) -> s
 
 
 def _text_chunks(poly: LaurentPoly) -> Iterator[str]:
-    # the text form as nonempty chunks, each term led by " + " or " - ", from
-    # one sort of the keys, a slice at a time.  A one-variable term takes one
-    # f-string, except t^1 and t^0, the exponents that print no "^", which
-    # take the general formatter, as every term of other variable counts does
-    names, terms = poly.variables.names, poly._terms
-    keys = sorted(terms)
+    # the text form as nonempty chunks, each term led by " + " or " - ", a
+    # slice at a time.  A one-variable term takes one f-string, except t^1
+    # and t^0, the exponents that print no "^", which take the general
+    # formatter, as every term of other variable counts does
+    names, keys = poly.variables.names, poly._keys
 
-    def general(part: list) -> str:
-        return "".join([_signed_term(names, key, terms[key]) for key in part])
+    def general(part: Iterable[tuple]) -> str:
+        return "".join([_signed_term(names, exps, c) for exps, c in part])
 
     if len(names) != 1:
-        yield from map(general, _slices(keys, 0, len(keys)))
+        yield from map(general, _slices(poly, 0, len(keys)))
         return
     (name,) = names
 
-    def formatted(part: list) -> str:
+    def formatted(part: Iterable[tuple]) -> str:
         return "".join([
             f" + {name}^{e}" if c == 1
             else f" - {name}^{e}" if c == -1
             else f" + {c}*{name}^{e}" if c > 0
             else f" - {-c}*{name}^{e}"
-            for (e,), c in zip(part, map(terms.__getitem__, part))
+            for e, c in part
         ])
 
-    low, high = bisect_left(keys, (0,)), bisect_left(keys, (2,))
-    yield from map(formatted, _slices(keys, high, len(keys)))
-    yield from map(general, _slices(keys, low, high))
-    yield from map(formatted, _slices(keys, 0, low))
+    low, high = bisect_left(keys, 0), bisect_left(keys, 2)
+    yield from map(formatted, _slices(poly, high, len(keys)))
+    for part in _slices(poly, low, high):
+        yield general(((e,), c) for e, c in part)
+    yield from map(formatted, _slices(poly, 0, low))
 
 
 def _write_text(poly: LaurentPoly, write) -> None:
@@ -754,36 +840,34 @@ def _write_indent2(value, write, newline: str = "\n") -> None:
 def _write_poly_indent2(poly: LaurentPoly, write, newline: str) -> None:
     # exponents go out as JSON numbers and coefficients as quoted decimal
     # strings, both as str gives them; variable names need no escaping.  The
-    # terms go out from one sort of the keys, a slice at a time; a
-    # one-variable term takes one f-string
+    # terms go out a slice at a time; a one-variable term takes one f-string
     n1, n2, n3, n4 = (newline + "  " * depth for depth in range(1, 5))
     write(f'{{{n1}"variables": ')
     _write_indent2(list(poly.variables), write, n1)
     write(f',{n1}"terms": ')
-    terms = poly._terms
-    if not terms:
+    count = len(poly._terms)
+    if not count:
         write("[]" + newline + "}")
         return
     if len(poly.variables) == 1:
-        def entries(part: list) -> list[str]:
+        def entries(part: Iterable[tuple]) -> list[str]:
             return [
                 f'{{{n3}"exps": [{n4}{e}{n3}],{n3}"coeff": "{c}"{n2}}}'
-                for (e,), c in zip(part, map(terms.__getitem__, part))
+                for e, c in part
             ]
     else:
         start, end = (f"[{n4}", f"{n3}]") if poly.variables else ("[", "]")
         inner = "," + n4
 
-        def entries(part: list) -> list[str]:
+        def entries(part: Iterable[tuple]) -> list[str]:
             return [
                 f'{{{n3}"exps": {start}{inner.join(map(str, exps))}{end},'
-                f'{n3}"coeff": "{terms[exps]}"{n2}}}'
-                for exps in part
+                f'{n3}"coeff": "{c}"{n2}}}'
+                for exps, c in part
             ]
-    keys = sorted(terms)
     sep = f",{n2}"
     opening = f"[{n2}"
-    for part in _slices(keys, 0, len(keys)):
+    for part in _slices(poly, 0, count):
         write(opening)
         write(sep.join(entries(part)))
         opening = sep

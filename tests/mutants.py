@@ -1,0 +1,251 @@
+"""The mutant table: each correctness check in src/ and the tests that hold it.
+
+Run by hand from the root of a checkout; it is not part of the test suite:
+
+    python tests/mutants.py            # every mutant
+    python tests/mutants.py NAME ...   # the named ones
+
+Each mutant replaces one exact fragment of one file under src/ with a
+weaker version of the check.  For each, the script copies src/ and tests/
+into a fresh temporary directory, applies the replacement there (the
+checkout is never written), and runs pytest with -x on the node ids that
+must kill the mutant.  Killed means pytest reports a failure, or the run
+hits the mutant's wall-clock bound, so a mutant that makes a test hang
+counts as killed.  Before any mutant, the same node ids must pass on the
+unmutated copy.  One line is printed per mutant; the exit code is 1 if a
+mutant survived or the table is out of date, 0 otherwise.
+
+tests/test_mutant_table.py checks in the suite that every fragment still
+occurs exactly once under src/, so the table cannot go stale silently.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+BOUND_S = 90  # wall-clock bound of one mutant's pytest run
+
+
+class Mutant:
+    def __init__(self, name: str, path: str, fragment: str, replacement: str, kill: tuple):
+        self.name = name
+        self.path = path  # relative to src/knotsurgery
+        self.fragment = fragment
+        self.replacement = replacement
+        self.kill = kill  # pytest node ids, relative to the checkout root
+
+
+LAURENT = "tests/test_laurent.py"
+PROPERTIES = "tests/test_properties.py"
+
+MUTANTS = [
+    # three mutants that the tests once let through
+    Mutant(
+        "final-bound-equal-to-target",
+        "family.py",
+        "    return previous_bound > c.target\n",
+        "    return previous_bound >= c.target\n",
+        ("tests/test_family.py::TestVerifyCertificate::test_final_bound_equal_to_target_fails",),
+    ),
+    Mutant(
+        "quotient-low-end-unchecked",
+        "laurent.py",
+        "        _checked_exponent(shift)\n",
+        "",
+        (f"{LAURENT}::TestExactDivide::test_quotient_overflow_detected",),
+    ),
+    Mutant(
+        "quotient-below-shift-not-a-remainder",  # the division never ends
+        "laurent.py",
+        "            if qe < shift or r:\n",
+        "            if r:\n",
+        (f"{LAURENT}::TestExactDivide::test_not_divisible",),
+    ),
+    # the stored layout: sorted once and zero-free where terms accumulate
+    Mutant(
+        "accumulated-keys-unsorted",
+        "laurent.py",
+        "    keys = sorted(acc)\n",
+        "    keys = list(acc)\n",
+        (f"{LAURENT}::TestTextForm::test_terms_sorted_descending",),
+    ),
+    Mutant(
+        "accumulated-zeros-kept",
+        "laurent.py",
+        "    keys = compress(keys, coeffs)\n"
+        '    return (array("q", keys) if len(variables) == 1 else list(keys)),'
+        " list(filter(None, coeffs))\n",
+        '    return (array("q", keys) if len(variables) == 1 else list(keys)), coeffs\n',
+        (f"{LAURENT}::TestArithmetic::test_cancellation_on_add",),
+    ),
+    # routes that build the sorted sequences directly
+    Mutant(
+        "torres-runs-descending",
+        "laurent.py",
+        "                keys.extend(range(start, e))\n",
+        "                keys.extend(reversed(range(start, e)))\n",
+        ("tests/test_surgery.py::TestTorresSpecialize::test_lk3_on_constant_is_geometric_sum",),
+    ),
+    Mutant(
+        "torus-window-unsorted",
+        "laurent.py",
+        "        window = sorted(acc)\n",
+        "        window = list(acc)\n",
+        ("tests/test_knots.py::TestTorusKernel::test_small_pairs_match_both_oracles",),
+    ),
+    Mutant(
+        "torus-window-misses-run-start",
+        "laurent.py",
+        "                if start < low:\n",
+        "                if start < low - q:\n",
+        (f"{PROPERTIES}::TestBinomialKernel::test_inverts_multiplication_and_detects_a_remainder",),
+    ),
+    Mutant(
+        "packed-product-keeps-zeros",
+        "laurent.py",
+        "        if c:\n            keys.append(lo + k)\n",
+        "        if True:\n            keys.append(lo + k)\n",
+        (f"{LAURENT}::TestArithmetic::test_difference_of_squares",),
+    ),
+    Mutant(
+        "division-heap-unordered",
+        "laurent.py",
+        "        heap = [-e for e in reversed(self._keys)]",
+        "        heap = [-e for e in self._keys]",
+        (f"{LAURENT}::TestExactDivide",),
+    ),
+    # range checks that must fire before an exponent reaches an array('q')
+    Mutant(
+        "kernel-top-unchecked",
+        "laurent.py",
+        "        _checked_exponent(num[-1][0] - q)\n",
+        "        pass\n",
+        (f"{LAURENT}::TestBinomialQuotient::test_top_exponent_is_checked",),
+    ),
+    Mutant(
+        "product-top-unchecked",
+        "laurent.py",
+        "                _checked_exponent(a[-1] + b[-1])\n",
+        "",
+        (f"{LAURENT}::TestArithmetic::test_mul_overflow_detected",),
+    ),
+    Mutant(
+        "quotient-top-unchecked",
+        "laurent.py",
+        "        _checked_exponent(qkeys[0])\n",
+        "",
+        (f"{LAURENT}::TestExactDivide::test_quotient_top_overflow_detected",),
+    ),
+    # symmetrize's mirror test
+    Mutant(
+        "mirror-skips-middle-term",
+        "laurent.py",
+        "        half = (len(keys) + 1) // 2\n",
+        "        half = len(keys) // 2\n",
+        (f"{LAURENT}::TestSymmetrize::test_asymmetric_rejected",),
+    ),
+    Mutant(
+        "mirror-exponents-unchecked",
+        "laurent.py",
+        "            and all(map((lo + hi).__eq__, map(operator.add, islice(keys, half),"
+        " reversed(keys))))\n",
+        "",
+        (f"{LAURENT}::TestSymmetrize::test_asymmetric_rejected",),
+    ),
+    Mutant(
+        "mirror-coefficients-unchecked",
+        "laurent.py",
+        "            all(map(operator.eq, islice(coeffs, half), reversed(coeffs)))\n",
+        "            True\n",
+        (f"{LAURENT}::TestSymmetrize::test_asymmetric_rejected",),
+    ),
+    # readers of the sequences
+    Mutant(
+        "coefficient-takes-a-neighbour",
+        "laurent.py",
+        "        return self._terms[i] if i < len(keys) and keys[i] == key else 0\n",
+        "        return self._terms[i] if i < len(keys) else 0\n",
+        (f"{LAURENT}::TestConstruction::test_coefficient_reads_only_its_own_exponent",),
+    ),
+    Mutant(
+        "units-ignore-exponents",
+        "laurent.py",
+        "            if [e + shift for e in a] != b.tolist():\n",
+        "            if False:\n",
+        (f"{LAURENT}::TestEqualUpToUnits::test_same_coefficients_on_other_exponents_differ",),
+    ),
+    # an input too large for memory is a usage error
+    Mutant(
+        "out-of-memory-uncaught",
+        "cli.py",
+        "    except MemoryError:\n",
+        "    except NotImplementedError:\n",
+        ("tests/test_cli.py::TestFamilyCommand::test_out_of_memory_exits_1",),
+    ),
+]
+
+
+def fragment_counts() -> dict[str, int]:
+    """Occurrences of each mutant's fragment in all of src/, by mutant name."""
+    sources = [p.read_text(encoding="utf-8") for p in sorted((ROOT / "src").rglob("*.py"))]
+    return {m.name: sum(text.count(m.fragment) for text in sources) for m in MUTANTS}
+
+
+def _pytest(copy: Path, kill: tuple) -> str:
+    # "passed", "failed", "timeout" or "error"
+    env = {key: value for key, value in os.environ.items() if not key.startswith("PYTHON")}
+    env["PYTHONPATH"] = str(copy / "src")
+    argv = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *kill]
+    try:
+        proc = subprocess.run(argv, cwd=copy, env=env, capture_output=True, timeout=BOUND_S)
+    except subprocess.TimeoutExpired:
+        return "timeout"
+    return {0: "passed", 1: "failed"}.get(proc.returncode, "error")
+
+
+def _fresh_copy(parent: Path) -> Path:
+    copy = Path(tempfile.mkdtemp(dir=parent))
+    ignore = shutil.ignore_patterns("__pycache__", ".hypothesis")
+    for name in ("src", "tests"):
+        shutil.copytree(ROOT / name, copy / name, ignore=ignore)
+    shutil.copy(ROOT / "pyproject.toml", copy)
+    return copy
+
+
+def main(names: list[str]) -> int:
+    unknown = sorted(set(names) - {m.name for m in MUTANTS})
+    stale = [name for name, count in fragment_counts().items() if count != 1]
+    if unknown or stale:
+        print(f"unknown mutants: {unknown}; fragments not found exactly once: {stale}")
+        return 1
+    chosen = [m for m in MUTANTS if not names or m.name in names]
+    survived = 0
+    with tempfile.TemporaryDirectory() as scratch:
+        for mutant in chosen:
+            copy = _fresh_copy(Path(scratch))
+            baseline = _pytest(copy, mutant.kill)
+            if baseline != "passed":
+                print(f"{mutant.name}: its tests do not pass unmutated ({baseline})")
+                return 1
+            target = copy / "src" / "knotsurgery" / mutant.path
+            text = target.read_text(encoding="utf-8")
+            target.write_text(text.replace(mutant.fragment, mutant.replacement), encoding="utf-8")
+            start = time.monotonic()
+            outcome = _pytest(copy, mutant.kill)
+            killed = outcome in ("failed", "timeout")
+            survived += not killed
+            verdict = "killed" if killed else f"SURVIVED ({outcome})"
+            print(f"{mutant.name}: {verdict} in {time.monotonic() - start:.1f} s", flush=True)
+    print(f"{len(chosen) - survived} of {len(chosen)} killed")
+    return 1 if survived else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -297,6 +297,28 @@ class TestFamilyCommand:
         assert (code, out) == (1, "")
         assert err.startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["alexander", "torus(3037000499,3037000500)"],
+            ["family", "--pmin", "3037000499", "--pmax", "3037000499", "--pcap", "4000000000"],
+        ],
+    )
+    def test_out_of_memory_exits_1(self, argv, capsys, monkeypatch):
+        # T(3037000499, 3037000500) passes the 64-bit rule but needs about
+        # 6·10^9 numerator terms; the kernel is patched to run out of memory
+        # at once, so the oversize input never allocates for real
+        def no_memory(p, q):
+            raise MemoryError
+
+        monkeypatch.setattr(knots, "_torus_quotient", no_memory)
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        # family writes its head before the row, and no row
+        assert out == "" if argv[0] == "alexander" else "3037000499" not in out
+        assert err.startswith("error: out of memory")
+        assert "Traceback" not in err
+
     def test_largest_row_in_64_bits_is_attempted(self, monkeypatch):
         # 3037000499 * 3037000500 <= INT64_MAX, so the row gets past the
         # checks; the patched builder stops it before any allocation
@@ -613,6 +635,19 @@ class TestStreamedOutput:
         assert err.startswith("internal inconsistency: ")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+    def test_family_out_of_memory_follows_the_rows_written(self, fmt, capsys, monkeypatch):
+        def exhausted(spec):
+            if spec.p == 3:
+                raise MemoryError
+            return alexander_torus(spec)
+
+        monkeypatch.setattr(family, "alexander_torus", exhausted)
+        code, out, err = run(capsys, "family", "--pmin", "1", "--pmax", "5", "--format", fmt)
+        assert (code, out) == (1, _unclosed(analyze_family(1, 1, 2), fmt))
+        assert err.startswith("error: out of memory")
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_family_holds_one_row_at_a_time(self, fmt, monkeypatch):
         # the 400 rows hold about 19 MB together; one row and one slice of
@@ -630,6 +665,25 @@ class TestStreamedOutput:
             tracemalloc.stop()
         assert code == 0
         assert peak < 2_000_000
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_torres_holds_an_exponent_array(self, fmt, monkeypatch):
+        # 200,000 terms as an exponent array and a list of shared ints take
+        # about 3.5 MB; a dict slot, a 1-tuple key and an int per term took
+        # about 30 MB
+        class Discard:
+            def write(self, text):
+                return len(text)
+
+        monkeypatch.setattr(sys, "stdout", Discard())
+        tracemalloc.start()
+        try:
+            code = main(["torres", "--lk", "200000", "--format", fmt, "1"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 8_000_000
 
     def test_writes_in_slices(self, capsys, monkeypatch):
         # one write per slice of terms, not one per document

@@ -114,9 +114,9 @@ class TestAlexanderTorus:
         built = []
         from_canonical = laurent._from_canonical
 
-        def counting(variables, terms):
-            built.append(len(terms))
-            return from_canonical(variables, terms)
+        def counting(variables, keys, coeffs):
+            built.append(len(coeffs))
+            return from_canonical(variables, keys, coeffs)
 
         monkeypatch.setattr(laurent, "_from_canonical", counting)
         delta = alexander_torus(TorusKnotSpec(*pq))

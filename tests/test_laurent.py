@@ -76,6 +76,13 @@ class TestConstruction:
         assert poly.term_count() == 1
         assert poly.coefficient((3,)) == 0
 
+    def test_coefficient_reads_only_its_own_exponent(self):
+        poly = p("3*t^4 - t + 7*t^-2")
+        assert [poly.coefficient((e,)) for e in range(-3, 6)] == [0, 7, 0, 0, -1, 0, 0, 3, 0]
+        assert poly.coefficient((1, 0)) == 0
+        xy = LaurentPoly.parse("x^2*y - 3*y^2")
+        assert [xy.coefficient(e) for e in [(2, 1), (0, 2), (1, 1), (2,)]] == [1, -3, 0, 0]
+
     def test_duplicate_exponents_merge(self):
         poly = LaurentPoly(T, [((1,), 2), ((1,), -2), ((0,), 5)])
         assert poly == LaurentPoly.constant(T, 5)
@@ -378,6 +385,10 @@ class TestEqualUpToUnits:
     def test_detects_difference(self):
         assert not p("t - 1").equal_up_to_units(p("t + 1"))
         assert not p("2*t - 2").equal_up_to_units(p("t - 1"))
+
+    def test_same_coefficients_on_other_exponents_differ(self):
+        assert not p("t^2 + 1").equal_up_to_units(p("t + 1"))
+        assert not p("t^5 - t^4 + 3").equal_up_to_units(p("-t^2 + t - 3"))
 
     def test_zero_cases(self):
         zero = LaurentPoly.zero(T)

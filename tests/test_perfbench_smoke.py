@@ -2,7 +2,8 @@
 
 perfbench/ is read, never changed: this checks that the runner still builds
 its workload from this checkout, that every op's output passes the oracle,
-and that the last stdout line carries the end-to-end metrics.
+and that the last stdout line carries the end-to-end metrics, or under
+--trace 1 the per-layer counts.
 """
 
 import json
@@ -32,8 +33,27 @@ def test_crosscheck_run_reports_all_ops_correct():
     check_run("crosscheck")
 
 
+def test_traced_runs_report_exact_counts():
+    # --trace 1 reads each polynomial's term count off LaurentPoly._terms;
+    # oneshot divides nothing, so only crosscheck has quotient terms
+    for workload, divides in [("crosscheck", True), ("oneshot", False)]:
+        metrics = result_of(workload, trace=1)["metrics"]
+        assert metrics["laurent.init.terms"]["value"] > 0
+        assert metrics["laurent.mul.pairs"]["value"] > 0
+        assert (metrics["laurent.exact_divide.terms_out"]["value"] > 0) == divides
+
+
 def check_run(workload):
-    argv = ["--workload", workload, "--seed", "1", "--seconds", "0", "--trace", "0"]
+    result = result_of(workload, trace=0)
+    assert result["failed"] == 0
+    metrics = result["metrics"]
+    assert {"setup_s", "wall_s", "peak_rss_mb"} <= metrics.keys()
+    assert metrics["ok_frac"]["value"] == 1.0
+
+
+def result_of(workload, trace):
+    # the last stdout line of the shortest run, checked correct
+    argv = ["--workload", workload, "--seed", "1", "--seconds", "0", "--trace", str(trace)]
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", *argv],
         cwd=ROOT,
@@ -44,7 +64,4 @@ def check_run(workload):
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["correct"] is True
-    assert result["failed"] == 0
-    metrics = result["metrics"]
-    assert {"setup_s", "wall_s", "peak_rss_mb"} <= metrics.keys()
-    assert metrics["ok_frac"]["value"] == 1.0
+    return result

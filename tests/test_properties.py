@@ -231,6 +231,9 @@ class TestBinomialKernel:
     @given(quotient_runs, sparse_quotient_terms, st.integers(1, 9), st.data())
     @settings(deadline=None)
     def test_inverts_multiplication_and_detects_a_remainder(self, runs, sparse, q, data):
+        # q > 1 gathers the classes' runs a window of at least q * _WINDOW exponents
+        # at a time; narrow windows cut every run at many places
+        window = data.draw(st.sampled_from([1, 2, 3, laurent._WINDOW]), label="window")
         quotient = dict(sparse)
         for start, length, c in runs:
             for e in range(start, start + length):
@@ -242,7 +245,10 @@ class TestBinomialKernel:
         for e in sorted(product):
             part = data.draw(st.integers(-3, 3), label="split")
             num += [(e, part), (e, product[e] - part)] if part else [(e, product[e])]
-        assert _binomial_quotient(T, num, q) == from_dict(quotient)
+        with mock.patch.object(laurent, "_WINDOW", window):
+            got = _binomial_quotient(T, num, q)
+        assert got == from_dict(quotient)
+        assert_canonical(got)
         # Q (t^q - 1) + d t^e is no multiple of t^q - 1 for d != 0
         delta = data.draw(mixed_coefficients, label="change")
         if num:
@@ -252,6 +258,60 @@ class TestBinomialKernel:
             num = [(0, delta)]
         with pytest.raises(NotDivisibleError):
             _binomial_quotient(T, num, q)
+
+
+def assert_canonical(poly: LaurentPoly) -> None:
+    # the stored sequences ascend with no zero coefficient: the polynomial
+    # built again by the sorting constructor is the same value with the same
+    # hash, and terms(), their reversed walk, strictly descends
+    rebuilt = LaurentPoly(poly.variables, dict(poly.terms()))
+    assert poly == rebuilt
+    assert hash(poly) == hash(rebuilt)
+    terms = poly.terms()
+    assert all(a > b for (a, _), (b, _) in zip(terms, terms[1:]))
+    assert all(c for _, c in terms)
+
+
+coprime_pairs = st.tuples(st.integers(2, 30), st.integers(3, 400)).filter(
+    lambda pq: math.gcd(*pq) == 1
+)
+
+
+class TestEveryRouteIsCanonical:
+    # each route that builds the sorted sequences directly, not through the
+    # constructor that sorts a dict of accumulated terms
+
+    @given(coprime_pairs, st.sampled_from([1, 3, 2048]))
+    @settings(deadline=None)
+    def test_torus_delta(self, pq, window):
+        with mock.patch.object(laurent, "_WINDOW", window):
+            assert_canonical(alexander_expr(Torus.of(*pq)))
+            assert_canonical(alexander_expr(Torus.of(*pq), symmetrize=False))
+
+    @given(polys(), st.integers(2, 60))
+    def test_torres(self, poly, lk):
+        assert_canonical(torres_specialize(poly, lk))
+
+    @given(dense_terms, dense_terms)
+    def test_packed_product(self, a, b):
+        product = from_dict(a) * from_dict(b)
+        event("packed" if max(a) - min(a) + max(b) - min(b) < len(a) * len(b) else "pairs")
+        assert_canonical(product)
+
+    @given(nonzero_polys, st.integers(-10, 10).filter(bool), st.booleans())
+    def test_symmetrize_with_a_shift(self, seed, shift, flip):
+        # seed(t) seed(1/t) is centered; the unit moves it off center
+        centered = seed * seed.substitute({"t": (-1,)}, into=T)
+        unit = LaurentPoly.var(T, "t", shift) * (-1 if flip else 1)
+        assert_canonical((centered * unit).symmetrize())
+
+    @given(any_poly)
+    def test_negation(self, poly):
+        assert_canonical(-poly)
+
+    @given(polys(max_terms=6), nonzero_polys)
+    def test_exact_divide(self, a, b):
+        assert_canonical((a * b).exact_divide(b))
 
 
 class TestSymmetrize:
