@@ -7,10 +7,10 @@ Torus knots use the closed formula
 with the first quotient written down as (t - 1)(1 + t^q + ... + t^((p-1)q))
 and divided by t^p - 1, the smaller binomial as p <= q, with the Laurent
 layer's running-sum kernel, one residue class mod p at a time: the numerator
-has 2p terms whatever q is.  The numerator starts at t^-genus, so the
-kernel writes Delta already centered, connected sums multiply centered
-factors into a centered product, and symmetrize only checks the result; the
-raw representative (symmetrize=False) is that Delta times t^genus.
+has 2p terms whatever q is, in an exponent array and a coefficient list.
+It starts at t^-genus, so the kernel writes Delta centered, connected sums
+multiply centered factors into a centered product, symmetrize only checks the
+result, and the raw representative (symmetrize=False) is Delta times t^genus.
 Mirroring is the identity on these invariants (Alexander polynomials cannot
 see chirality), so Mirror nodes exist purely to record how a knot was described.
 
@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 import re
-from itertools import repeat
+from array import array
 
 from .laurent import (
     INT64_MAX,
@@ -137,10 +137,10 @@ def _torus_quotient(p: int, q: int) -> LaurentPoly:
     _check_torus_exponent(p, q)
     g = (p - 1) * (q - 1) // 2
     # t^-g (t - 1)(1 + t^q + ... + t^((p-1)q)), ascending; distinct terms as q >= 3
-    partial: list = [None] * (2 * p)
-    partial[0::2] = zip(range(-g, p * q - g, q), repeat(-1))
-    partial[1::2] = zip(range(1 - g, 1 + p * q - g, q), repeat(1))
-    quotient = _binomial_quotient(T_VARS, partial, p)
+    exponents = array("q", [0]) * (2 * p)
+    exponents[0::2] = array("q", range(-g, p * q - g, q))
+    exponents[1::2] = array("q", range(1 - g, 1 + p * q - g, q))
+    quotient = _binomial_quotient(T_VARS, exponents, [-1, 1] * p, p)
     # the kernel writes exponents only in [N's lowest, N's highest - p], and
     # N runs from t^-g to t^(g+p), so the span is 2g iff both ends are terms
     if not (quotient.coefficient((-g,)) and quotient.coefficient((g,))):

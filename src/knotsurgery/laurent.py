@@ -29,9 +29,9 @@ one machine-level multiply convolves them, and the bytes are read back one
 slot per exponent.  Other products -- sparse, multivariate, or with a
 single-term factor -- loop over the term pairs.
 
-Division by t^q - 1, which the torus-knot formula and the Torres condition
-both need, is one running-sum kernel that checks its own exponent range.
-General exact division works on the stored exponents at any offset.
+Division by t^q - 1 for the torus-knot formula and multiplication by
+1 + t + ... + t^(lk-1) for the Torres condition are two running sums, each
+checking its own top exponent; general exact division works at any offset.
 
 Text form: ``coeff*var^exp`` factors joined by ``+`` / ``-``, variables in
 the set's fixed order, terms in descending lexicographic exponent order,
@@ -219,28 +219,15 @@ def _packed_product(a: "LaurentPoly", b: "LaurentPoly") -> "LaurentPoly":
     return _from_canonical(a.variables, keys, coeffs)
 
 
-def _binomial_quotient(variables: VariableSet, num: list[tuple[int, int]], q: int) -> LaurentPoly:
-    # N / (t^q - 1), N as ascending (exponent, coefficient) pairs that may
-    # repeat an exponent.  N = Q (t^q - 1) gives Q_e = Q_(e-q) - N_e: per
+def _binomial_quotient(variables: VariableSet, keys, coeffs: list, q: int) -> LaurentPoly:
+    # N / (t^q - 1), N as ascending exponents, which may repeat, and their
+    # aligned coefficients.  N = Q (t^q - 1) gives Q_e = Q_(e-q) - N_e: per
     # residue class mod q, Q is a running sum of -N, constant between the
     # class's terms of N, so the cost follows the input and output terms; a
     # class whose sum is not 0 leaves a remainder.  A nonzero Q runs from N's
     # lowest exponent, in range, to N's highest minus q, checked here.
-    if num and num[-1][0] - q >= num[0][0]:
-        _checked_exponent(num[-1][0] - q)
-    remainder = f"division by t^{q} - 1 leaves a remainder"
-    keys, coeffs = array("q"), []
-    if q == 1:
-        # Torres: one class, whose runs ascend and extend the sequences
-        running = start = 0
-        for e, c in num:
-            if running:
-                keys.extend(range(start, e))
-                coeffs.extend(repeat(running, e - start))
-            running, start = running - c, e
-        if running:
-            raise NotDivisibleError(remainder)
-        return _from_canonical(variables, keys, coeffs)
+    if keys and keys[-1] - q >= keys[0]:
+        _checked_exponent(keys[-1] - q)
     # a torus knot T(p, q) passes 2p terms with q = p, and the classes' runs
     # interleave.  Each pass over N takes Q's terms in one window of q * w
     # exponents, w = max(_WINDOW, len(N)), into an exponent-keyed dict,
@@ -248,14 +235,15 @@ def _binomial_quotient(variables: VariableSet, num: list[tuple[int, int]], q: in
     # and the passes cost at most N's span over q plus one pass, so one
     # window holds all of Delta_T(p,p+1) for every p.  The class state is
     # two lists of length q, indexed by class
-    width = q * max(_WINDOW, len(num))
-    low = num[0][0] if num else 0
+    width = q * max(_WINDOW, len(keys))
+    low = keys[0] if keys else 0
+    out_keys, out_coeffs = array("q"), []
     while True:
         high = low + width
         sums = [0] * q  # class -> running sum
         starts = [0] * q  # class -> exponent where that sum started
         acc = {}
-        for e, c in num:
+        for e, c in zip(keys, coeffs):
             r = e % q
             running = sums[r]
             if running:
@@ -267,13 +255,28 @@ def _binomial_quotient(variables: VariableSet, num: list[tuple[int, int]], q: in
             sums[r] = running - c
             starts[r] = e
         if any(sums):
-            raise NotDivisibleError(remainder)
+            raise NotDivisibleError(f"division by t^{q} - 1 leaves a remainder")
         window = sorted(acc)
-        keys.fromlist(window)
-        coeffs.extend(map(acc.__getitem__, window))
-        if not num or high > num[-1][0] - q:
-            return _from_canonical(variables, keys, coeffs)
+        out_keys.fromlist(window)
+        out_coeffs.extend(map(acc.__getitem__, window))
+        if not keys or high > keys[-1] - q:
+            return _from_canonical(variables, out_keys, out_coeffs)
         low = high
+
+
+def _geometric_multiple(poly: LaurentPoly, lk: int) -> LaurentPoly:
+    # poly (1 + t + ... + t^(lk-1)) as a running sum: c t^e adds c on [e, e + lk)
+    keys, coeffs = array("q"), []
+    if lk and poly._keys:
+        _checked_exponent(poly._keys[-1] + lk - 1)
+    running = start = 0
+    falls = zip(map(lk.__add__, poly._keys), map(operator.neg, poly._terms))
+    for e, c in heapq.merge(zip(poly._keys, poly._terms), falls):
+        if running:
+            keys.extend(range(start, e))
+            coeffs.extend(repeat(running, e - start))
+        running, start = running + c, e
+    return _from_canonical(poly.variables, keys, coeffs)
 
 
 class VariableSet:

@@ -12,8 +12,8 @@ and the Torres condition pins down the specialization
     Delta_L(1, y) = (1 + y + ... + y^(lk-1)) * Delta_Gamma(y),
 
 computed as Delta_Gamma * (y^lk - 1) / (y - 1) by the Laurent layer's
-running-sum division by a binomial, the kernel the torus-knot formula shares,
-at a cost proportional to the output terms.
+running sum over Delta_Gamma's own terms, at a cost proportional to the
+input and output terms.
 
 The full two-variable Delta_L is not determined by this data, so the
 pipeline works through the specialization: sw_link_surgery accepts an
@@ -34,8 +34,8 @@ from .knots import TorusKnotSpec, alexander_torus
 from .laurent import (
     LaurentPoly,
     VariableSet,
-    _binomial_quotient,
     _Frozen,
+    _geometric_multiple,
     _require_int,
     _require_one_variable,
 )
@@ -113,10 +113,10 @@ def torres_specialize(delta_gamma: LaurentPoly, lk: int) -> LaurentPoly:
     """Delta_L(1, y) from the component polynomial and the linking number.
 
     The product with the geometric sum 1 + y + ... + y^(lk-1) is the
-    quotient delta_gamma * (y^lk - 1) / (y - 1), taken as a running sum over
-    the 2 * terms of the numerator, so the cost follows the output terms and
-    neither the geometric sum nor a product is built.  lk = 0 gives 0,
-    lk = 1 gives delta_gamma back unchanged.
+    quotient delta_gamma * (y^lk - 1) / (y - 1), taken as one running sum
+    over the terms of delta_gamma, so the cost follows the input and output
+    terms and no geometric sum, numerator or product is built.  lk = 0
+    gives 0, lk = 1 gives delta_gamma back unchanged.
     """
     _require_int(lk, "linking number", 0)
     _require_one_variable("torres_specialize", delta_gamma)
@@ -124,10 +124,7 @@ def torres_specialize(delta_gamma: LaurentPoly, lk: int) -> LaurentPoly:
         return delta_gamma
     if len(delta_gamma.variables) == 0:
         delta_gamma = LaurentPoly.constant(VariableSet("y"), delta_gamma.coefficient(()))
-    ascending = delta_gamma.terms()[::-1]
-    # both halves ascend, so the sort merges two runs
-    numerator = sorted([(e + lk, c) for (e,), c in ascending] + [(e, -c) for (e,), c in ascending])
-    return _binomial_quotient(delta_gamma.variables, numerator, 1)
+    return _geometric_multiple(delta_gamma, lk)
 
 
 def sw_prefactor(n: int) -> LaurentPoly:

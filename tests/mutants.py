@@ -89,8 +89,8 @@ MUTANTS = [
     Mutant(
         "torres-runs-descending",
         "laurent.py",
-        "                keys.extend(range(start, e))\n",
-        "                keys.extend(reversed(range(start, e)))\n",
+        "            keys.extend(range(start, e))\n",
+        "            keys.extend(reversed(range(start, e)))\n",
         ("tests/test_surgery.py::TestTorresSpecialize::test_lk3_on_constant_is_geometric_sum",),
     ),
     Mutant(
@@ -125,9 +125,16 @@ MUTANTS = [
     Mutant(
         "kernel-top-unchecked",
         "laurent.py",
-        "        _checked_exponent(num[-1][0] - q)\n",
+        "        _checked_exponent(keys[-1] - q)\n",
         "        pass\n",
         (f"{LAURENT}::TestBinomialQuotient::test_top_exponent_is_checked",),
+    ),
+    Mutant(
+        "torres-top-unchecked",
+        "laurent.py",
+        "        _checked_exponent(poly._keys[-1] + lk - 1)\n",
+        "        pass\n",
+        ("tests/test_cli.py::TestTorresCommand::test_exponent_overflow_exits_1",),
     ),
     Mutant(
         "product-top-unchecked",

@@ -14,6 +14,7 @@ from knotsurgery.knots import (
     MAX_KNOT_DEPTH,
     InternalInconsistencyError,
     Torus,
+    TorusKnotSpec,
     alexander_expr,
     alexander_torus,
 )
@@ -121,6 +122,10 @@ class TestTorresCommand:
         assert code == 1
         assert out == ""
         assert err.startswith("error:")
+        # the input fits, and the top output exponent INT64_MAX + 1 does not
+        code, out, err = run(capsys, "torres", "--lk", "3", "t^9223372036854775806")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: exponent 9223372036854775808 outside")
 
     def test_top_exponent_boundary(self, capsys):
         # the top output exponent is e + lk - 1, which fits for e = INT64_MAX - 1
@@ -289,7 +294,7 @@ class TestFamilyCommand:
     def test_input_errors_exit_1_before_any_row(self, argv, fmt, capsys, monkeypatch):
         # the kernel is patched to fail, so a missing check stops at the
         # first row past p = 1 instead of starting the oversize sweep
-        def no_kernel(variables, num, q):
+        def no_kernel(variables, keys, coeffs, q):
             raise AssertionError("the torus kernel ran")
 
         monkeypatch.setattr(knots, "_binomial_quotient", no_kernel)
@@ -533,16 +538,16 @@ class TestJsonOutput:
 KERNEL_FAULTS = {
     # dividing by t^(q+1) - 1 instead of t^q - 1 leaves a remainder
     "remainder": (
-        lambda variables, num, q: _binomial_quotient(variables, num, q + 1),
+        lambda variables, keys, coeffs, q: _binomial_quotient(variables, keys, coeffs, q + 1),
         NotDivisibleError,
     ),
     # centered and of the right span, but t and t^-1 differ
     "asymmetric": (
-        lambda variables, num, q: LaurentPoly.parse("t + 2 - t^-1", variables),
+        lambda variables, keys, coeffs, q: LaurentPoly.parse("t + 2 - t^-1", variables),
         NotSymmetrizableError,
     ),
     "wrong_span": (
-        lambda variables, num, q: LaurentPoly.parse("1 - t", variables),
+        lambda variables, keys, coeffs, q: LaurentPoly.parse("1 - t", variables),
         InternalInconsistencyError,
     ),
 }
@@ -684,6 +689,19 @@ class TestStreamedOutput:
             tracemalloc.stop()
         assert code == 0
         assert peak < 8_000_000
+
+    def test_torres_walks_the_input_without_copying_it(self):
+        # Delta_T(2,200001) holds about 3.2 MB; a sorted list of two
+        # (exponent, coefficient) tuples per term took 65 MB
+        delta = alexander_torus(TorusKnotSpec(2, 200001))
+        tracemalloc.start()
+        try:
+            result = torres_specialize(delta, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result == LaurentPoly.parse("t^100001 + t^-100000")
+        assert peak < 2_000_000
 
     def test_writes_in_slices(self, capsys, monkeypatch):
         # one write per slice of terms, not one per document

@@ -33,7 +33,7 @@ def test_every_module_with_exports_is_checked():
 PRIVATE_IMPORTS = {
     "knots": {"laurent": {"_Frozen", "_binomial_quotient", "_require_int", "_tokenize"}},
     "surgery": {
-        "laurent": {"_Frozen", "_binomial_quotient", "_require_int", "_require_one_variable"},
+        "laurent": {"_Frozen", "_geometric_multiple", "_require_int", "_require_one_variable"},
     },
     "family": {
         "knots": {"_check_torus_exponent"},

@@ -137,7 +137,7 @@ class TestAlexanderTorus:
     def test_symmetry_is_still_checked(self, monkeypatch):
         # centered and of the right span, but t^1 and t^-1 differ
         monkeypatch.setattr(
-            knots, "_binomial_quotient", lambda variables, num, q: poly("t + 2 - t^-1")
+            knots, "_binomial_quotient", lambda variables, keys, coeffs, q: poly("t + 2 - t^-1")
         )
         with pytest.raises(NotSymmetrizableError):
             alexander_torus(TorusKnotSpec(2, 3))
@@ -191,17 +191,17 @@ class TestTorusKernel:
 
     def test_division_by_binomial(self):
         # (t^6 - 1)(t - 1) / (t^3 - 1) = t^4 - t^3 + t - 1
-        num = [(0, 1), (1, -1), (6, -1), (7, 1)]
-        assert _binomial_quotient(T_VARS, num, 3) == poly("t^4 - t^3 + t - 1")
+        quotient = _binomial_quotient(T_VARS, [0, 1, 6, 7], [1, -1, -1, 1], 3)
+        assert quotient == poly("t^4 - t^3 + t - 1")
 
     @pytest.mark.parametrize("pq", [(2, 40001), (5, 12), (300, 301)])
     def test_divides_by_the_smaller_binomial(self, pq, monkeypatch):
         # (t - 1)(1 + t^q + ... + t^((p-1)q)) has 2p terms, divided by t^p - 1
         calls = []
 
-        def spy(variables, num, q):
-            calls.append((q, len(num)))
-            return _binomial_quotient(variables, num, q)
+        def spy(variables, keys, coeffs, q):
+            calls.append((q, len(keys)))
+            return _binomial_quotient(variables, keys, coeffs, q)
 
         monkeypatch.setattr(knots, "_binomial_quotient", spy)
         p, q = pq
@@ -222,10 +222,12 @@ class TestTorusKernel:
     def test_nonzero_class_sum_is_a_remainder(self):
         # t - 1 is not a multiple of t^3 - 1: classes 0 and 1 each keep a term
         with pytest.raises(NotDivisibleError, match="remainder"):
-            _binomial_quotient(T_VARS, [(0, -1), (1, 1)], 3)
+            _binomial_quotient(T_VARS, [0, 1], [-1, 1], 3)
 
     def test_span_mismatch_detected(self, monkeypatch):
-        monkeypatch.setattr(knots, "_binomial_quotient", lambda variables, num, q: poly("1 - t"))
+        monkeypatch.setattr(
+            knots, "_binomial_quotient", lambda variables, keys, coeffs, q: poly("1 - t")
+        )
         with pytest.raises(InternalInconsistencyError, match="span"):
             knots._torus_quotient(2, 3)
 

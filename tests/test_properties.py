@@ -240,24 +240,25 @@ class TestBinomialKernel:
                 quotient[e] = quotient.get(e, 0) + c
         quotient = {e: c for e, c in quotient.items() if c}
         product = convolve(quotient, {q: 1, 0: -1})
-        # ascending pairs, with some terms split over a repeated exponent
-        num = []
+        # ascending exponents, with some terms split over a repeated exponent
+        keys, coeffs = [], []
         for e in sorted(product):
             part = data.draw(st.integers(-3, 3), label="split")
-            num += [(e, part), (e, product[e] - part)] if part else [(e, product[e])]
+            keys += [e, e] if part else [e]
+            coeffs += [part, product[e] - part] if part else [product[e]]
         with mock.patch.object(laurent, "_WINDOW", window):
-            got = _binomial_quotient(T, num, q)
+            got = _binomial_quotient(T, keys, coeffs, q)
         assert got == from_dict(quotient)
         assert_canonical(got)
         # Q (t^q - 1) + d t^e is no multiple of t^q - 1 for d != 0
         delta = data.draw(mixed_coefficients, label="change")
-        if num:
-            i = data.draw(st.integers(0, len(num) - 1), label="at")
-            num[i] = (num[i][0], num[i][1] + delta)
+        if keys:
+            i = data.draw(st.integers(0, len(keys) - 1), label="at")
+            coeffs[i] += delta
         else:
-            num = [(0, delta)]
+            keys, coeffs = [0], [delta]
         with pytest.raises(NotDivisibleError):
-            _binomial_quotient(T, num, q)
+            _binomial_quotient(T, keys, coeffs, q)
 
 
 def assert_canonical(poly: LaurentPoly) -> None:
