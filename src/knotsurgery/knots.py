@@ -4,13 +4,19 @@ Torus knots use the closed formula
 
     Delta_{T(p,q)}(t) = (t^(p*q) - 1)(t - 1) / ((t^p - 1)(t^q - 1)),
 
-with the first quotient written down as (t - 1)(1 + t^q + ... + t^((p-1)q))
-and divided by t^p - 1, the smaller binomial as p <= q, with the Laurent
-layer's running-sum kernel, one residue class mod p at a time: the numerator
-has 2p terms whatever q is, in an exponent array and a coefficient list.
-It starts at t^-genus, so the kernel writes Delta centered, connected sums
-multiply centered factors into a centered product, symmetrize only checks the
-result, and the raw representative (symmetrize=False) is Delta times t^genus.
+by one of two routes.  The adjacent knots T(p, p+1), the family's, take the
+Laurent layer's writer of Delta_T(p,p+1): Delta/(1 - t) sums t^s over the
+semigroup <p, p+1>, so Delta is two interleaved arithmetic progressions of
+exponents, written straight into its arrays with no numerator and no
+division.  Every other T(p, q) writes the first quotient down as
+(t - 1)(1 + t^q + ... + t^((p-1)q)) and divides it by t^p - 1, the smaller
+binomial as p <= q, with the Laurent layer's running-sum kernel, one residue
+class mod p at a time: the numerator has 2p terms whatever q is, in an
+exponent array and a coefficient list.  Both routes write Delta from
+t^-genus, centered, and both results pass the same span check, so connected
+sums multiply centered factors into a centered product, symmetrize only
+checks the result, and the raw representative (symmetrize=False) is Delta
+times t^genus.
 Mirroring is the identity on these invariants (Alexander polynomials cannot
 see chirality), so Mirror nodes exist purely to record how a knot was described.
 
@@ -35,6 +41,7 @@ from .laurent import (
     ExponentOverflowError,
     LaurentPoly,
     VariableSet,
+    _adjacent_torus_delta,
     _binomial_quotient,
     _Frozen,
     _require_int,
@@ -136,13 +143,17 @@ def _torus_quotient(p: int, q: int) -> LaurentPoly:
         return LaurentPoly.one(T_VARS)
     _check_torus_exponent(p, q)
     g = (p - 1) * (q - 1) // 2
-    # t^-g (t - 1)(1 + t^q + ... + t^((p-1)q)), ascending; distinct terms as q >= 3
-    exponents = array("q", [0]) * (2 * p)
-    exponents[0::2] = array("q", range(-g, p * q - g, q))
-    exponents[1::2] = array("q", range(1 - g, 1 + p * q - g, q))
-    quotient = _binomial_quotient(T_VARS, exponents, [-1, 1] * p, p)
-    # the kernel writes exponents only in [N's lowest, N's highest - p], and
-    # N runs from t^-g to t^(g+p), so the span is 2g iff both ends are terms
+    if q == p + 1:
+        quotient = _adjacent_torus_delta(T_VARS, p)
+    else:
+        # t^-g (t - 1)(1 + t^q + ... + t^((p-1)q)), ascending; distinct terms as q >= 3
+        exponents = array("q", [0]) * (2 * p)
+        exponents[0::2] = array("q", range(-g, p * q - g, q))
+        exponents[1::2] = array("q", range(1 - g, 1 + p * q - g, q))
+        quotient = _binomial_quotient(T_VARS, exponents, [-1, 1] * p, p)
+    # the writer's exponents lie in [-g, g], and the kernel's in [N's lowest,
+    # N's highest - p], N running from t^-g to t^(g+p): on either route the
+    # span is 2g iff both ends are terms
     if not (quotient.coefficient((-g,)) and quotient.coefficient((g,))):
         raise InternalInconsistencyError(
             f"T({p},{q}) quotient lacks t^{-g} or t^{g}: its span is not {2 * g}"

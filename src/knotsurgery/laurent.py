@@ -32,6 +32,8 @@ single-term factor -- loop over the term pairs.
 Division by t^q - 1 for the torus-knot formula and multiplication by
 1 + t + ... + t^(lk-1) for the Torres condition are two running sums, each
 checking its own top exponent; general exact division works at any offset.
+Delta_T(p,p+1), the family's torus knot, needs neither: its writer fills
+the arrays from two arithmetic progressions, with no per-term loop.
 
 Text form: ``coeff*var^exp`` factors joined by ``+`` / ``-``, variables in
 the set's fixed order, terms in descending lexicographic exponent order,
@@ -230,11 +232,10 @@ def _binomial_quotient(variables: VariableSet, keys, coeffs: list, q: int) -> La
         _checked_exponent(keys[-1] - q)
     # a torus knot T(p, q) passes 2p terms with q = p, and the classes' runs
     # interleave.  Each pass over N takes Q's terms in one window of q * w
-    # exponents, w = max(_WINDOW, len(N)), into an exponent-keyed dict,
-    # sorted once: at most a window's exponents are int objects at a time,
-    # and the passes cost at most N's span over q plus one pass, so one
-    # window holds all of Delta_T(p,p+1) for every p.  The class state is
-    # two lists of length q, indexed by class
+    # exponents into an exponent-keyed dict, sorted once: at most a window's
+    # exponents are int objects at a time.  w = max(_WINDOW, len(N)), so the
+    # passes re-read N at a cost of at most N's span over q plus one pass.
+    # The class state is two lists of length q, indexed by class
     width = q * max(_WINDOW, len(keys))
     low = keys[0] if keys else 0
     out_keys, out_coeffs = array("q"), []
@@ -262,6 +263,21 @@ def _binomial_quotient(variables: VariableSet, keys, coeffs: list, q: int) -> La
         if not keys or high > keys[-1] - q:
             return _from_canonical(variables, out_keys, out_coeffs)
         low = high
+
+
+def _adjacent_torus_delta(variables: VariableSet, p: int) -> LaurentPoly:
+    # Delta_T(p,p+1) centered, straight from the semigroup <p, p+1>: Delta is
+    # (1 - t) times the sum of t^s over it, so with g = p(p - 1)/2
+    #   Delta = sum_{k<p} t^(kp - g) - sum_{k<p-1} t^(k(p+1) + 1 - g),
+    # and kp - g < kp + k + 1 - g < (k+1)p - g interleaves the progressions.
+    # Every exponent lies in [-g, g]; the caller checks that p(p+1) is in range
+    g = p * (p - 1) // 2
+    keys = array("q", [0]) * (2 * p - 1)
+    keys[0::2] = array("q", range(-g, g + 1, p))
+    keys[1::2] = array("q", range(1 - g, g, p + 1))
+    coeffs = [1, -1] * p
+    coeffs.pop()
+    return _from_canonical(variables, keys, coeffs)
 
 
 def _geometric_multiple(poly: LaurentPoly, lk: int) -> LaurentPoly:

@@ -182,5 +182,8 @@ def basic_class_lower_bound(p: int) -> int:
     """Nonzero-term count of Delta_{T(p,p+1)}; bounds the basic classes of X_p.
 
     Equals 2p - 1 for this family, so in particular it is at least p.
+    Delta is written straight from the semigroup <p, p+1>'s two progressions
+    of exponents, with no division, so the count costs O(p) time and about
+    16 bytes a term of Delta.
     """
     return alexander_torus(LinkFamilyMember(p).gamma).term_count()

@@ -108,6 +108,30 @@ MUTANTS = [
         (f"{PROPERTIES}::TestBinomialKernel::test_inverts_multiplication_and_detects_a_remainder",),
     ),
     Mutant(
+        "adjacent-second-step-wrong",
+        "laurent.py",
+        '    keys[1::2] = array("q", range(1 - g, g, p + 1))\n',
+        '    keys[1::2] = array("q", range(1 - g, g, p))\n',
+        ("tests/test_knots.py::TestAdjacentWriter::test_matches_the_semigroup_and_the_kernel",),
+    ),
+    Mutant(
+        "adjacent-coefficients-flipped",
+        "laurent.py",
+        "    coeffs = [1, -1] * p\n",
+        "    coeffs = [-1, 1] * p\n",
+        ("tests/test_knots.py::TestAdjacentWriter::test_matches_the_semigroup_and_the_kernel",),
+    ),
+    Mutant(
+        "adjacent-span-unchecked",
+        "knots.py",
+        "    if not (quotient.coefficient((-g,)) and quotient.coefficient((g,))):\n",
+        "    if q != p + 1 and not (quotient.coefficient((-g,)) and quotient.coefficient((g,))):\n",
+        (
+            "tests/test_knots.py::TestTorusKernel::test_span_mismatch_detected",
+            "tests/test_cli.py::test_writer_inconsistency_exits_2",
+        ),
+    ),
+    Mutant(
         "packed-product-keeps-zeros",
         "laurent.py",
         "        if c:\n            keys.append(lo + k)\n",

@@ -13,7 +13,6 @@ from knotsurgery.family import FamilyReport, FamilyRow, UnboundednessCertificate
 from knotsurgery.knots import (
     MAX_KNOT_DEPTH,
     InternalInconsistencyError,
-    Torus,
     TorusKnotSpec,
     alexander_expr,
     alexander_torus,
@@ -23,6 +22,7 @@ from knotsurgery.laurent import (
     NotDivisibleError,
     NotSymmetrizableError,
     VariableSet,
+    _adjacent_torus_delta,
     _binomial_quotient,
     _dumps_indent2,
 )
@@ -292,12 +292,13 @@ class TestFamilyCommand:
         ],
     )
     def test_input_errors_exit_1_before_any_row(self, argv, fmt, capsys, monkeypatch):
-        # the kernel is patched to fail, so a missing check stops at the
-        # first row past p = 1 instead of starting the oversize sweep
-        def no_kernel(variables, keys, coeffs, q):
-            raise AssertionError("the torus kernel ran")
+        # both torus routes are patched to fail, so a missing check stops at
+        # the first row past p = 1 instead of starting the oversize sweep
+        def no_kernel(variables, *args):
+            raise AssertionError("a torus route ran")
 
         monkeypatch.setattr(knots, "_binomial_quotient", no_kernel)
+        monkeypatch.setattr(knots, "_adjacent_torus_delta", no_kernel)
         code, out, err = run(capsys, "family", *argv, "--format", fmt)
         assert (code, out) == (1, "")
         assert err.startswith("error: ")
@@ -534,16 +535,17 @@ class TestJsonOutput:
         assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
 
-# a faulty torus-knot kernel, and the error each fault surfaces as
+# a faulty torus-knot kernel, and the error each fault surfaces as on
+# T(2,5), which takes the kernel (genus 2)
 KERNEL_FAULTS = {
     # dividing by t^(q+1) - 1 instead of t^q - 1 leaves a remainder
     "remainder": (
         lambda variables, keys, coeffs, q: _binomial_quotient(variables, keys, coeffs, q + 1),
         NotDivisibleError,
     ),
-    # centered and of the right span, but t and t^-1 differ
+    # centered and of the right span, but t^2 and t^-2 differ
     "asymmetric": (
-        lambda variables, keys, coeffs, q: LaurentPoly.parse("t + 2 - t^-1", variables),
+        lambda variables, keys, coeffs, q: LaurentPoly.parse("t^2 + 2 - t^-2", variables),
         NotSymmetrizableError,
     ),
     "wrong_span": (
@@ -552,15 +554,43 @@ KERNEL_FAULTS = {
     ),
 }
 
+# a faulty writer of Delta_T(p,p+1), and the error each fault surfaces as on
+# T(2,3), which takes the writer (genus 1)
+WRITER_FAULTS = {
+    # the right terms but one coefficient off: t gains 1
+    "wrong_coefficients": (
+        lambda variables, p: _adjacent_torus_delta(variables, p) + LaurentPoly.var(variables, "t"),
+        NotSymmetrizableError,
+    ),
+    # centered and of the right span, but t and t^-1 differ
+    "asymmetric": (
+        lambda variables, p: LaurentPoly.parse("t + 2 - t^-1", variables),
+        NotSymmetrizableError,
+    ),
+    "wrong_span": (
+        lambda variables, p: LaurentPoly.parse("1 - t", variables),
+        InternalInconsistencyError,
+    ),
+}
+
+
+def _exits_2(route: str, fault, error, knot: str, capsys, monkeypatch) -> None:
+    monkeypatch.setattr(knots, route, fault)
+    with pytest.raises(error):
+        alexander_expr(knots.parse_knot_expr(knot))
+    code, out, err = run(capsys, "alexander", knot)
+    assert (code, out) == (2, "")
+    assert err.startswith("internal inconsistency: ")
+
 
 @pytest.mark.parametrize("kernel,error", KERNEL_FAULTS.values(), ids=KERNEL_FAULTS.keys())
 def test_internal_inconsistency_exits_2(kernel, error, capsys, monkeypatch):
-    monkeypatch.setattr(knots, "_binomial_quotient", kernel)
-    with pytest.raises(error):
-        alexander_expr(Torus.of(2, 3))
-    code, out, err = run(capsys, "alexander", "torus(2,3)")
-    assert (code, out) == (2, "")
-    assert err.startswith("internal inconsistency: ")
+    _exits_2("_binomial_quotient", kernel, error, "torus(2,5)", capsys, monkeypatch)
+
+
+@pytest.mark.parametrize("writer,error", WRITER_FAULTS.values(), ids=WRITER_FAULTS.keys())
+def test_writer_inconsistency_exits_2(writer, error, capsys, monkeypatch):
+    _exits_2("_adjacent_torus_delta", writer, error, "torus(2,3)", capsys, monkeypatch)
 
 
 def _slice_edge_poly(count: int) -> LaurentPoly:

@@ -31,7 +31,11 @@ def test_every_module_with_exports_is_checked():
 
 # importing module -> {defining module: private names it imports from there}
 PRIVATE_IMPORTS = {
-    "knots": {"laurent": {"_Frozen", "_binomial_quotient", "_require_int", "_tokenize"}},
+    "knots": {
+        "laurent": {
+            "_Frozen", "_adjacent_torus_delta", "_binomial_quotient", "_require_int", "_tokenize",
+        },
+    },
     "surgery": {
         "laurent": {"_Frozen", "_geometric_multiple", "_require_int", "_require_one_variable"},
     },

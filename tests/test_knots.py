@@ -26,6 +26,7 @@ from knotsurgery.laurent import (
     LaurentPoly,
     NotDivisibleError,
     NotSymmetrizableError,
+    _adjacent_torus_delta,
     _binomial_quotient,
 )
 
@@ -135,12 +136,15 @@ class TestAlexanderTorus:
             assert len(built) == count, format_knot_expr(expr)
 
     def test_symmetry_is_still_checked(self, monkeypatch):
-        # centered and of the right span, but t^1 and t^-1 differ
+        # centered and of the right span, but the coefficients of t^g and
+        # t^-g differ, from the kernel (T(2,5), g = 2) and the writer (T(2,3))
         monkeypatch.setattr(
-            knots, "_binomial_quotient", lambda variables, keys, coeffs, q: poly("t + 2 - t^-1")
+            knots, "_binomial_quotient", lambda variables, keys, coeffs, q: poly("t^2 + 2 - t^-2")
         )
-        with pytest.raises(NotSymmetrizableError):
-            alexander_torus(TorusKnotSpec(2, 3))
+        monkeypatch.setattr(knots, "_adjacent_torus_delta", lambda variables, p: poly("t + 2 - t^-1"))
+        for pq in [(2, 5), (2, 3)]:
+            with pytest.raises(NotSymmetrizableError):
+                alexander_torus(TorusKnotSpec(*pq))
 
     @pytest.mark.parametrize("pq", [(2, 3), (2, 9), (3, 4), (3, 10), (5, 12), (7, 9), (11, 13)])
     def test_raw_form_starts_at_t0(self, pq):
@@ -194,9 +198,10 @@ class TestTorusKernel:
         quotient = _binomial_quotient(T_VARS, [0, 1, 6, 7], [1, -1, -1, 1], 3)
         assert quotient == poly("t^4 - t^3 + t - 1")
 
-    @pytest.mark.parametrize("pq", [(2, 40001), (5, 12), (300, 301)])
+    @pytest.mark.parametrize("pq", [(2, 40001), (5, 12), (300, 307)])
     def test_divides_by_the_smaller_binomial(self, pq, monkeypatch):
-        # (t - 1)(1 + t^q + ... + t^((p-1)q)) has 2p terms, divided by t^p - 1
+        # (t - 1)(1 + t^q + ... + t^((p-1)q)) has 2p terms, divided by t^p - 1;
+        # T(p, p+1) takes the writer instead, tested in TestAdjacentWriter
         calls = []
 
         def spy(variables, keys, coeffs, q):
@@ -225,11 +230,14 @@ class TestTorusKernel:
             _binomial_quotient(T_VARS, [0, 1], [-1, 1], 3)
 
     def test_span_mismatch_detected(self, monkeypatch):
+        # on both routes: the kernel (T(2,5)) and the writer (T(2,3))
         monkeypatch.setattr(
             knots, "_binomial_quotient", lambda variables, keys, coeffs, q: poly("1 - t")
         )
-        with pytest.raises(InternalInconsistencyError, match="span"):
-            knots._torus_quotient(2, 3)
+        monkeypatch.setattr(knots, "_adjacent_torus_delta", lambda variables, p: poly("1 - t"))
+        for pq in [(2, 5), (2, 3)]:
+            with pytest.raises(InternalInconsistencyError, match="span"):
+                knots._torus_quotient(*pq)
 
     def test_exponent_overflow_before_allocation(self):
         # pq = 3037000508^2 - 1 is just above the signed 64-bit range
@@ -238,6 +246,48 @@ class TestTorusKernel:
 
     def test_unknot_needs_no_exponent_check(self):
         assert alexander_torus(TorusKnotSpec(1, 2 ** 70)) == poly("1")
+
+
+def adjacent_numerator(p: int) -> tuple[list[int], list[int]]:
+    # t^-g (t - 1)(1 + t^(p+1) + ... + t^((p-1)(p+1))), ascending: the kernel's input
+    g = p * (p - 1) // 2
+    keys = []
+    for k in range(p):
+        keys += [k * (p + 1) - g, k * (p + 1) + 1 - g]
+    return keys, [-1, 1] * p
+
+
+class TestAdjacentWriter:
+    def test_matches_the_semigroup_and_the_kernel(self):
+        for p in [*range(1, 301), 4096]:
+            got = _adjacent_torus_delta(T_VARS, p)
+            assert got == _binomial_quotient(T_VARS, *adjacent_numerator(p), p), p
+            if p <= 300:
+                assert got == semigroup_delta_centered(p, p + 1), p
+
+    def test_adjacent_knots_skip_the_kernel(self, monkeypatch):
+        def no_kernel(variables, keys, coeffs, q):
+            raise AssertionError("the kernel ran")
+
+        monkeypatch.setattr(knots, "_binomial_quotient", no_kernel)
+        for p in (2, 3, 300):
+            delta = alexander_torus(TorusKnotSpec(p, p + 1))
+            assert delta == _adjacent_torus_delta(T_VARS, p)
+        with pytest.raises(AssertionError, match="the kernel ran"):
+            alexander_torus(TorusKnotSpec(2, 5))
+
+    def test_peak_memory_is_within_twice_the_result(self):
+        # no numerator, no dict of exponents: the keys and coefficient list
+        # of Delta are the largest things built
+        p = 2 ** 15
+        tracemalloc.start()
+        try:
+            delta = alexander_torus(TorusKnotSpec(p, p + 1))
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert delta.term_count() == 2 * p - 1
+        assert peak <= 2 * held
 
 
 class TestGenus:

@@ -29,6 +29,7 @@ from knotsurgery.laurent import (
     NotDivisibleError,
     PolyParseError,
     VariableSet,
+    _adjacent_torus_delta,
     _binomial_quotient,
     _dumps_indent2,
 )
@@ -288,6 +289,10 @@ class TestEveryRouteIsCanonical:
         with mock.patch.object(laurent, "_WINDOW", window):
             assert_canonical(alexander_expr(Torus.of(*pq)))
             assert_canonical(alexander_expr(Torus.of(*pq), symmetrize=False))
+
+    @given(st.integers(1, 400))
+    def test_adjacent_torus_delta(self, p):
+        assert_canonical(_adjacent_torus_delta(T, p))
 
     @given(polys(), st.integers(2, 60))
     def test_torres(self, poly, lk):
