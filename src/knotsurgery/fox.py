@@ -11,14 +11,26 @@ generator.  For T(p, q) the presentation is <x, y | x^p y^-q> with
 phi(x) = t^q and phi(y) = t^p.
 
 Words are tuples of nonzero ints: letter +k is generator number k (1-based)
-and -k is its inverse.
+and -k is its inverse.  The derivative is taken run by run, not letter by
+letter: a run g^n of the generator adds an arithmetic progression of n
+exponents, counted at C level, so the Python-level work is one step per
+run, and the quotient is the Laurent layer's exact division.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Mapping
+from itertools import groupby
 
-from .laurent import LaurentPoly, VariableSet, _Frozen, _require_int
+from .laurent import (
+    LaurentPoly,
+    VariableSet,
+    _checked_exponent,
+    _from_dict,
+    _Frozen,
+    _require_int,
+)
 
 __all__ = [
     "UnsupportedPresentationError",
@@ -69,23 +81,32 @@ def _abelianized_fox_derivative(
 ) -> LaurentPoly:
     """phi(dw/dg) for g the generator with 1-based index wrt.
 
-    Uses the product rule d(uv) = du + phi(u) dv letter by letter, keeping
-    only the running abelianized prefix instead of the free-group prefix.
+    Uses the product rule d(uv) = du + phi(u) dv run by run, keeping only the
+    running abelianized prefix instead of the free-group prefix.  A run g^n
+    of the wrt generator, phi(g) = t^step, adds t^prefix, t^(prefix + step),
+    ..., t^(prefix + (n-1) step); a run g^-n first moves the prefix down by
+    n step and then subtracts the same progression.  The progression's
+    exponents are monotone, so its two ends bound them all.
     """
-    terms: dict[tuple[int, ...], int] = {}
+    rises, falls = Counter(), Counter()
     prefix = 0
-    for letter in word:
-        gen = abs(letter)
-        step = exponent_of[gen]
+    for letter, run in groupby(word):
+        n = len(tuple(run))
+        step = exponent_of[abs(letter)]
+        if letter < 0:
+            prefix -= n * step
+        if abs(letter) == wrt:
+            _checked_exponent(prefix)
+            _checked_exponent(prefix + (n - 1) * step)
+            counts = rises if letter > 0 else falls
+            if step:
+                counts.update(range(prefix, prefix + n * step, step))
+            else:
+                counts[prefix] += n
         if letter > 0:
-            if gen == wrt:
-                terms[(prefix,)] = terms.get((prefix,), 0) + 1
-            prefix += step
-        else:
-            prefix -= step
-            if gen == wrt:
-                terms[(prefix,)] = terms.get((prefix,), 0) - 1
-    return LaurentPoly(_T, terms)
+            prefix += n * step
+    rises.subtract(falls)
+    return _from_dict(_T, rises)
 
 
 def alexander_fox_oracle(
@@ -101,11 +122,15 @@ def alexander_fox_oracle(
     for name in g.generators:
         if name not in abelianization:
             raise ValueError(f"abelianization does not cover generator {name!r}")
-    exponent_of = {i + 1: abelianization[name] for i, name in enumerate(g.generators)}
+    exponent_of = {
+        i + 1: _require_int(abelianization[name], "exponent")
+        for i, name in enumerate(g.generators)
+    }
 
     for word in g.relators:
         image = sum(
-            exponent_of[abs(letter)] * (1 if letter > 0 else -1) for letter in word
+            exponent_of[abs(letter)] * (count if letter > 0 else -count)
+            for letter, count in Counter(word).items()
         )
         if image != 0:
             raise ValueError(

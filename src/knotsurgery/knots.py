@@ -13,10 +13,11 @@ division.  Every other T(p, q) writes the first quotient down as
 binomial as p <= q, with the Laurent layer's running-sum kernel, one residue
 class mod p at a time: the numerator has 2p terms whatever q is, in an
 exponent array and a coefficient list.  Both routes write Delta from
-t^-genus, centered, and both results pass the same span check, so connected
-sums multiply centered factors into a centered product, symmetrize only
-checks the result, and the raw representative (symmetrize=False) is Delta
-times t^genus.
+t^-genus, centered, and both results pass the same two checks: the span is
+2 genus, and Delta(1) = 1, a sum of the coefficients.  So connected sums
+multiply centered factors into a centered product, symmetrize only checks
+the result, and the raw representative (symmetrize=False) is Delta times
+t^genus.
 Mirroring is the identity on these invariants (Alexander polynomials cannot
 see chirality), so Mirror nodes exist purely to record how a knot was described.
 
@@ -43,6 +44,7 @@ from .laurent import (
     VariableSet,
     _adjacent_torus_delta,
     _binomial_quotient,
+    _coefficient_sum,
     _Frozen,
     _require_int,
     _tokenize,
@@ -73,7 +75,8 @@ MAX_KNOT_DEPTH = 200
 class InternalInconsistencyError(RuntimeError):
     """A closed formula violated a property it is supposed to guarantee.
 
-    Raised when the quotient inside alexander_torus has the wrong span.
+    Raised when the quotient inside alexander_torus has the wrong span, or a
+    value at t = 1 other than 1.
     Unreachable for valid inputs; seeing it means the arithmetic layer has a
     bug.
     """
@@ -158,6 +161,9 @@ def _torus_quotient(p: int, q: int) -> LaurentPoly:
         raise InternalInconsistencyError(
             f"T({p},{q}) quotient lacks t^{-g} or t^{g}: its span is not {2 * g}"
         )
+    value = _coefficient_sum(quotient)
+    if value != 1:
+        raise InternalInconsistencyError(f"T({p},{q}) quotient has Delta(1) = {value}, not 1")
     return quotient
 
 

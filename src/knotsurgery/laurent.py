@@ -27,11 +27,15 @@ divisors.  A product of two one-variable polynomials whose exponent window
 computed by Kronecker substitution: each factor is packed into one integer,
 one machine-level multiply convolves them, and the bytes are read back one
 slot per exponent.  Other products -- sparse, multivariate, or with a
-single-term factor -- loop over the term pairs.
+single-term factor -- loop over the term pairs, the factor with fewer terms
+in the outer loop.
 
 Division by t^q - 1 for the torus-knot formula and multiplication by
 1 + t + ... + t^(lk-1) for the Torres condition are two running sums, each
-checking its own top exponent; general exact division works at any offset.
+checking its own top exponent.  General exact division works at any offset:
+the remainder is a dict with a heap of its exponents, and each step pops the
+highest, takes its term as the lead's cancellation and subtracts the
+quotient term times the divisor's lower terms, zipped once beforehand.
 Delta_T(p,p+1), the family's torus knot, needs neither: its writer fills
 the arrays from two arithmetic progressions, with no per-term loop.
 
@@ -181,6 +185,11 @@ def _from_canonical(variables: "VariableSet", keys, coeffs: list) -> "LaurentPol
 
 def _from_dict(variables: "VariableSet", acc: dict) -> "LaurentPoly":
     return _from_canonical(variables, *_sorted_terms(variables, acc))
+
+
+def _coefficient_sum(poly: "LaurentPoly") -> int:
+    # the sum of the coefficients: the value at 1 of every variable
+    return sum(poly._terms)
 
 
 def _vector_sum(e1: tuple, e2: tuple) -> tuple:
@@ -477,6 +486,9 @@ class LaurentPoly:
         if other is None:
             return NotImplemented
         self._require_same_variables(other)
+        # the factor with fewer terms runs the outer loop of the pair loop
+        if len(self._terms) > len(other._terms):
+            self, other = other, self
         a, b = self._keys, other._keys
         # over Z the extreme terms in each slot never cancel (no zero
         # divisors), so a product's exponents lie in range iff these sums do
@@ -581,32 +593,40 @@ class LaurentPoly:
 
         div, dcoeffs = den._keys, den._terms
         dlead, dlc = div[-1], dcoeffs[-1]
+        lower = list(zip(div[:-1], dcoeffs[:-1]))  # the divisor's terms below its lead
         # every quotient exponent lies between shift and max(num) - dlead
         shift = self._keys[0] - div[0]
-        rem = dict(zip(self._keys, self._terms))
+        rem = dict(zip(self._keys, self._terms))  # never holds a zero
         heap = [-e for e in reversed(self._keys)]  # ascending, so already a heap
+        pop, push, get = heapq.heappop, heapq.heappush, rem.get
         # each step takes the highest remaining exponent, so the quotient's
-        # exponents come out strictly descending
+        # exponents come out strictly descending; an exponent that left rem
+        # and came back may sit in the heap twice, and its second pop finds 0
         qkeys, qcoeffs = [], []
         while heap:
-            e = -heapq.heappop(heap)
-            if e not in rem:
+            e = -pop(heap)
+            c = rem.pop(e, 0)
+            if not c:
                 continue
             qe = e - dlead
-            qc, r = divmod(rem[e], dlc)
+            qc, r = divmod(c, dlc)
             if qe < shift or r:
-                raise NotDivisibleError(f"{self} is not an exact multiple of {den}")
+                raise NotDivisibleError(
+                    f"remainder at exponent {e}: a {len(self._terms)}-term polynomial is"
+                    f" not an exact multiple of a {len(dcoeffs)}-term divisor"
+                )
             qkeys.append(qe)
             qcoeffs.append(qc)
-            for de, dc in zip(div, dcoeffs):
+            for de, dc in lower:
                 ne = qe + de
-                merged = rem.get(ne, 0) - qc * dc
+                old = get(ne, 0)
+                merged = old - qc * dc
                 if merged:
-                    if ne not in rem:
-                        heapq.heappush(heap, -ne)
+                    if not old:
+                        push(heap, -ne)
                     rem[ne] = merged
                 else:
-                    rem.pop(ne, None)
+                    del rem[ne]
         _checked_exponent(shift)
         _checked_exponent(qkeys[0])
         qcoeffs.reverse()

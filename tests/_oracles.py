@@ -1,8 +1,8 @@
 """Reference implementations used only to check the library.
 
 Everything here is deliberately naive and dense: schoolbook products,
-classical long division and semigroup enumeration over plain
-``{exponent: coefficient}`` dicts.  None
+classical long division, semigroup enumeration and a Fox derivative taken
+one letter at a time, over plain ``{exponent: coefficient}`` dicts.  None
 of it shares code with the package, so agreement is meaningful.
 """
 
@@ -120,3 +120,28 @@ def format_one_variable(poly: dict[int, int], name: str) -> str:
         else:
             text += (" + " if c > 0 else " - ") + body
     return text or "0"
+
+
+def fox_derivative_letters(
+    word: tuple[int, ...], wrt: int, exponent_of: dict[int, int]
+) -> dict[int, int]:
+    """The abelianized Fox derivative of a word, one letter at a time.
+
+    Letter +k is generator k and -k its inverse; generator k maps to
+    t^exponent_of[k].  By the product rule, a letter g of the wrt generator
+    adds t^prefix and a letter g^-1 subtracts t^(prefix after it), where
+    prefix is the image of the word read so far.
+    """
+    out: dict[int, int] = {}
+    prefix = 0
+    for letter in word:
+        step = exponent_of[abs(letter)]
+        if letter > 0:
+            if letter == wrt:
+                out[prefix] = out.get(prefix, 0) + 1
+            prefix += step
+        else:
+            prefix -= step
+            if -letter == wrt:
+                out[prefix] = out.get(prefix, 0) - 1
+    return {e: c for e, c in out.items() if c}

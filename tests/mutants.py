@@ -212,6 +212,39 @@ MUTANTS = [
         "            if False:\n",
         (f"{LAURENT}::TestEqualUpToUnits::test_same_coefficients_on_other_exponents_differ",),
     ),
+    # the Fox oracle's run-wise derivative and its abelianization
+    Mutant(
+        "fox-run-start-unchecked",
+        "fox.py",
+        "            _checked_exponent(prefix)\n",
+        "",
+        ("tests/test_fox.py::TestFoxOracle::test_run_start_out_of_range",),
+    ),
+    Mutant(
+        "fox-run-end-unchecked",
+        "fox.py",
+        "            _checked_exponent(prefix + (n - 1) * step)\n",
+        "",
+        ("tests/test_fox.py::TestFoxOracle::test_run_top_out_of_range",),
+    ),
+    Mutant(
+        "fox-abelianization-unchecked",
+        "fox.py",
+        '        i + 1: _require_int(abelianization[name], "exponent")\n',
+        "        i + 1: abelianization[name]\n",
+        ("tests/test_fox.py::TestFoxOracle::test_abelianization_values_must_be_integers",),
+    ),
+    # both torus routes' Delta(1) = 1 check
+    Mutant(
+        "torus-value-at-one-unchecked",
+        "knots.py",
+        "    if value != 1:\n",
+        "    if False:\n",
+        (
+            "tests/test_cli.py::test_internal_inconsistency_exits_2",
+            "tests/test_cli.py::test_writer_inconsistency_exits_2",
+        ),
+    ),
     # an input too large for memory is a usage error
     Mutant(
         "out-of-memory-uncaught",

@@ -543,13 +543,18 @@ KERNEL_FAULTS = {
         lambda variables, keys, coeffs, q: _binomial_quotient(variables, keys, coeffs, q + 1),
         NotDivisibleError,
     ),
-    # centered and of the right span, but t^2 and t^-2 differ
+    # centered, of the right span and with Delta(1) = 1, but t^2 and t^-2 differ
     "asymmetric": (
-        lambda variables, keys, coeffs, q: LaurentPoly.parse("t^2 + 2 - t^-2", variables),
+        lambda variables, keys, coeffs, q: LaurentPoly.parse("t^2 + 1 - t^-2", variables),
         NotSymmetrizableError,
     ),
     "wrong_span": (
         lambda variables, keys, coeffs, q: LaurentPoly.parse("1 - t", variables),
+        InternalInconsistencyError,
+    ),
+    # the right terms, each coefficient doubled: symmetric, but Delta(1) = 2
+    "doubled": (
+        lambda variables, keys, coeffs, q: _binomial_quotient(variables, keys, coeffs, q) * 2,
         InternalInconsistencyError,
     ),
 }
@@ -557,18 +562,26 @@ KERNEL_FAULTS = {
 # a faulty writer of Delta_T(p,p+1), and the error each fault surfaces as on
 # T(2,3), which takes the writer (genus 1)
 WRITER_FAULTS = {
-    # the right terms but one coefficient off: t gains 1
+    # the right terms but two coefficients off, Delta(1) still 1: t gains 1
+    # and the constant term loses 1
     "wrong_coefficients": (
-        lambda variables, p: _adjacent_torus_delta(variables, p) + LaurentPoly.var(variables, "t"),
+        lambda variables, p: (
+            _adjacent_torus_delta(variables, p) + LaurentPoly.var(variables, "t") - 1
+        ),
         NotSymmetrizableError,
     ),
-    # centered and of the right span, but t and t^-1 differ
+    # centered, of the right span and with Delta(1) = 1, but t and t^-1 differ
     "asymmetric": (
-        lambda variables, p: LaurentPoly.parse("t + 2 - t^-1", variables),
+        lambda variables, p: LaurentPoly.parse("t + 1 - t^-1", variables),
         NotSymmetrizableError,
     ),
     "wrong_span": (
         lambda variables, p: LaurentPoly.parse("1 - t", variables),
+        InternalInconsistencyError,
+    ),
+    # the right terms, each coefficient doubled: symmetric, but Delta(1) = 2
+    "doubled": (
+        lambda variables, p: _adjacent_torus_delta(variables, p) * 2,
         InternalInconsistencyError,
     ),
 }

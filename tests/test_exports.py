@@ -33,7 +33,8 @@ def test_every_module_with_exports_is_checked():
 PRIVATE_IMPORTS = {
     "knots": {
         "laurent": {
-            "_Frozen", "_adjacent_torus_delta", "_binomial_quotient", "_require_int", "_tokenize",
+            "_Frozen", "_adjacent_torus_delta", "_binomial_quotient", "_coefficient_sum",
+            "_require_int", "_tokenize",
         },
     },
     "surgery": {
@@ -46,7 +47,7 @@ PRIVATE_IMPORTS = {
             "_require_int", "_require_json_object", "_write_text",
         },
     },
-    "fox": {"laurent": {"_Frozen", "_require_int"}},
+    "fox": {"laurent": {"_Frozen", "_checked_exponent", "_from_dict", "_require_int"}},
     "cli": {
         "family": {"_family_rows", "_write_rows"},
         "laurent": {"_check_digits", "_write_indent2", "_write_text"},

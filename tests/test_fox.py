@@ -1,14 +1,19 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from knotsurgery.fox import (
     GroupPresentation,
     UnsupportedPresentationError,
+    _abelianized_fox_derivative,
     alexander_fox_oracle,
 )
 from knotsurgery.knots import TorusKnotSpec, alexander_torus
-from knotsurgery.laurent import LaurentPoly, VariableSet
+from knotsurgery.laurent import ExponentOverflowError, LaurentPoly, VariableSet
+
+from _oracles import convolve, fox_derivative_letters
 
 T = VariableSet("t")
 
@@ -126,3 +131,68 @@ class TestFoxOracle:
         g = GroupPresentation(("x", "y"), ((2, 1, -2, -1),))
         with pytest.raises(UnsupportedPresentationError):
             alexander_fox_oracle(g, {"x": 1, "y": 0})
+
+    @pytest.mark.parametrize("value", [3.0, True])
+    def test_abelianization_values_must_be_integers(self, value):
+        g = GroupPresentation.torus_knot(2, 3)
+        with pytest.raises(ValueError, match=f"exponent must be an integer, got {value!r}"):
+            alexander_fox_oracle(g, {"x": value, "y": 2})
+        # <x, y | x y^-1> with x sent to True once came out as 1
+        g = GroupPresentation(("x", "y"), ((1, -2),))
+        with pytest.raises(ValueError, match="exponent must be an integer"):
+            alexander_fox_oracle(g, {"x": value, "y": 1})
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_run_top_out_of_range(self, sign):
+        # dr/dx of x^2 y^-3 is 1 + t^(±3 * 2^62): the run x^2 ends out of range
+        g = GroupPresentation.torus_knot(2, 3)
+        with pytest.raises(ExponentOverflowError):
+            alexander_fox_oracle(g, {"x": sign * 3 << 62, "y": sign * 2 << 62})
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_run_start_out_of_range(self, sign):
+        # dr/dx of x^-2 y^3 is -t^(-2s) - t^(-s) for s = ±3 * 2^61: the run
+        # x^-2 starts out of range and ends inside it
+        g = GroupPresentation(("x", "y"), ((-1, -1, 2, 2, 2),))
+        with pytest.raises(ExponentOverflowError):
+            alexander_fox_oracle(g, {"x": sign * 3 << 61, "y": sign << 62})
+
+
+def _freely_reduced(runs) -> tuple[int, ...]:
+    # the runs' letters with every adjacent inverse pair cancelled
+    word: list[int] = []
+    for letter, length in runs:
+        for _ in range(length):
+            if word and word[-1] == -letter:
+                word.pop()
+            else:
+                word.append(letter)
+    return tuple(word)
+
+
+runs_of_letters = st.lists(
+    st.tuples(st.sampled_from([1, -1, 2, -2]), st.integers(1, 5)), max_size=12
+).map(_freely_reduced)
+small_exponents = st.integers(-4, 4)
+
+
+class TestRunWiseDerivative:
+    @given(runs_of_letters, st.sampled_from([1, 2]), small_exponents, small_exponents)
+    @settings(max_examples=500, deadline=None)
+    def test_matches_the_letter_by_letter_derivative(self, word, wrt, ex, ey):
+        exponent_of = {1: ex, 2: ey}
+        got = _abelianized_fox_derivative(word, wrt, exponent_of)
+        expected = fox_derivative_letters(word, wrt, exponent_of)
+        assert {exps[0]: c for exps, c in got.terms()} == expected
+
+    def test_adjacent_torus_knots_up_to_400(self):
+        # the quotient by t^p - 1 is unique, so checking the product against
+        # the letter-by-letter numerator pins the oracle's exact output
+        for p in range(1, 401):
+            g = GroupPresentation.torus_knot(p, p + 1)
+            got = alexander_fox_oracle(g, {"x": p + 1, "y": p})
+            terms = {exps[0]: c for exps, c in got.terms()}
+            derivative = fox_derivative_letters(g.relators[0], 1, {1: p + 1, 2: p})
+            numerator = convolve(derivative, {1: 1, 0: -1})
+            assert convolve(terms, {p: 1, 0: -1}) == numerator, p
+            assert got.equal_up_to_units(alexander_torus(TorusKnotSpec(p, p + 1))), p

@@ -136,12 +136,13 @@ class TestAlexanderTorus:
             assert len(built) == count, format_knot_expr(expr)
 
     def test_symmetry_is_still_checked(self, monkeypatch):
-        # centered and of the right span, but the coefficients of t^g and
-        # t^-g differ, from the kernel (T(2,5), g = 2) and the writer (T(2,3))
+        # centered, of the right span and with Delta(1) = 1, but the
+        # coefficients of t^g and t^-g differ, from the kernel (T(2,5),
+        # g = 2) and the writer (T(2,3))
         monkeypatch.setattr(
-            knots, "_binomial_quotient", lambda variables, keys, coeffs, q: poly("t^2 + 2 - t^-2")
+            knots, "_binomial_quotient", lambda variables, keys, coeffs, q: poly("t^2 + 1 - t^-2")
         )
-        monkeypatch.setattr(knots, "_adjacent_torus_delta", lambda variables, p: poly("t + 2 - t^-1"))
+        monkeypatch.setattr(knots, "_adjacent_torus_delta", lambda variables, p: poly("t + 1 - t^-1"))
         for pq in [(2, 5), (2, 3)]:
             with pytest.raises(NotSymmetrizableError):
                 alexander_torus(TorusKnotSpec(*pq))

@@ -244,6 +244,17 @@ class TestExactDivide:
         env = {**os.environ, "PYTHONPATH": str(SRC)}
         subprocess.run([sys.executable, "-c", child], env=env, check=True, timeout=30)
 
+    def test_not_divisible_names_no_operand(self):
+        # 10^5000 is past CPython's int-to-string digit limit: the message
+        # names the exponent of the remainder and the two term counts, and
+        # formats neither operand
+        num = LaurentPoly(T, {(2,): 10 ** 5000, (0,): 1})
+        with pytest.raises(NotDivisibleError) as caught:
+            num.exact_divide(p("t - 1"))
+        message = str(caught.value)
+        assert len(message) < 200
+        assert "exponent 0" in message and "2-term" in message
+
     def test_not_divisible_by_content(self):
         with pytest.raises(NotDivisibleError):
             p("t + 1").exact_divide(p("2*t + 2"))
