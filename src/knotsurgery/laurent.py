@@ -32,12 +32,18 @@ in the outer loop.
 
 Division by t^q - 1 for the torus-knot formula and multiplication by
 1 + t + ... + t^(lk-1) for the Torres condition are two running sums, each
-checking its own top exponent.  General exact division works at any offset:
-the remainder is a dict with a heap of its exponents, and each step pops the
-highest, takes its term as the lead's cancellation and subtracts the
-quotient term times the divisor's lower terms, zipped once beforehand.
-Delta_T(p,p+1), the family's torus knot, needs neither: its writer fills
-the arrays from two arithmetic progressions, with no per-term loop.
+checking its own top exponent.  Exact division has two paths of its own,
+and both work at any offset.  A divisor +-(t^a - t^b), such as the Fox
+oracle's phi(y) - 1, is read from the top like long division, one residue
+class mod a - b at a time: the quotient is a running sum of the numerator,
+constant between the class's terms, so each stretch is one range of
+exponents, and the division is exact iff every class sums to 0.  Every
+other divisor keeps a remainder dict with a heap of its exponents: each
+step pops the highest, takes its term as the lead's cancellation and
+subtracts the quotient term times the divisor's lower terms, zipped once
+beforehand.  Delta_T(p,p+1), the family's torus knot, needs no division:
+its writer fills the arrays from two arithmetic progressions, with no
+per-term loop.
 
 Text form: ``coeff*var^exp`` factors joined by ``+`` / ``-``, variables in
 the set's fixed order, terms in descending lexicographic exponent order,
@@ -302,6 +308,45 @@ def _geometric_multiple(poly: LaurentPoly, lk: int) -> LaurentPoly:
             coeffs.extend(repeat(running, e - start))
         running, start = running + c, e
     return _from_canonical(poly.variables, keys, coeffs)
+
+
+def _unit_binomial_quotient(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
+    # num / (lead (t^a - t^b)) for a > b and lead = +-1, from the top like long
+    # division; exact_divide's own routine, not the torus formula's kernel.
+    # With d = a - b, num_e = lead (Q_(e-a) - Q_(e-b)) gives
+    # Q_(k-d) = Q_k + num_(k+b) / lead: per residue class mod d, Q read
+    # downward is a running sum of num / lead, constant between the class's
+    # terms of num, so each stretch is one range of exponents.  Q is finite,
+    # and the division exact, iff every class sums to 0.  A nonzero Q runs
+    # from num's lowest exponent minus b to its highest minus a, and both
+    # ends are checked before the array is written
+    keys = num._keys
+    (b, a), lead = den._keys, den._terms[1]
+    d = a - b
+    if d <= len(keys):
+        sums, lasts = [0] * d, [0] * d  # class -> running sum, its last term of num
+    else:
+        sums, lasts = dict.fromkeys(map(d.__rmod__, keys), 0), {}
+    coeffs = reversed(num._terms) if lead > 0 else map(operator.neg, reversed(num._terms))
+    acc = {}
+    for e, c in zip(reversed(keys), coeffs):
+        r = e % d
+        running = sums[r]
+        if running:
+            for x in range(lasts[r] - a, e - a, -d):
+                acc[x] = running
+        sums[r] = running + c
+        lasts[r] = e
+    for r in range(d) if d <= len(keys) else sums:
+        if sums[r]:
+            raise NotDivisibleError(
+                f"remainder at exponent {lasts[r]}: a {len(keys)}-term polynomial is"
+                " not an exact multiple of a 2-term divisor"
+            )
+    _checked_exponent(keys[0] - b)
+    _checked_exponent(keys[-1] - a)
+    out = sorted(acc)
+    return _from_canonical(num.variables, array("q", out), list(map(acc.__getitem__, out)))
 
 
 class VariableSet:
@@ -592,6 +637,8 @@ class LaurentPoly:
             return _from_canonical(self.variables, [()], [qc])
 
         div, dcoeffs = den._keys, den._terms
+        if len(dcoeffs) == 2 and dcoeffs[0] == -dcoeffs[1] and dcoeffs[1] in (1, -1):
+            return _unit_binomial_quotient(self, den)
         dlead, dlc = div[-1], dcoeffs[-1]
         lower = list(zip(div[:-1], dcoeffs[:-1]))  # the divisor's terms below its lead
         # every quotient exponent lies between shift and max(num) - dlead

@@ -44,6 +44,7 @@ class Mutant:
 
 LAURENT = "tests/test_laurent.py"
 PROPERTIES = "tests/test_properties.py"
+FOX = "tests/test_fox.py"
 
 MUTANTS = [
     # three mutants that the tests once let through
@@ -59,14 +60,17 @@ MUTANTS = [
         "laurent.py",
         "        _checked_exponent(shift)\n",
         "",
-        (f"{LAURENT}::TestExactDivide::test_quotient_overflow_detected",),
+        (
+            f"{LAURENT}::TestExactDivide::test_quotient_overflow_detected",
+            f"{LAURENT}::TestExactDivide::test_quotient_low_end_overflow_detected_by_the_heap_loop",
+        ),
     ),
     Mutant(
         "quotient-below-shift-not-a-remainder",  # the division never ends
         "laurent.py",
         "            if qe < shift or r:\n",
         "            if r:\n",
-        (f"{LAURENT}::TestExactDivide::test_not_divisible",),
+        (f"{LAURENT}::TestExactDivide::test_not_divisible_by_the_heap_loop",),
     ),
     # the stored layout: sorted once and zero-free where terms accumulate
     Mutant(
@@ -172,7 +176,42 @@ MUTANTS = [
         "laurent.py",
         "        _checked_exponent(qkeys[0])\n",
         "",
-        (f"{LAURENT}::TestExactDivide::test_quotient_top_overflow_detected",),
+        (f"{LAURENT}::TestExactDivide::test_quotient_top_overflow_detected_by_the_heap_loop",),
+    ),
+    # exact division by +-(t^a - t^b), one residue class mod a - b at a time
+    Mutant(
+        "unit-binomial-remainder-unchecked",
+        "laurent.py",
+        "        if sums[r]:\n",
+        "        if False:\n",
+        (
+            f"{LAURENT}::TestExactDivide::test_not_divisible",
+            f"{LAURENT}::TestUnitBinomialDivision::test_remainder_names_the_last_term_of_its_class",
+        ),
+    ),
+    Mutant(
+        "unit-binomial-low-end-unchecked",
+        "laurent.py",
+        "    _checked_exponent(keys[0] - b)\n",
+        "",
+        (f"{LAURENT}::TestUnitBinomialDivision::test_quotient_low_end_overflow_detected",),
+    ),
+    Mutant(
+        "unit-binomial-top-unchecked",
+        "laurent.py",
+        "    _checked_exponent(keys[-1] - a)\n",
+        "",
+        (
+            f"{LAURENT}::TestUnitBinomialDivision::test_quotient_top_overflow_detected",
+            f"{LAURENT}::TestExactDivide::test_quotient_top_overflow_detected",
+        ),
+    ),
+    Mutant(
+        "unit-binomial-run-one-short",
+        "laurent.py",
+        "            for x in range(lasts[r] - a, e - a, -d):\n",
+        "            for x in range(lasts[r] - a, e - a + d, -d):\n",
+        (f"{LAURENT}::TestUnitBinomialDivision::test_quotients",),
     ),
     # symmetrize's mirror test
     Mutant(
@@ -211,6 +250,21 @@ MUTANTS = [
         "            if [e + shift for e in a] != b.tolist():\n",
         "            if False:\n",
         (f"{LAURENT}::TestEqualUpToUnits::test_same_coefficients_on_other_exponents_differ",),
+    ),
+    # the presentation's letter and free-reduction checks, taken at C level
+    Mutant(
+        "presentation-letter-types-unchecked",
+        "fox.py",
+        "            if not (set(map(type, word)) <= {int} and set(word) <= letters):\n",
+        "            if not set(word) <= letters:\n",
+        (f"{FOX}::TestGroupPresentation::test_rejection_messages",),
+    ),
+    Mutant(
+        "presentation-reduction-unchecked",
+        "fox.py",
+        "            if 0 in map(operator.add, heads, heads[1:]):\n",
+        "            if False:\n",
+        (f"{FOX}::TestGroupPresentation::test_accepts_exactly_the_freely_reduced_words",),
     ),
     # the Fox oracle's run-wise derivative and its abelianization
     Mutant(

@@ -1,9 +1,11 @@
 import math
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from knotsurgery import knots, laurent
 from knotsurgery.fox import (
     GroupPresentation,
     UnsupportedPresentationError,
@@ -13,7 +15,7 @@ from knotsurgery.fox import (
 from knotsurgery.knots import TorusKnotSpec, alexander_torus
 from knotsurgery.laurent import ExponentOverflowError, LaurentPoly, VariableSet
 
-from _oracles import convolve, fox_derivative_letters
+from _oracles import convolve, fox_derivative_letters, semigroup_delta
 
 T = VariableSet("t")
 
@@ -45,6 +47,37 @@ class TestGroupPresentation:
         # bool subclasses int, but True is not generator number 1
         with pytest.raises(ValueError, match="letter True is not a valid generator index"):
             GroupPresentation(("x", "y"), ((True, True, -2, -2, -2),))
+
+    @pytest.mark.parametrize(
+        "relators, message",
+        [
+            (((1, True, 2),), "letter True is not a valid generator index"),
+            (((1, 2), (2, 0, 1)), "letter 0 is not a valid generator index"),
+            (((1, -3, 2),), "letter -3 is not a valid generator index"),
+            (((1, 2.0),), "letter 2.0 is not a valid generator index"),
+            (((1, "y"),), "letter 'y' is not a valid generator index"),
+            # the first bad letter of the first bad word is named
+            (((1, 2), (1, 2, 1.5, -7)), "letter 1.5 is not a valid generator index"),
+            (((1, 2), (1, 2, -2, 1)), "relator (1, 2, -2, 1) is not freely reduced"),
+            (((2, 2, 2, -2),), "relator (2, 2, 2, -2) is not freely reduced"),
+        ],
+    )
+    def test_rejection_messages(self, relators, message):
+        with pytest.raises(ValueError) as caught:
+            GroupPresentation(("x", "y"), relators)
+        assert str(caught.value) == message
+
+    @given(st.lists(st.sampled_from([1, -1, 2, -2, 3, -3]), max_size=12).map(tuple))
+    def test_accepts_exactly_the_freely_reduced_words(self, word):
+        # the check reads only the letters that start runs; a pairwise scan
+        # of all adjacent letters decides the same
+        reduced = all(a != -b for a, b in zip(word, word[1:]))
+        try:
+            GroupPresentation(("x", "y", "z"), (word,))
+        except ValueError as error:
+            assert not reduced and str(error) == f"relator {word!r} is not freely reduced"
+        else:
+            assert reduced
 
     def test_torus_knot_rejects_nonpositive(self):
         with pytest.raises(ValueError, match="must be a positive integer"):
@@ -196,3 +229,35 @@ class TestRunWiseDerivative:
             numerator = convolve(derivative, {1: 1, 0: -1})
             assert convolve(terms, {p: 1, 0: -1}) == numerator, p
             assert got.equal_up_to_units(alexander_torus(TorusKnotSpec(p, p + 1))), p
+
+
+def _raises(*args, **kwargs):
+    raise AssertionError("a route used a kernel it must not share")
+
+
+class TestIndependentRoutes:
+    # the Fox oracle and the closed formula share no division kernel: each
+    # still builds Delta with the other's kernels patched to raise
+    PAIRS = [(2, 3), (3, 4), (3, 7), (5, 12), (300, 307)]
+
+    def expected(self, p, q) -> LaurentPoly:
+        return LaurentPoly(T, {(e,): c for e, c in semigroup_delta(p, q).items()})
+
+    def test_fox_oracle_without_the_torus_and_torres_kernels(self):
+        with mock.patch.multiple(
+            laurent,
+            _binomial_quotient=_raises,
+            _adjacent_torus_delta=_raises,
+            _geometric_multiple=_raises,
+        ), mock.patch.multiple(
+            knots, _binomial_quotient=_raises, _adjacent_torus_delta=_raises
+        ):
+            for p, q in self.PAIRS:
+                got = alexander_fox_oracle(GroupPresentation.torus_knot(p, q), {"x": q, "y": p})
+                assert got.equal_up_to_units(self.expected(p, q)), (p, q)
+
+    def test_closed_formula_without_the_fox_division_step(self):
+        with mock.patch.object(laurent, "_unit_binomial_quotient", _raises):
+            for p, q in self.PAIRS:
+                got = alexander_torus(TorusKnotSpec(p, q))
+                assert got.equal_up_to_units(self.expected(p, q)), (p, q)

@@ -244,6 +244,20 @@ class TestExactDivide:
         env = {**os.environ, "PYTHONPATH": str(SRC)}
         subprocess.run([sys.executable, "-c", child], env=env, check=True, timeout=30)
 
+    def test_not_divisible_by_the_heap_loop(self):
+        # the same bound for divisors that are not +-(t^a - t^b): without its
+        # floor on the quotient's exponents, the heap loop never ends here
+        child = textwrap.dedent("""
+            import pytest
+            from knotsurgery.laurent import LaurentPoly, NotDivisibleError
+            p = LaurentPoly.parse
+            for num, den in [("t^2 + 1", "t + 1"), ("t^3 + 2", "t^2 + t + 1"), ("t^2", "2*t - 2")]:
+                with pytest.raises(NotDivisibleError):
+                    p(num).exact_divide(p(den))
+        """)
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        subprocess.run([sys.executable, "-c", child], env=env, check=True, timeout=30)
+
     def test_not_divisible_names_no_operand(self):
         # 10^5000 is past CPython's int-to-string digit limit: the message
         # names the exponent of the remainder and the two term counts, and
@@ -292,6 +306,18 @@ class TestExactDivide:
         with pytest.raises(ExponentOverflowError, match=str(1 << 63)):
             (low + p("t - 1")).exact_divide(low)
 
+    def test_quotient_top_overflow_detected_by_the_heap_loop(self):
+        # the twin of the test above with (t + 1) t^m, no +-(t^a - t^b)
+        low = LaurentPoly(T, {(INT64_MIN + 1,): 1, (INT64_MIN,): 1})
+        with pytest.raises(ExponentOverflowError, match=str(1 << 63)):
+            (low + p("t + 1")).exact_divide(low)
+
+    def test_quotient_low_end_overflow_detected_by_the_heap_loop(self):
+        # (t^2 + t)(t^(INT64_MIN - 1) + 1) stays in range; the quotient does not
+        num = LaurentPoly(T, {(INT64_MIN + 1,): 1, (INT64_MIN,): 1, (2,): 1, (1,): 1})
+        with pytest.raises(ExponentOverflowError, match=str(INT64_MIN - 1)):
+            num.exact_divide(p("t^2 + t"))
+
     @pytest.mark.parametrize("low", [-1, -10 ** 6])
     def test_offset_numerator_divides_in_linear_time(self, low):
         # N = Q (t - 1) with Q = sum (k + 1) t^(low + k), k < 19999: N has
@@ -307,6 +333,21 @@ class TestExactDivide:
         assert got == quotient
         assert elapsed <= budget, f"exact_divide took {elapsed:.2f}s, budget {budget}s"
 
+    @pytest.mark.parametrize("low", [-1, -10 ** 6])
+    def test_offset_numerator_divides_in_linear_time_by_the_heap_loop(self, low):
+        # the twin of the test above with the divisor t + 1: N = Q (t + 1)
+        # has the coefficient 2k + 1 at low + k for 0 < k < 19999
+        quotient = from_dict({low + k: k + 1 for k in range(19999)})
+        num = from_dict({low + k: 2 * k + 1 for k in range(1, 19999)})
+        num += from_dict({low: 1, low + 19999: 19999})
+        assert num.term_count() == 20000
+        budget = 2.0
+        start = time.monotonic()
+        got = num.exact_divide(p("t + 1"))
+        elapsed = time.monotonic() - start
+        assert got == quotient
+        assert elapsed <= budget, f"exact_divide took {elapsed:.2f}s, budget {budget}s"
+
     @pytest.mark.parametrize("pq", [(2, 3), (3, 4), (4, 5), (3, 5), (5, 7)])
     def test_matches_dense_oracle_on_torus_quotients(self, pq):
         pe, qe = pq
@@ -318,6 +359,57 @@ class TestExactDivide:
         den = LaurentPoly(T, {(e,): c for e, c in den_dict.items()})
         got = num.exact_divide(den)
         assert got == LaurentPoly(T, {(e,): c for e, c in expected.items()})
+
+
+class TestUnitBinomialDivision:
+    # divisors +-(t^a - t^b), read from the top one residue class at a time
+
+    @pytest.mark.parametrize(
+        "num, den, quotient",
+        [
+            ("t^2 - 1", "t - 1", "t + 1"),
+            ("t^2 - 1", "1 - t", "-t - 1"),
+            ("t^10 - 1", "t^2 - 1", "t^8 + t^6 + t^4 + t^2 + 1"),
+            ("t^5 - t^-5", "t^-1 - t^-3", "t^6 + t^4 + t^2 + 1 + t^-2"),
+            ("3*t^4 - 3*t^3 + 5*t - 5", "t - 1", "3*t^3 + 5"),
+            ("t^7 - t^4 - t^3 + 1", "t^3 - 1", "t^4 - 1"),
+            # d = 100 is more than the numerator's term count: a dict per class
+            ("t^200 - 1", "t^100 - 1", "t^100 + 1"),
+            ("-t^103 + t^3", "t^100 - 1", "-t^3"),
+        ],
+    )
+    def test_quotients(self, num, den, quotient):
+        got = p(num).exact_divide(p(den))
+        assert got == p(quotient)
+        assert got * p(den) == p(num)
+
+    @pytest.mark.parametrize("den", ["t^3 - 1", "t^1000 - 1"])
+    def test_remainder_names_the_last_term_of_its_class(self, den):
+        # t^4 - t is a multiple of t^3 - 1 and t^2 is alone in its class mod 3;
+        # mod 1000 each term is alone, and the lowest class comes first
+        with pytest.raises(NotDivisibleError) as caught:
+            p("t^4 + t^2 - t").exact_divide(p(den))
+        assert str(caught.value) == (
+            f"remainder at exponent {2 if den == 't^3 - 1' else 1}: a 3-term polynomial"
+            " is not an exact multiple of a 2-term divisor"
+        )
+
+    def test_quotient_top_overflow_detected(self):
+        # (t^-1 - t^-2)(t^(INT64_MAX + 1) + 1) stays in range; the quotient does not
+        num = LaurentPoly(T, {(INT64_MAX,): 1, (INT64_MAX - 1,): -1, (-1,): 1, (-2,): -1})
+        with pytest.raises(ExponentOverflowError, match=str(1 << 63)):
+            num.exact_divide(p("t^-1 - t^-2"))
+        # one below the top, the same quotient is in range
+        num = LaurentPoly(T, {(INT64_MAX - 1,): 1, (INT64_MAX - 2,): -1, (-1,): 1, (-2,): -1})
+        assert num.exact_divide(p("t^-1 - t^-2")) == LaurentPoly(T, {(INT64_MAX,): 1, (0,): 1})
+
+    def test_quotient_low_end_overflow_detected(self):
+        # (t^2 - t)(t^(INT64_MIN - 1) + 1) stays in range; the quotient does not
+        num = LaurentPoly(T, {(INT64_MIN + 1,): 1, (INT64_MIN,): -1, (2,): 1, (1,): -1})
+        with pytest.raises(ExponentOverflowError, match=str(INT64_MIN - 1)):
+            num.exact_divide(p("t^2 - t"))
+        num = LaurentPoly(T, {(INT64_MIN + 2,): 1, (INT64_MIN + 1,): -1, (2,): 1, (1,): -1})
+        assert num.exact_divide(p("t^2 - t")) == LaurentPoly(T, {(INT64_MIN,): 1, (0,): 1})
 
 
 class TestBinomialQuotient:

@@ -2,7 +2,12 @@
 
 import json
 import math
+import os
+import re
+import subprocess
+import sys
 from functools import reduce
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -260,6 +265,84 @@ class TestBinomialKernel:
             keys, coeffs = [0], [delta]
         with pytest.raises(NotDivisibleError):
             _binomial_quotient(T, keys, coeffs, q)
+
+
+# divisors +-t^c (t^d - 1), c < 0 allowed, which exact_divide reads from the
+# top one residue class mod d at a time, and quotients over negative
+# exponents with big coefficients, dense, sparse or neither
+unit_binomials = st.tuples(st.integers(-40, 40), st.integers(1, 60), st.sampled_from([1, -1])).map(
+    lambda cds: {cds[0] + cds[1]: cds[2], cds[0]: -cds[2]}
+)
+binomial_quotients = st.one_of(
+    dense_terms,
+    sparse_terms,
+    st.dictionaries(st.integers(-90, 30), mixed_coefficients, max_size=12),
+)
+
+
+@given(binomial_quotients, unit_binomials, st.integers(-200, 200), mixed_coefficients)
+@settings(deadline=None, database=None, max_examples=300)
+def _a_stray_term_is_a_remainder(quotient, den, e, c):
+    # Q D + c t^e: the class of e mod d no longer sums to 0, and the error
+    # names that class's lowest exponent.  Run in a child process with a
+    # time bound by the test below, so a division that never ends fails
+    num = convolve(quotient, den)
+    num[e] = num.get(e, 0) + c
+    num = {k: v for k, v in num.items() if v}
+    d = max(den) - min(den)
+    with pytest.raises(NotDivisibleError) as caught:
+        from_dict(num).exact_divide(from_dict(den))
+    named = re.search(r"remainder at exponent (-?[0-9]+):", str(caught.value))
+    assert named and int(named[1]) == min(k for k in num if (k - e) % d == 0)
+
+
+class TestUnitBinomialDivision:
+    @given(binomial_quotients, unit_binomials)
+    @settings(deadline=None)
+    def test_inverts_multiplication_and_agrees_with_dense_oracle(self, quotient, den):
+        num = convolve(quotient, den)
+        event("a list per class" if max(den) - min(den) <= len(num) else "a dict per class")
+        got = from_dict(num).exact_divide(from_dict(den))
+        assert got == from_dict(quotient)
+        assert got == from_dict(dense_divide(num, den))
+        assert_canonical(got)
+
+    def test_a_stray_term_is_a_remainder(self, tmp_path):
+        tests = Path(__file__).resolve().parent
+        child = f"import sys; sys.path.insert(0, {str(tests)!r}); import test_properties; " + (
+            "test_properties._a_stray_term_is_a_remainder()"
+        )
+        env = {**os.environ, "PYTHONPATH": str(tests.parent / "src")}
+        argv = [sys.executable, "-c", child]
+        subprocess.run(argv, cwd=tmp_path, env=env, check=True, timeout=120)
+
+    @given(
+        st.sampled_from([INT64_MIN, INT64_MAX]).flatmap(
+            lambda a: st.dictionaries(
+                st.integers(a - 6, a + 6), mixed_coefficients, min_size=1, max_size=6
+            )
+        ),
+        st.integers(1, 6),
+        st.integers(0, 6),
+        st.sampled_from([1, -1]),
+    )
+    @settings(deadline=None)
+    def test_raises_iff_the_quotient_leaves_the_range(self, quotient, d, slack, sign):
+        # Q near one end of the range, maybe past it, and t^c (t^d - 1) placed
+        # so that Q times it fits the range with `slack` to spare
+        if max(quotient) > 0:
+            c = INT64_MAX - max(quotient) - d - slack
+        else:
+            c = INT64_MIN - min(quotient) + slack
+        den = {c + d: sign, c: -sign}
+        num = convolve(quotient, den)
+        assert in_range(num)
+        if in_range(quotient):
+            assert from_dict(num).exact_divide(from_dict(den)) == from_dict(quotient)
+        else:
+            event("the quotient leaves the range at the " + ("top" if c < 0 else "bottom"))
+            with pytest.raises(ExponentOverflowError):
+                from_dict(num).exact_divide(from_dict(den))
 
 
 def assert_canonical(poly: LaurentPoly) -> None:
