@@ -31,7 +31,6 @@ from .knots import InternalInconsistencyError, alexander_expr, parse_knot_expr
 from .laurent import (
     ExponentOverflowError,
     LaurentPoly,
-    NotDivisibleError,
     NotSymmetrizableError,
     _check_digits,
     _write_indent2,
@@ -215,7 +214,7 @@ def main(argv=None) -> int:
         # billions of terms; its exponents can still pass the 64-bit rule
         print("error: out of memory: the input is too large to compute", file=sys.stderr)
         return EXIT_USAGE
-    except (NotDivisibleError, NotSymmetrizableError, InternalInconsistencyError) as exc:
+    except (NotSymmetrizableError, InternalInconsistencyError) as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

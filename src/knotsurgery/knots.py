@@ -4,20 +4,17 @@ Torus knots use the closed formula
 
     Delta_{T(p,q)}(t) = (t^(p*q) - 1)(t - 1) / ((t^p - 1)(t^q - 1)),
 
-by one of two routes.  The adjacent knots T(p, p+1), the family's, take the
-Laurent layer's writer of Delta_T(p,p+1): Delta/(1 - t) sums t^s over the
-semigroup <p, p+1>, so Delta is two interleaved arithmetic progressions of
-exponents, written straight into its arrays with no numerator and no
-division.  Every other T(p, q) writes the first quotient down as
-(t - 1)(1 + t^q + ... + t^((p-1)q)) and divides it by t^p - 1, the smaller
-binomial as p <= q, with the Laurent layer's running-sum kernel, one residue
-class mod p at a time: the numerator has 2p terms whatever q is, in an
-exponent array and a coefficient list.  Both routes write Delta from
-t^-genus, centered, and both results pass the same two checks: the span is
-2 genus, and Delta(1) = 1, a sum of the coefficients.  So connected sums
-multiply centered factors into a centered product, symmetrize only checks
-the result, and the raw representative (symmetrize=False) is Delta times
-t^genus.
+written with no numerator and no division: Delta/(1 - t) sums t^s over the
+semigroup S = <p, q>, so the coefficient of t^e is [e in S] - [e-1 in S].
+The adjacent knots T(p, p+1), the family's, fill Delta's arrays from two
+interleaved arithmetic progressions.  Every other T(p, q) takes one run of
+exponents per residue class mod p, between where the class and the class
+before it enter S, and sorts the runs' terms one window of exponents at a
+time.  Both routes write Delta from t^-genus, centered, and both results
+pass the same two checks: the span is 2 genus, and Delta(1) = 1, a sum of
+the coefficients.  So connected sums multiply centered factors into a
+centered product, symmetrize only checks the result, and the raw
+representative (symmetrize=False) is Delta times t^genus.
 Mirroring is the identity on these invariants (Alexander polynomials cannot
 see chirality), so Mirror nodes exist purely to record how a knot was described.
 
@@ -42,9 +39,8 @@ from .laurent import (
     ExponentOverflowError,
     LaurentPoly,
     VariableSet,
-    _adjacent_torus_delta,
-    _binomial_quotient,
     _coefficient_sum,
+    _from_canonical,
     _Frozen,
     _require_int,
     _tokenize,
@@ -70,6 +66,7 @@ __all__ = [
 
 T_VARS = VariableSet("t")
 MAX_KNOT_DEPTH = 200
+_WINDOW = 2048  # least exponents per residue class in a window of the torus writer
 
 
 class InternalInconsistencyError(RuntimeError):
@@ -140,23 +137,58 @@ def _check_torus_exponent(p: int, q: int) -> None:
         raise ExponentOverflowError(f"T({p},{q}) needs exponent {p * q} > {INT64_MAX}")
 
 
+def _adjacent_torus_delta(p: int) -> LaurentPoly:
+    # Delta_T(p,p+1) centered, straight from the semigroup <p, p+1>: Delta is
+    # (1 - t) times the sum of t^s over it, so with g = p(p - 1)/2
+    #   Delta = sum_{k<p} t^(kp - g) - sum_{k<p-1} t^(k(p+1) + 1 - g),
+    # and kp - g < kp + k + 1 - g < (k+1)p - g interleaves the progressions.
+    # Every exponent lies in [-g, g]; the caller checks that p(p+1) is in range
+    g = p * (p - 1) // 2
+    keys = array("q", [0]) * (2 * p - 1)
+    keys[0::2] = array("q", range(-g, g + 1, p))
+    keys[1::2] = array("q", range(1 - g, g, p + 1))
+    coeffs = [1, -1] * p
+    coeffs.pop()
+    return _from_canonical(T_VARS, keys, coeffs)
+
+
+def _torus_delta(p: int, q: int) -> LaurentPoly:
+    # Delta_T(p,q) centered, p < q, straight from the semigroup S = <p, q>.
+    # The class of bq mod p enters S at bq, and the class before it at b'q,
+    # b' = b - q^-1 mod p, so the class's terms [e in S] - [e-1 in S] are one
+    # run from min(bq, b'q + 1) to below the max, step p, all in [0, 2g].
+    # Along Delta the terms alternate +1, -1, ..., +1.  The runs interleave:
+    # each pass slices them to one window of p * w exponents and sorts it, so
+    # at most a window's exponents are int objects at a time.  w is at least
+    # p, so the passes' slices, p each, number at most Delta's span over p, plus p
+    g = (p - 1) * (q - 1) // 2
+    step = pow(q, -1, p)
+    runs = []
+    for b in range(p):
+        enter, before = b * q - g, (b - step) % p * q + 1 - g
+        runs.append(range(min(enter, before), max(enter, before), p))
+    w = max(_WINDOW, p)
+    keys = array("q")
+    for low in range(-g, g + 1, p * w):
+        window = []
+        for run in runs:
+            i = -((run.start - low) // p)  # run[i] is the run's first exponent >= low
+            window += run[max(i, 0):max(i + w, 0)]
+        window.sort()
+        keys.fromlist(window)
+    coeffs = [1, -1] * ((len(keys) + 1) // 2)
+    del coeffs[len(keys):]
+    return _from_canonical(T_VARS, keys, coeffs)
+
+
 def _torus_quotient(p: int, q: int) -> LaurentPoly:
     # t^-g (t^(pq) - 1)(t - 1) / ((t^p - 1)(t^q - 1)), g the genus: centered
     if p == 1:
         return LaurentPoly.one(T_VARS)
     _check_torus_exponent(p, q)
     g = (p - 1) * (q - 1) // 2
-    if q == p + 1:
-        quotient = _adjacent_torus_delta(T_VARS, p)
-    else:
-        # t^-g (t - 1)(1 + t^q + ... + t^((p-1)q)), ascending; distinct terms as q >= 3
-        exponents = array("q", [0]) * (2 * p)
-        exponents[0::2] = array("q", range(-g, p * q - g, q))
-        exponents[1::2] = array("q", range(1 - g, 1 + p * q - g, q))
-        quotient = _binomial_quotient(T_VARS, exponents, [-1, 1] * p, p)
-    # the writer's exponents lie in [-g, g], and the kernel's in [N's lowest,
-    # N's highest - p], N running from t^-g to t^(g+p): on either route the
-    # span is 2g iff both ends are terms
+    quotient = _adjacent_torus_delta(p) if q == p + 1 else _torus_delta(p, q)
+    # both writers' exponents lie in [-g, g]: the span is 2g iff both ends are terms
     if not (quotient.coefficient((-g,)) and quotient.coefficient((g,))):
         raise InternalInconsistencyError(
             f"T({p},{q}) quotient lacks t^{-g} or t^{g}: its span is not {2 * g}"

@@ -30,10 +30,9 @@ slot per exponent.  Other products -- sparse, multivariate, or with a
 single-term factor -- loop over the term pairs, the factor with fewer terms
 in the outer loop.
 
-Division by t^q - 1 for the torus-knot formula and multiplication by
-1 + t + ... + t^(lk-1) for the Torres condition are two running sums, each
-checking its own top exponent.  Exact division has two paths of its own,
-and both work at any offset.  A divisor +-(t^a - t^b), such as the Fox
+Multiplication by 1 + t + ... + t^(lk-1) for the Torres condition is a
+running sum that checks its own top exponent.  Exact division has two
+paths, and both work at any offset.  A divisor +-(t^a - t^b), such as the Fox
 oracle's phi(y) - 1, is read from the top like long division, one residue
 class mod a - b at a time: the quotient is a running sum of the numerator,
 constant between the class's terms, so each stretch is one range of
@@ -41,9 +40,8 @@ exponents, and the division is exact iff every class sums to 0.  Every
 other divisor keeps a remainder dict with a heap of its exponents: each
 step pops the highest, takes its term as the lead's cancellation and
 subtracts the quotient term times the divisor's lower terms, zipped once
-beforehand.  Delta_T(p,p+1), the family's torus knot, needs no division:
-its writer fills the arrays from two arithmetic progressions, with no
-per-term loop.
+beforehand.  No torus-knot formula lives here: the knot layer writes each
+Delta_T(p,q) from its semigroup straight into the two sequences.
 
 Text form: ``coeff*var^exp`` factors joined by ``+`` / ``-``, variables in
 the set's fixed order, terms in descending lexicographic exponent order,
@@ -82,7 +80,6 @@ from itertools import compress, islice, repeat
 INT64_MIN = -(1 << 63)
 INT64_MAX = (1 << 63) - 1
 _SLICE = 4096  # terms per chunk when a polynomial is written
-_WINDOW = 2048  # least exponents per residue class in a window of the binomial kernel
 
 __all__ = [
     "INT64_MIN",
@@ -236,65 +233,6 @@ def _packed_product(a: "LaurentPoly", b: "LaurentPoly") -> "LaurentPoly":
     return _from_canonical(a.variables, keys, coeffs)
 
 
-def _binomial_quotient(variables: VariableSet, keys, coeffs: list, q: int) -> LaurentPoly:
-    # N / (t^q - 1), N as ascending exponents, which may repeat, and their
-    # aligned coefficients.  N = Q (t^q - 1) gives Q_e = Q_(e-q) - N_e: per
-    # residue class mod q, Q is a running sum of -N, constant between the
-    # class's terms of N, so the cost follows the input and output terms; a
-    # class whose sum is not 0 leaves a remainder.  A nonzero Q runs from N's
-    # lowest exponent, in range, to N's highest minus q, checked here.
-    if keys and keys[-1] - q >= keys[0]:
-        _checked_exponent(keys[-1] - q)
-    # a torus knot T(p, q) passes 2p terms with q = p, and the classes' runs
-    # interleave.  Each pass over N takes Q's terms in one window of q * w
-    # exponents into an exponent-keyed dict, sorted once: at most a window's
-    # exponents are int objects at a time.  w = max(_WINDOW, len(N)), so the
-    # passes re-read N at a cost of at most N's span over q plus one pass.
-    # The class state is two lists of length q, indexed by class
-    width = q * max(_WINDOW, len(keys))
-    low = keys[0] if keys else 0
-    out_keys, out_coeffs = array("q"), []
-    while True:
-        high = low + width
-        sums = [0] * q  # class -> running sum
-        starts = [0] * q  # class -> exponent where that sum started
-        acc = {}
-        for e, c in zip(keys, coeffs):
-            r = e % q
-            running = sums[r]
-            if running:
-                start = starts[r]
-                if start < low:
-                    start = low + (start - low) % q
-                for x in range(start, e if e < high else high, q):
-                    acc[x] = running
-            sums[r] = running - c
-            starts[r] = e
-        if any(sums):
-            raise NotDivisibleError(f"division by t^{q} - 1 leaves a remainder")
-        window = sorted(acc)
-        out_keys.fromlist(window)
-        out_coeffs.extend(map(acc.__getitem__, window))
-        if not keys or high > keys[-1] - q:
-            return _from_canonical(variables, out_keys, out_coeffs)
-        low = high
-
-
-def _adjacent_torus_delta(variables: VariableSet, p: int) -> LaurentPoly:
-    # Delta_T(p,p+1) centered, straight from the semigroup <p, p+1>: Delta is
-    # (1 - t) times the sum of t^s over it, so with g = p(p - 1)/2
-    #   Delta = sum_{k<p} t^(kp - g) - sum_{k<p-1} t^(k(p+1) + 1 - g),
-    # and kp - g < kp + k + 1 - g < (k+1)p - g interleaves the progressions.
-    # Every exponent lies in [-g, g]; the caller checks that p(p+1) is in range
-    g = p * (p - 1) // 2
-    keys = array("q", [0]) * (2 * p - 1)
-    keys[0::2] = array("q", range(-g, g + 1, p))
-    keys[1::2] = array("q", range(1 - g, g, p + 1))
-    coeffs = [1, -1] * p
-    coeffs.pop()
-    return _from_canonical(variables, keys, coeffs)
-
-
 def _geometric_multiple(poly: LaurentPoly, lk: int) -> LaurentPoly:
     # poly (1 + t + ... + t^(lk-1)) as a running sum: c t^e adds c on [e, e + lk)
     keys, coeffs = array("q"), []
@@ -312,7 +250,7 @@ def _geometric_multiple(poly: LaurentPoly, lk: int) -> LaurentPoly:
 
 def _unit_binomial_quotient(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
     # num / (lead (t^a - t^b)) for a > b and lead = +-1, from the top like long
-    # division; exact_divide's own routine, not the torus formula's kernel.
+    # division; exact_divide's route for a two-term divisor.
     # With d = a - b, num_e = lead (Q_(e-a) - Q_(e-b)) gives
     # Q_(k-d) = Q_k + num_(k+b) / lead: per residue class mod d, Q read
     # downward is a running sum of num / lead, constant between the class's

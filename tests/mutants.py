@@ -97,30 +97,46 @@ MUTANTS = [
         "            keys.extend(reversed(range(start, e)))\n",
         ("tests/test_surgery.py::TestTorresSpecialize::test_lk3_on_constant_is_geometric_sum",),
     ),
+    # the semigroup writer of every other T(p, q), one window at a time
     Mutant(
-        "torus-window-unsorted",
-        "laurent.py",
-        "        window = sorted(acc)\n",
-        "        window = list(acc)\n",
+        "torus-writer-steps-the-wrong-way",
+        "knots.py",
+        "        enter, before = b * q - g, (b - step) % p * q + 1 - g\n",
+        "        enter, before = b * q - g, (b + step) % p * q + 1 - g\n",
         ("tests/test_knots.py::TestTorusKernel::test_small_pairs_match_both_oracles",),
     ),
     Mutant(
-        "torus-window-misses-run-start",
-        "laurent.py",
-        "                if start < low:\n",
-        "                if start < low - q:\n",
-        (f"{PROPERTIES}::TestBinomialKernel::test_inverts_multiplication_and_detects_a_remainder",),
+        "torus-window-slice-one-early",  # a run's last term before the window comes again
+        "knots.py",
+        "            i = -((run.start - low) // p)  # run[i] is the run's first exponent >= low\n",
+        "            i = (low - run.start) // p\n",
+        (f"{PROPERTIES}::TestTorusWriter::test_matches_both_oracles_in_every_window",),
     ),
     Mutant(
+        "torus-window-slice-one-late",
+        "knots.py",
+        "            window += run[max(i, 0):max(i + w, 0)]\n",
+        "            window += run[max(i + 1, 0):max(i + w, 0)]\n",
+        (f"{PROPERTIES}::TestTorusWriter::test_matches_both_oracles_in_every_window",),
+    ),
+    Mutant(
+        "torus-writer-window-unsorted",
+        "knots.py",
+        "        window.sort()\n",
+        "",
+        ("tests/test_knots.py::TestTorusKernel::test_small_pairs_match_both_oracles",),
+    ),
+    # the adjacent writer of T(p, p+1)
+    Mutant(
         "adjacent-second-step-wrong",
-        "laurent.py",
+        "knots.py",
         '    keys[1::2] = array("q", range(1 - g, g, p + 1))\n',
         '    keys[1::2] = array("q", range(1 - g, g, p))\n',
         ("tests/test_knots.py::TestAdjacentWriter::test_matches_the_semigroup_and_the_kernel",),
     ),
     Mutant(
         "adjacent-coefficients-flipped",
-        "laurent.py",
+        "knots.py",
         "    coeffs = [1, -1] * p\n",
         "    coeffs = [-1, 1] * p\n",
         ("tests/test_knots.py::TestAdjacentWriter::test_matches_the_semigroup_and_the_kernel",),
@@ -150,13 +166,6 @@ MUTANTS = [
         (f"{LAURENT}::TestExactDivide",),
     ),
     # range checks that must fire before an exponent reaches an array('q')
-    Mutant(
-        "kernel-top-unchecked",
-        "laurent.py",
-        "        _checked_exponent(keys[-1] - q)\n",
-        "        pass\n",
-        (f"{LAURENT}::TestBinomialQuotient::test_top_exponent_is_checked",),
-    ),
     Mutant(
         "torres-top-unchecked",
         "laurent.py",

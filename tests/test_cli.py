@@ -12,18 +12,18 @@ from knotsurgery.cli import main
 from knotsurgery.family import FamilyReport, FamilyRow, UnboundednessCertificate, analyze_family
 from knotsurgery.knots import (
     MAX_KNOT_DEPTH,
+    T_VARS,
     InternalInconsistencyError,
     TorusKnotSpec,
+    _adjacent_torus_delta,
+    _torus_delta,
     alexander_expr,
     alexander_torus,
 )
 from knotsurgery.laurent import (
     LaurentPoly,
-    NotDivisibleError,
     NotSymmetrizableError,
     VariableSet,
-    _adjacent_torus_delta,
-    _binomial_quotient,
     _dumps_indent2,
 )
 from knotsurgery.surgery import LinkFamilyMember, SurgerySpec, sw_specialized, torres_specialize
@@ -294,10 +294,10 @@ class TestFamilyCommand:
     def test_input_errors_exit_1_before_any_row(self, argv, fmt, capsys, monkeypatch):
         # both torus routes are patched to fail, so a missing check stops at
         # the first row past p = 1 instead of starting the oversize sweep
-        def no_kernel(variables, *args):
+        def no_kernel(*args):
             raise AssertionError("a torus route ran")
 
-        monkeypatch.setattr(knots, "_binomial_quotient", no_kernel)
+        monkeypatch.setattr(knots, "_torus_delta", no_kernel)
         monkeypatch.setattr(knots, "_adjacent_torus_delta", no_kernel)
         code, out, err = run(capsys, "family", *argv, "--format", fmt)
         assert (code, out) == (1, "")
@@ -535,28 +535,17 @@ class TestJsonOutput:
         assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
 
-# a faulty torus-knot kernel, and the error each fault surfaces as on
-# T(2,5), which takes the kernel (genus 2)
+# a faulty semigroup writer of Delta_T(p,q), and the error each fault
+# surfaces as on T(2,5), which takes that writer (genus 2)
 KERNEL_FAULTS = {
-    # dividing by t^(q+1) - 1 instead of t^q - 1 leaves a remainder
-    "remainder": (
-        lambda variables, keys, coeffs, q: _binomial_quotient(variables, keys, coeffs, q + 1),
-        NotDivisibleError,
-    ),
     # centered, of the right span and with Delta(1) = 1, but t^2 and t^-2 differ
     "asymmetric": (
-        lambda variables, keys, coeffs, q: LaurentPoly.parse("t^2 + 1 - t^-2", variables),
+        lambda p, q: LaurentPoly.parse("t^2 + 1 - t^-2", T_VARS),
         NotSymmetrizableError,
     ),
-    "wrong_span": (
-        lambda variables, keys, coeffs, q: LaurentPoly.parse("1 - t", variables),
-        InternalInconsistencyError,
-    ),
+    "wrong_span": (lambda p, q: LaurentPoly.parse("1 - t", T_VARS), InternalInconsistencyError),
     # the right terms, each coefficient doubled: symmetric, but Delta(1) = 2
-    "doubled": (
-        lambda variables, keys, coeffs, q: _binomial_quotient(variables, keys, coeffs, q) * 2,
-        InternalInconsistencyError,
-    ),
+    "doubled": (lambda p, q: _torus_delta(p, q) * 2, InternalInconsistencyError),
 }
 
 # a faulty writer of Delta_T(p,p+1), and the error each fault surfaces as on
@@ -565,25 +554,17 @@ WRITER_FAULTS = {
     # the right terms but two coefficients off, Delta(1) still 1: t gains 1
     # and the constant term loses 1
     "wrong_coefficients": (
-        lambda variables, p: (
-            _adjacent_torus_delta(variables, p) + LaurentPoly.var(variables, "t") - 1
-        ),
+        lambda p: _adjacent_torus_delta(p) + LaurentPoly.var(T_VARS, "t") - 1,
         NotSymmetrizableError,
     ),
     # centered, of the right span and with Delta(1) = 1, but t and t^-1 differ
     "asymmetric": (
-        lambda variables, p: LaurentPoly.parse("t + 1 - t^-1", variables),
+        lambda p: LaurentPoly.parse("t + 1 - t^-1", T_VARS),
         NotSymmetrizableError,
     ),
-    "wrong_span": (
-        lambda variables, p: LaurentPoly.parse("1 - t", variables),
-        InternalInconsistencyError,
-    ),
+    "wrong_span": (lambda p: LaurentPoly.parse("1 - t", T_VARS), InternalInconsistencyError),
     # the right terms, each coefficient doubled: symmetric, but Delta(1) = 2
-    "doubled": (
-        lambda variables, p: _adjacent_torus_delta(variables, p) * 2,
-        InternalInconsistencyError,
-    ),
+    "doubled": (lambda p: _adjacent_torus_delta(p) * 2, InternalInconsistencyError),
 }
 
 
@@ -598,7 +579,7 @@ def _exits_2(route: str, fault, error, knot: str, capsys, monkeypatch) -> None:
 
 @pytest.mark.parametrize("kernel,error", KERNEL_FAULTS.values(), ids=KERNEL_FAULTS.keys())
 def test_internal_inconsistency_exits_2(kernel, error, capsys, monkeypatch):
-    _exits_2("_binomial_quotient", kernel, error, "torus(2,5)", capsys, monkeypatch)
+    _exits_2("_torus_delta", kernel, error, "torus(2,5)", capsys, monkeypatch)
 
 
 @pytest.mark.parametrize("writer,error", WRITER_FAULTS.values(), ids=WRITER_FAULTS.keys())

@@ -33,8 +33,7 @@ def test_every_module_with_exports_is_checked():
 PRIVATE_IMPORTS = {
     "knots": {
         "laurent": {
-            "_Frozen", "_adjacent_torus_delta", "_binomial_quotient", "_coefficient_sum",
-            "_require_int", "_tokenize",
+            "_Frozen", "_coefficient_sum", "_from_canonical", "_require_int", "_tokenize",
         },
     },
     "surgery": {

@@ -22,6 +22,9 @@ COMMANDS = [
         for f in ("json", "csv", "text")
     ),
     ["alexander", "torus(2,401)"],
+    # Delta spans about ten of the semigroup writer's windows
+    ["alexander", "torus(2,40147)"],
+    ["alexander", "--format", "json", "torus(5,12289)"],
     ["alexander", "--no-symmetrize", "torus(7,9)"],
     ["alexander", "--no-symmetrize", "sum(torus(2,3),mirror(torus(3,4)))"],
     ["alexander", "--no-symmetrize", "--format", "json", "sum(torus(2,3),mirror(torus(3,4)))"],
@@ -55,6 +58,12 @@ GOLDEN = {
     ),
     "alexander 'torus(2,401)'": (
         0, "e1845cd0f5abc5e6799fbca9d1e647e861d3f9d1cd3e04cfc4fc3a894b1a675d"
+    ),
+    "alexander 'torus(2,40147)'": (
+        0, "585a9a19dab191909310a677d519f1d862fa8d35d6fca00493b9385705d63f59"
+    ),
+    "alexander --format json 'torus(5,12289)'": (
+        0, "b77ea96587f579cc5a66a4d7cfe0e3dba7da3bba27a17316839c23cccc3365b0"
     ),
     "alexander --no-symmetrize 'torus(7,9)'": (
         0, "d533f7736c3231aba46871e36a200acb21e813f831775649b4418d83a247d574"

@@ -19,16 +19,11 @@ from knotsurgery.knots import (
     alexander_torus,
     format_knot_expr,
     genus_torus,
+    _adjacent_torus_delta,
+    _torus_delta,
     parse_knot_expr,
 )
-from knotsurgery.laurent import (
-    ExponentOverflowError,
-    LaurentPoly,
-    NotDivisibleError,
-    NotSymmetrizableError,
-    _adjacent_torus_delta,
-    _binomial_quotient,
-)
+from knotsurgery.laurent import ExponentOverflowError, LaurentPoly, NotSymmetrizableError
 
 from _oracles import cyclotomic_quotient, semigroup_delta
 
@@ -111,7 +106,7 @@ class TestAlexanderTorus:
 
     @pytest.mark.parametrize("pq", [(5, 6), (7, 9)])
     def test_builds_one_polynomial(self, pq, monkeypatch):
-        # the kernel writes Delta centered, so symmetrize makes no copy
+        # the writers write Delta centered, so symmetrize makes no copy
         built = []
         from_canonical = laurent._from_canonical
 
@@ -120,6 +115,7 @@ class TestAlexanderTorus:
             return from_canonical(variables, keys, coeffs)
 
         monkeypatch.setattr(laurent, "_from_canonical", counting)
+        monkeypatch.setattr(knots, "_from_canonical", counting)
         delta = alexander_torus(TorusKnotSpec(*pq))
         assert len(built) == 1
         assert delta == semigroup_delta_centered(*pq)
@@ -137,12 +133,10 @@ class TestAlexanderTorus:
 
     def test_symmetry_is_still_checked(self, monkeypatch):
         # centered, of the right span and with Delta(1) = 1, but the
-        # coefficients of t^g and t^-g differ, from the kernel (T(2,5),
-        # g = 2) and the writer (T(2,3))
-        monkeypatch.setattr(
-            knots, "_binomial_quotient", lambda variables, keys, coeffs, q: poly("t^2 + 1 - t^-2")
-        )
-        monkeypatch.setattr(knots, "_adjacent_torus_delta", lambda variables, p: poly("t + 1 - t^-1"))
+        # coefficients of t^g and t^-g differ, from the semigroup writer
+        # (T(2,5), g = 2) and the adjacent one (T(2,3))
+        monkeypatch.setattr(knots, "_torus_delta", lambda p, q: poly("t^2 + 1 - t^-2"))
+        monkeypatch.setattr(knots, "_adjacent_torus_delta", lambda p: poly("t + 1 - t^-1"))
         for pq in [(2, 5), (2, 3)]:
             with pytest.raises(NotSymmetrizableError):
                 alexander_torus(TorusKnotSpec(*pq))
@@ -174,6 +168,7 @@ def coprime_pairs(lo: int, hi: int):
 
 
 class TestTorusKernel:
+    # the kernel of every T(p, q) with q != p + 1 is the semigroup writer
     def test_small_pairs_match_both_oracles(self):
         for p, q in coprime_pairs(2, 40):
             got = raw_quotient(p, q)
@@ -194,28 +189,25 @@ class TestTorusKernel:
     def test_semigroup_identity(self, pq):
         assert raw_quotient(*pq) == semigroup_delta(*pq)
 
-    def test_division_by_binomial(self):
-        # (t^6 - 1)(t - 1) / (t^3 - 1) = t^4 - t^3 + t - 1
-        quotient = _binomial_quotient(T_VARS, [0, 1, 6, 7], [1, -1, -1, 1], 3)
-        assert quotient == poly("t^4 - t^3 + t - 1")
-
     @pytest.mark.parametrize("pq", [(2, 40001), (5, 12), (300, 307)])
     def test_divides_by_the_smaller_binomial(self, pq, monkeypatch):
-        # (t - 1)(1 + t^q + ... + t^((p-1)q)) has 2p terms, divided by t^p - 1;
-        # T(p, p+1) takes the writer instead, tested in TestAdjacentWriter
+        # the semigroup writer takes one run per residue class mod the smaller
+        # parameter; T(p, p+1) takes the adjacent writer instead, tested in
+        # TestAdjacentWriter
         calls = []
 
-        def spy(variables, keys, coeffs, q):
-            calls.append((q, len(keys)))
-            return _binomial_quotient(variables, keys, coeffs, q)
+        def spy(p, q):
+            calls.append((p, q))
+            return _torus_delta(p, q)
 
-        monkeypatch.setattr(knots, "_binomial_quotient", spy)
+        monkeypatch.setattr(knots, "_torus_delta", spy)
         p, q = pq
-        assert alexander_torus(TorusKnotSpec(p, q)).span() == (p - 1) * (q - 1)
-        assert calls == [(p, 2 * p)]
+        assert alexander_torus(TorusKnotSpec(q, p)).span() == (p - 1) * (q - 1)
+        assert calls == [(p, q)]
 
     def test_peak_memory_is_within_one_and_a_half_times_the_result(self):
-        # the 4-term numerator of T(2, q) costs nothing next to the q terms of Delta
+        # the writer holds at most a window of exponents as int objects,
+        # nothing next to the q terms of Delta
         tracemalloc.start()
         try:
             delta = alexander_torus(TorusKnotSpec(2, 100001))
@@ -225,17 +217,10 @@ class TestTorusKernel:
         assert delta.term_count() == 100001
         assert peak <= 1.5 * held
 
-    def test_nonzero_class_sum_is_a_remainder(self):
-        # t - 1 is not a multiple of t^3 - 1: classes 0 and 1 each keep a term
-        with pytest.raises(NotDivisibleError, match="remainder"):
-            _binomial_quotient(T_VARS, [0, 1], [-1, 1], 3)
-
     def test_span_mismatch_detected(self, monkeypatch):
-        # on both routes: the kernel (T(2,5)) and the writer (T(2,3))
-        monkeypatch.setattr(
-            knots, "_binomial_quotient", lambda variables, keys, coeffs, q: poly("1 - t")
-        )
-        monkeypatch.setattr(knots, "_adjacent_torus_delta", lambda variables, p: poly("1 - t"))
+        # on both routes: the semigroup writer (T(2,5)) and the adjacent one (T(2,3))
+        monkeypatch.setattr(knots, "_torus_delta", lambda p, q: poly("1 - t"))
+        monkeypatch.setattr(knots, "_adjacent_torus_delta", lambda p: poly("1 - t"))
         for pq in [(2, 5), (2, 3)]:
             with pytest.raises(InternalInconsistencyError, match="span"):
                 knots._torus_quotient(*pq)
@@ -249,31 +234,23 @@ class TestTorusKernel:
         assert alexander_torus(TorusKnotSpec(1, 2 ** 70)) == poly("1")
 
 
-def adjacent_numerator(p: int) -> tuple[list[int], list[int]]:
-    # t^-g (t - 1)(1 + t^(p+1) + ... + t^((p-1)(p+1))), ascending: the kernel's input
-    g = p * (p - 1) // 2
-    keys = []
-    for k in range(p):
-        keys += [k * (p + 1) - g, k * (p + 1) + 1 - g]
-    return keys, [-1, 1] * p
-
-
 class TestAdjacentWriter:
     def test_matches_the_semigroup_and_the_kernel(self):
+        # the kernel here is the semigroup writer, which covers T(p, p+1) too
         for p in [*range(1, 301), 4096]:
-            got = _adjacent_torus_delta(T_VARS, p)
-            assert got == _binomial_quotient(T_VARS, *adjacent_numerator(p), p), p
+            got = _adjacent_torus_delta(p)
+            assert got == _torus_delta(p, p + 1), p
             if p <= 300:
                 assert got == semigroup_delta_centered(p, p + 1), p
 
     def test_adjacent_knots_skip_the_kernel(self, monkeypatch):
-        def no_kernel(variables, keys, coeffs, q):
+        def no_kernel(p, q):
             raise AssertionError("the kernel ran")
 
-        monkeypatch.setattr(knots, "_binomial_quotient", no_kernel)
+        monkeypatch.setattr(knots, "_torus_delta", no_kernel)
         for p in (2, 3, 300):
             delta = alexander_torus(TorusKnotSpec(p, p + 1))
-            assert delta == _adjacent_torus_delta(T_VARS, p)
+            assert delta == _adjacent_torus_delta(p)
         with pytest.raises(AssertionError, match="the kernel ran"):
             alexander_torus(TorusKnotSpec(2, 5))
 

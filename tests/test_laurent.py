@@ -412,21 +412,6 @@ class TestUnitBinomialDivision:
         assert num.exact_divide(p("t^2 - t")) == LaurentPoly(T, {(INT64_MIN,): 1, (0,): 1})
 
 
-class TestBinomialQuotient:
-    def test_empty_numerator_is_zero(self):
-        assert laurent._binomial_quotient(T, [], [], 3) == LaurentPoly.zero(T)
-
-    def test_repeated_exponents_merge(self):
-        # 2(t^2 - 1), with t^0 and t^2 each given twice
-        assert laurent._binomial_quotient(T, [0, 0, 2, 2], [-1, -1, 1, 1], 2) == p("2")
-
-    def test_top_exponent_is_checked(self):
-        top = [INT64_MAX, INT64_MAX + 1]
-        assert laurent._binomial_quotient(T, top, [-1, 1], 1) == LaurentPoly(T, {(INT64_MAX,): 1})
-        with pytest.raises(ExponentOverflowError):
-            laurent._binomial_quotient(T, [INT64_MAX, INT64_MAX + 2], [-1, 1], 1)
-
-
 class TestSymmetrize:
     def test_shifts_trefoil_representative(self):
         assert p("t^2 - t + 1").symmetrize() == p("t - 1 + t^-1")

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from knotsurgery import laurent
+from knotsurgery import knots, laurent
 from knotsurgery.family import FamilyReport, FamilyRow, UnboundednessCertificate, Witness
 from knotsurgery.knots import (
     ConnectedSum,
@@ -34,14 +34,13 @@ from knotsurgery.laurent import (
     NotDivisibleError,
     PolyParseError,
     VariableSet,
-    _adjacent_torus_delta,
-    _binomial_quotient,
     _dumps_indent2,
 )
 from knotsurgery.surgery import SWResult, torres_specialize
 
 from _oracles import (
     convolve,
+    cyclotomic_quotient,
     dense_divide,
     format_one_variable,
     geometric_sum,
@@ -223,48 +222,31 @@ class TestDivision:
             assert got == LaurentPoly(T, {(e,): c for e, c in expected.items()})
 
 
-# quotients for the binomial kernel: runs of one coefficient, as a torus
-# knot's Delta has, over negative and positive exponents, plus sparse terms
-quotient_runs = st.lists(
-    st.tuples(st.integers(-60, 60), st.integers(1, 40), mixed_coefficients), max_size=4
-)
-sparse_quotient_terms = st.dictionaries(
-    st.integers(-40, 40).map(lambda k: 97 * k), mixed_coefficients, max_size=6
+# coprime p < q, with p = 2 and the adjacent q = p + 1 drawn often: the
+# adjacent knots take their own writer in production, but the semigroup
+# writer covers them too
+torus_pairs = st.one_of(
+    st.integers(1, 150).map(lambda k: (2, 2 * k + 1)),
+    st.integers(2, 24)
+    .flatmap(lambda p: st.tuples(st.just(p), st.just(p + 1) | st.integers(p + 1, 8 * p + 40)))
+    .filter(lambda pq: math.gcd(*pq) == 1),
 )
 
 
-class TestBinomialKernel:
-    @given(quotient_runs, sparse_quotient_terms, st.integers(1, 9), st.data())
+class TestTorusWriter:
+    @given(torus_pairs, st.sampled_from([1, 2, 3, knots._WINDOW]))
     @settings(deadline=None)
-    def test_inverts_multiplication_and_detects_a_remainder(self, runs, sparse, q, data):
-        # q > 1 gathers the classes' runs a window of at least q * _WINDOW exponents
-        # at a time; narrow windows cut every run at many places
-        window = data.draw(st.sampled_from([1, 2, 3, laurent._WINDOW]), label="window")
-        quotient = dict(sparse)
-        for start, length, c in runs:
-            for e in range(start, start + length):
-                quotient[e] = quotient.get(e, 0) + c
-        quotient = {e: c for e, c in quotient.items() if c}
-        product = convolve(quotient, {q: 1, 0: -1})
-        # ascending exponents, with some terms split over a repeated exponent
-        keys, coeffs = [], []
-        for e in sorted(product):
-            part = data.draw(st.integers(-3, 3), label="split")
-            keys += [e, e] if part else [e]
-            coeffs += [part, product[e] - part] if part else [product[e]]
-        with mock.patch.object(laurent, "_WINDOW", window):
-            got = _binomial_quotient(T, keys, coeffs, q)
-        assert got == from_dict(quotient)
+    def test_matches_both_oracles_in_every_window(self, pq, window):
+        # windows of p * max(window, p) exponents cut the runs at many places
+        p, q = pq
+        event("adjacent" if q == p + 1 else "other")
+        with mock.patch.object(knots, "_WINDOW", window):
+            got = knots._torus_delta(p, q)
+        g = (p - 1) * (q - 1) // 2
+        raw = got * LaurentPoly.var(T, "t", g)
+        assert raw == from_dict(semigroup_delta(p, q))
+        assert raw == from_dict(cyclotomic_quotient(p, q))
         assert_canonical(got)
-        # Q (t^q - 1) + d t^e is no multiple of t^q - 1 for d != 0
-        delta = data.draw(mixed_coefficients, label="change")
-        if keys:
-            i = data.draw(st.integers(0, len(keys) - 1), label="at")
-            coeffs[i] += delta
-        else:
-            keys, coeffs = [0], [delta]
-        with pytest.raises(NotDivisibleError):
-            _binomial_quotient(T, keys, coeffs, q)
 
 
 # divisors +-t^c (t^d - 1), c < 0 allowed, which exact_divide reads from the
@@ -369,13 +351,13 @@ class TestEveryRouteIsCanonical:
     @given(coprime_pairs, st.sampled_from([1, 3, 2048]))
     @settings(deadline=None)
     def test_torus_delta(self, pq, window):
-        with mock.patch.object(laurent, "_WINDOW", window):
+        with mock.patch.object(knots, "_WINDOW", window):
             assert_canonical(alexander_expr(Torus.of(*pq)))
             assert_canonical(alexander_expr(Torus.of(*pq), symmetrize=False))
 
     @given(st.integers(1, 400))
     def test_adjacent_torus_delta(self, p):
-        assert_canonical(_adjacent_torus_delta(T, p))
+        assert_canonical(knots._adjacent_torus_delta(p))
 
     @given(polys(), st.integers(2, 60))
     def test_torres(self, poly, lk):
