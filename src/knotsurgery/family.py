@@ -7,13 +7,16 @@ family, which is what rules out a finite set of diffeomorphism types.  The
 certificate never claims any specific pair of manifolds is distinct; only
 the unboundedness is certified, exactly as much as the bounds support.
 
-Verification recomputes every bound from the polynomial pipeline and
-trusts nothing stored in the certificate.  The bounds do not depend on the
+Verification first checks what the certificate itself claims, with integer
+comparisons and no polynomial built; only a certificate whose claims hold
+has its bounds recomputed, every one, from the polynomial pipeline, so
+nothing stored in it is trusted.  The bounds do not depend on the
 E(n) parameter, so neither a certificate nor its verification names one.
 """
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Iterator
 
 from .knots import _check_torus_exponent, alexander_torus, genus_torus
@@ -250,30 +253,39 @@ def certify_unbounded(
 
 
 def verify_certificate(c: UnboundednessCertificate) -> bool:
-    """Recompute every witness bound and re-check the certificate's claims.
+    """Check the certificate's own claims, then recompute every bound.
 
-    Returns False on any discrepancy instead of raising: index sequence not
-    strictly increasing, bounds not strictly increasing, a recorded bound
-    that does not match recomputation (or cannot be recomputed, as when
-    T(p, p+1) needs exponents beyond 64 bits), or a final bound at or
-    below the target.  The bounds do not depend on the E(n) parameter, so
-    verification takes none.
+    Returns False instead of raising.  Pass 1 builds no polynomial: it
+    rejects no witness at all, a target, index or bound that is not an int
+    (a bool is not one, as for the loader), an index below 1, a negative
+    bound, indices or bounds that do not strictly increase, or a last bound
+    at or below the target.  So a bound that ties or undercuts a neighbour
+    costs no recomputation.  Pass 2, on a certificate that passes, recomputes
+    each bound in ascending p and stops at the first that does not match or
+    cannot be recomputed, as when T(p, p+1) needs exponents beyond 64 bits;
+    nothing stored is trusted.  The bounds do not depend on the E(n)
+    parameter, so verification takes none.
     """
-    if not c.witnesses:
+    # pass 1; as for the loader, an index is at least 1 and a bound at least 0
+    witnesses = c.witnesses
+    if not witnesses:
         return False
-    previous_p = 0
-    previous_bound = None
-    for w in c.witnesses:
-        if not isinstance(w.p, int) or w.p <= previous_p:
-            return False
+    ps = [w.p for w in witnesses]
+    bounds = [w.lower_bound for w in witnesses]
+    values = (c.target, *ps, *bounds)
+    if not all(isinstance(x, int) and not isinstance(x, bool) for x in values):
+        return False
+    if not all(map(operator.lt, [0, *ps], ps)):
+        return False
+    if not all(map(operator.lt, [-1, *bounds], bounds)):
+        return False
+    if bounds[-1] <= c.target:
+        return False
+    # pass 2
+    for p, bound in zip(ps, bounds):
         try:
-            recomputed = basic_class_lower_bound(w.p)
+            if basic_class_lower_bound(p) != bound:
+                return False
         except (ValueError, TypeError, OverflowError):
             return False
-        if w.lower_bound != recomputed:
-            return False
-        if previous_bound is not None and w.lower_bound <= previous_bound:
-            return False
-        previous_p = w.p
-        previous_bound = w.lower_bound
-    return previous_bound > c.target
+    return True

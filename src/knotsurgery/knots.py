@@ -188,10 +188,11 @@ def _torus_quotient(p: int, q: int) -> LaurentPoly:
     _check_torus_exponent(p, q)
     g = (p - 1) * (q - 1) // 2
     quotient = _adjacent_torus_delta(p) if q == p + 1 else _torus_delta(p, q)
-    # both writers' exponents lie in [-g, g]: the span is 2g iff both ends are terms
-    if not (quotient.coefficient((-g,)) and quotient.coefficient((g,))):
+    # each writer's ascending exponents must start at -g and end at g: span 2g
+    keys = quotient._keys
+    if not (keys and keys[0] == -g and keys[-1] == g):
         raise InternalInconsistencyError(
-            f"T({p},{q}) quotient lacks t^{-g} or t^{g}: its span is not {2 * g}"
+            f"T({p},{q}) quotient does not run from t^{-g} to t^{g}: its span is not {2 * g}"
         )
     value = _coefficient_sum(quotient)
     if value != 1:

@@ -100,6 +100,33 @@ def semigroup_delta(p: int, q: int) -> dict[int, int]:
     return {e: v for e, v in out.items() if v}
 
 
+def single_pass_verdict(target, witnesses, lower_bound) -> bool:
+    """An unboundedness certificate's verdict, one witness at a time.
+
+    witnesses is a list of (p, bound) pairs, in the certificate's order.  For
+    each in turn, p must exceed the previous index (0 before the first), the
+    bound must equal lower_bound(p), where a ValueError counts as a mismatch,
+    and it must exceed the previous bound.  Then the last bound must exceed
+    the target.  No witness at all is no certificate.
+    """
+    if not witnesses:
+        return False
+    previous_p, previous_bound = 0, None
+    for p, bound in witnesses:
+        if p <= previous_p:
+            return False
+        try:
+            recomputed = lower_bound(p)
+        except ValueError:
+            return False
+        if bound != recomputed:
+            return False
+        if previous_bound is not None and bound <= previous_bound:
+            return False
+        previous_p, previous_bound = p, bound
+    return previous_bound > target
+
+
 def format_one_variable(poly: dict[int, int], name: str) -> str:
     """Text form of a one-variable {exponent: coefficient} map, highest term first.
 

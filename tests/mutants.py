@@ -45,15 +45,17 @@ class Mutant:
 LAURENT = "tests/test_laurent.py"
 PROPERTIES = "tests/test_properties.py"
 FOX = "tests/test_fox.py"
+VERIFY = "tests/test_family.py::TestVerifyCertificate"
+VERIFY_WORK = "tests/test_family.py::TestVerifyWork"
 
 MUTANTS = [
     # three mutants that the tests once let through
     Mutant(
         "final-bound-equal-to-target",
         "family.py",
-        "    return previous_bound > c.target\n",
-        "    return previous_bound >= c.target\n",
-        ("tests/test_family.py::TestVerifyCertificate::test_final_bound_equal_to_target_fails",),
+        "    if bounds[-1] <= c.target:\n",
+        "    if bounds[-1] < c.target:\n",
+        (f"{VERIFY}::test_final_bound_equal_to_target_fails",),
     ),
     Mutant(
         "quotient-low-end-unchecked",
@@ -144,10 +146,11 @@ MUTANTS = [
     Mutant(
         "adjacent-span-unchecked",
         "knots.py",
-        "    if not (quotient.coefficient((-g,)) and quotient.coefficient((g,))):\n",
-        "    if q != p + 1 and not (quotient.coefficient((-g,)) and quotient.coefficient((g,))):\n",
+        "    if not (keys and keys[0] == -g and keys[-1] == g):\n",
+        "    if q != p + 1 and not (keys and keys[0] == -g and keys[-1] == g):\n",
         (
             "tests/test_knots.py::TestTorusKernel::test_span_mismatch_detected",
+            "tests/test_knots.py::TestTorusKernel::test_terms_beyond_the_genus_detected",
             "tests/test_cli.py::test_writer_inconsistency_exits_2",
         ),
     ),
@@ -259,6 +262,42 @@ MUTANTS = [
         "            if [e + shift for e in a] != b.tolist():\n",
         "            if False:\n",
         (f"{LAURENT}::TestEqualUpToUnits::test_same_coefficients_on_other_exponents_differ",),
+    ),
+    # verify_certificate's first pass: the certificate's own claims, before
+    # any bound is recomputed
+    Mutant(
+        "certificate-types-unchecked",
+        "family.py",
+        "    if not all(isinstance(x, int) and not isinstance(x, bool) for x in values):\n",
+        "    if not all(not isinstance(x, bool) for x in values):\n",
+        (f"{VERIFY}::test_non_integer_field_fails_without_raising",),
+    ),
+    Mutant(
+        "certificate-bools-accepted",
+        "family.py",
+        "    if not all(isinstance(x, int) and not isinstance(x, bool) for x in values):\n",
+        "    if not all(isinstance(x, int) for x in values):\n",
+        (f"{VERIFY}::test_non_integer_field_fails_without_raising",),
+    ),
+    Mutant(
+        "certificate-index-order-unchecked",
+        "family.py",
+        "    if not all(map(operator.lt, [0, *ps], ps)):\n",
+        "    if False:\n",
+        (
+            f"{VERIFY}::test_falling_index_fails_whatever_the_bounds",
+            f"{VERIFY_WORK}::test_broken_claims_recompute_nothing",
+        ),
+    ),
+    Mutant(
+        "certificate-bound-order-unchecked",
+        "family.py",
+        "    if not all(map(operator.lt, [-1, *bounds], bounds)):\n",
+        "    if False:\n",
+        (
+            f"{VERIFY}::test_non_increasing_bound_fails",
+            f"{VERIFY_WORK}::test_bound_tying_a_neighbour_recomputes_nothing",
+        ),
     ),
     # the presentation's letter and free-reduction checks, taken at C level
     Mutant(

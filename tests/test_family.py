@@ -176,6 +176,90 @@ class TestVerifyCertificate:
         cert = UnboundednessCertificate(target=1, witnesses=(w, w))
         assert verify_certificate(cert) is False
 
+    def test_falling_index_fails_whatever_the_bounds(self, monkeypatch):
+        # both recomputed bounds match and rise, but p falls
+        monkeypatch.setattr(family, "basic_class_lower_bound", lambda p: 10 - p)
+        cert = UnboundednessCertificate(target=1, witnesses=(Witness(3, 7), Witness(2, 8)))
+        assert verify_certificate(cert) is False
+
+    @pytest.mark.parametrize(
+        "target,witness",
+        [
+            ("x", Witness(1, 1)),
+            (0.5, Witness(1, 1)),
+            (None, Witness(1, 1)),
+            (False, Witness(1, 1)),
+            (0, Witness(1, 1.0)),
+            (0, Witness(1, True)),
+            (0, Witness(1.0, 1)),
+            (0, Witness(True, 1)),
+            (0, Witness("1", 1)),
+        ],
+    )
+    def test_non_integer_field_fails_without_raising(self, target, witness):
+        # the loader's rule: an int that is not a bool.  Each of these holds
+        # the right bound for p = 1 up to its type
+        cert = UnboundednessCertificate(target, (witness,))
+        assert verify_certificate(cert) is False
+
+
+def _moved(cert: UnboundednessCertificate, i: int, step: int) -> UnboundednessCertificate:
+    # cert with witness i's bound moved by step
+    witnesses = list(cert.witnesses)
+    witnesses[i] = Witness(witnesses[i].p, witnesses[i].lower_bound + step)
+    return UnboundednessCertificate(cert.target, tuple(witnesses))
+
+
+class TestVerifyWork:
+    """Pass 1 recomputes nothing; pass 2 stops at the first bound that differs."""
+
+    CERT = certify_unbounded(40)  # p = 1, ..., 21, consecutive bounds 2 apart
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        seen = []
+
+        def spy(p):
+            seen.append(p)
+            return basic_class_lower_bound(p)
+
+        monkeypatch.setattr(family, "basic_class_lower_bound", spy)
+        return seen
+
+    def test_valid_certificate_recomputes_each_witness_once(self, calls):
+        assert verify_certificate(self.CERT) is True
+        assert calls == [w.p for w in self.CERT.witnesses]
+
+    @pytest.mark.parametrize("step", [-2, 2])
+    def test_bound_tying_a_neighbour_recomputes_nothing(self, calls, step):
+        for i in range(len(self.CERT.witnesses) - 1):
+            assert verify_certificate(_moved(self.CERT, i, step)) is False, i
+            assert calls == [], i
+
+    def test_rising_bounds_recompute_up_to_the_first_mismatch(self, calls):
+        ps = [w.p for w in self.CERT.witnesses]
+        for i in range(1, len(ps) + 1):
+            calls.clear()
+            assert verify_certificate(_moved(self.CERT, i - 1, 1)) is False, i
+            assert calls == ps[:i]
+        calls.clear()
+        assert verify_certificate(_moved(self.CERT, len(ps) - 1, 2)) is False
+        assert calls == ps
+
+    @pytest.mark.parametrize(
+        "target,witnesses",
+        [
+            (4, ((2, 3), (1, 5))),  # p falls while the bounds rise
+            (4, ((0, 3), (3, 5))),  # p below 1
+            (4, ((1, 1), (2, 3))),  # the last bound at or below the target
+            (0, ((1, 1), (2, 3.0))),  # a bound that is not an int
+        ],
+    )
+    def test_broken_claims_recompute_nothing(self, calls, target, witnesses):
+        cert = UnboundednessCertificate(target, tuple(Witness(*w) for w in witnesses))
+        assert verify_certificate(cert) is False
+        assert calls == []
+
 
 class TestCertificateJson:
     def test_round_trip(self):

@@ -225,6 +225,17 @@ class TestTorusKernel:
             with pytest.raises(InternalInconsistencyError, match="span"):
                 knots._torus_quotient(*pq)
 
+    def test_terms_beyond_the_genus_detected(self, monkeypatch):
+        # t^-g and t^g are terms and Delta(1) = 1, but the span runs past 2g
+        def stray(g):
+            return poly(f"t^{-g} - 1 + t^{g} + t^{g + 1} - t^{g + 2}")
+
+        monkeypatch.setattr(knots, "_torus_delta", lambda p, q: stray(2))
+        monkeypatch.setattr(knots, "_adjacent_torus_delta", lambda p: stray(1))
+        for pq in [(2, 5), (2, 3)]:
+            with pytest.raises(InternalInconsistencyError, match="span"):
+                knots._torus_quotient(*pq)
+
     def test_exponent_overflow_before_allocation(self):
         # pq = 3037000508^2 - 1 is just above the signed 64-bit range
         with pytest.raises(ExponentOverflowError):
