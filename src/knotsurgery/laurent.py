@@ -58,7 +58,11 @@ polynomials as ``LaurentPoly`` values, as the bytes of
 ``json.dumps(doc, indent=2, default=LaurentPoly.to_json_dict)``.  ``str``
 and ``_dumps_indent2`` join what they write.  Every polynomial goes out
 from the top of its sequences, a slice of 4,096 terms per call, with no
-sort.  Writing
+sort.  A slice is written with one C-level ``%``: a table built for the
+slice maps each distinct coefficient to its term's text with a ``%d`` in
+each exponent slot, so a coefficient is turned into decimal once per
+slice, and the slice's exponents fill the slots.  Only one-variable text
+at exponents 0 and 1 and multivariable text go term by term.  Writing
 can fail in one way only, on CPython's int-to-string digit limit, and
 ``_check_digits`` raises that error for a whole document before the first
 write, so a caller that streams to stdout writes all of it or nothing.  An
@@ -75,7 +79,7 @@ import re
 from array import array
 from bisect import bisect_left
 from collections.abc import Iterable, Iterator, Mapping
-from itertools import compress, islice, repeat
+from itertools import chain, compress, islice, repeat, starmap
 
 INT64_MIN = -(1 << 63)
 INT64_MAX = (1 << 63) - 1
@@ -764,14 +768,24 @@ def _check_digits(doc) -> None:
             _check_digits(item)
 
 
-def _slices(poly: LaurentPoly, start: int, stop: int) -> Iterator[Iterator[tuple]]:
+def _slices(poly: LaurentPoly, start: int, stop: int) -> Iterator[tuple]:
     # poly's terms start..stop-1, from the top down, _SLICE terms at a time,
-    # each slice as (key, coefficient) pairs, so a writer holds one slice's
-    # text at once
+    # each slice as its keys and its coefficients, so a writer holds one
+    # slice's text at once
     keys, coeffs = poly._keys, poly._terms
     for end in range(stop, start, -_SLICE):
         begin = max(end - _SLICE, start)
-        yield zip(reversed(keys[begin:end]), reversed(coeffs[begin:end]))
+        yield keys[begin:end][::-1], coeffs[begin:end][::-1]
+
+
+def _filled(template, sep: str, exps: Iterable[int], coeffs: list) -> str:
+    # one slice's text with one C-level %: template(c) is the text of a term
+    # with coefficient c and a %d in each exponent slot, built once per
+    # distinct coefficient of the slice, and exps fills the slots in order.
+    # Nothing needs escaping: coefficients are ints and variable names match
+    # _NAME_RE, so neither can hold a "%"
+    table = {c: template(c) for c in set(coeffs)}
+    return sep.join(map(table.__getitem__, coeffs)) % tuple(exps)
 
 
 def _signed_term(names: tuple[str, ...], exps: tuple[int, ...], coeff: int) -> str:
@@ -784,33 +798,35 @@ def _signed_term(names: tuple[str, ...], exps: tuple[int, ...], coeff: int) -> s
 
 def _text_chunks(poly: LaurentPoly) -> Iterator[str]:
     # the text form as nonempty chunks, each term led by " + " or " - ", a
-    # slice at a time.  A one-variable term takes one f-string, except t^1
-    # and t^0, the exponents that print no "^", which take the general
-    # formatter, as every term of other variable counts does
+    # slice at a time.  One-variable terms at t^2 and above or below t^0
+    # share a template per coefficient, such as " - 3*t^%d"; t^1 and t^0,
+    # the exponents that print no "^", and every term of other variable
+    # counts go through _signed_term
     names, keys = poly.variables.names, poly._keys
 
-    def general(part: Iterable[tuple]) -> str:
-        return "".join([_signed_term(names, exps, c) for exps, c in part])
+    def general(exps: Iterable[tuple], coeffs: list) -> str:
+        return "".join(map(_signed_term, repeat(names), exps, coeffs))
 
     if len(names) != 1:
-        yield from map(general, _slices(poly, 0, len(keys)))
+        yield from starmap(general, _slices(poly, 0, len(keys)))
         return
-    (name,) = names
+    power = f"{names[0]}^%d"
 
-    def formatted(part: Iterable[tuple]) -> str:
-        return "".join([
-            f" + {name}^{e}" if c == 1
-            else f" - {name}^{e}" if c == -1
-            else f" + {c}*{name}^{e}" if c > 0
-            else f" - {-c}*{name}^{e}"
-            for e, c in part
-        ])
+    def template(c: int) -> str:
+        return (
+            f" + {power}" if c == 1
+            else f" - {power}" if c == -1
+            else f" + {c}*{power}" if c > 0
+            else f" - {-c}*{power}"
+        )
 
     low, high = bisect_left(keys, 0), bisect_left(keys, 2)
-    yield from map(formatted, _slices(poly, high, len(keys)))
-    for part in _slices(poly, low, high):
-        yield general(((e,), c) for e, c in part)
-    yield from map(formatted, _slices(poly, 0, low))
+    for exps, coeffs in _slices(poly, high, len(keys)):
+        yield _filled(template, "", exps, coeffs)
+    for exps, coeffs in _slices(poly, low, high):
+        yield general(zip(exps), coeffs)
+    for exps, coeffs in _slices(poly, 0, low):
+        yield _filled(template, "", exps, coeffs)
 
 
 def _write_text(poly: LaurentPoly, write) -> None:
@@ -833,10 +849,11 @@ def _dumps_indent2(doc) -> str:
 def _write_indent2(value, write, newline: str = "\n") -> None:
     """Write _dumps_indent2(value) through write.
 
-    A LaurentPoly in value is written from its terms, one f-string per term;
-    an iterator is written as the list of its items, each drawn just before
-    it is written; everything else goes through json.dumps one scalar at a
-    time.  With indent set, json.dumps uses the pure-Python encoder, whose
+    A LaurentPoly in value is written from its terms, one C-level format per
+    slice of terms; an iterator is written as the list of its items, each
+    drawn just before it is written; ints, bools and None are written as
+    json.dumps spells them, and every other scalar goes through json.dumps.
+    With indent set, json.dumps uses the pure-Python encoder, whose
     per-value dispatch dominated large polynomial output.  newline is "\n"
     plus the indentation of the line where value starts.
     """
@@ -857,6 +874,12 @@ def _write_indent2(value, write, newline: str = "\n") -> None:
             _write_indent2(item, write, inner)
             opening = ","
         write("[]" if opening == "[" else newline + "]")
+    elif isinstance(value, bool):
+        write("true" if value else "false")
+    elif isinstance(value, int):
+        write(int.__repr__(value))
+    elif value is None:
+        write("null")
     else:
         write(json.dumps(value))
 
@@ -864,36 +887,27 @@ def _write_indent2(value, write, newline: str = "\n") -> None:
 def _write_poly_indent2(poly: LaurentPoly, write, newline: str) -> None:
     # exponents go out as JSON numbers and coefficients as quoted decimal
     # strings, both as str gives them; variable names need no escaping.  The
-    # terms go out a slice at a time; a one-variable term takes one f-string
+    # terms go out a slice at a time, each term from its coefficient's
+    # template with one %d per variable
     n1, n2, n3, n4 = (newline + "  " * depth for depth in range(1, 5))
     write(f'{{{n1}"variables": ')
     _write_indent2(list(poly.variables), write, n1)
     write(f',{n1}"terms": ')
-    count = len(poly._terms)
-    if not count:
+    if not poly._terms:
         write("[]" + newline + "}")
         return
-    if len(poly.variables) == 1:
-        def entries(part: Iterable[tuple]) -> list[str]:
-            return [
-                f'{{{n3}"exps": [{n4}{e}{n3}],{n3}"coeff": "{c}"{n2}}}'
-                for e, c in part
-            ]
-    else:
-        start, end = (f"[{n4}", f"{n3}]") if poly.variables else ("[", "]")
-        inner = "," + n4
+    width = len(poly.variables)
+    slots = f"[{n4}{(',' + n4).join(['%d'] * width)}{n3}]" if width else "[]"
+    head, tail = f'{{{n3}"exps": {slots},{n3}"coeff": "', f'"{n2}}}'
 
-        def entries(part: Iterable[tuple]) -> list[str]:
-            return [
-                f'{{{n3}"exps": {start}{inner.join(map(str, exps))}{end},'
-                f'{n3}"coeff": "{c}"{n2}}}'
-                for exps, c in part
-            ]
+    def template(c: int) -> str:
+        return f"{head}{c}{tail}"
+
     sep = f",{n2}"
     opening = f"[{n2}"
-    for part in _slices(poly, 0, count):
+    for exps, coeffs in _slices(poly, 0, len(poly._terms)):
         write(opening)
-        write(sep.join(entries(part)))
+        write(_filled(template, sep, exps if width == 1 else chain.from_iterable(exps), coeffs))
         opening = sep
     write(f"{n1}]{newline}}}")
 

@@ -43,6 +43,14 @@ COMMANDS = [
         for delta in DELTA_LS
         for f in ("text", "json")
     ),
+    # non-unit coefficients of both signs around the exponents 0 and 1
+    ["torres", "--lk", "3", "3*t^2 - 7 + t - t^-1 + 12*t^-5"],
+    ["torres", "--lk", "3", "--format", "json", "3*t^2 - 7 + t - t^-1 + 12*t^-5"],
+    # more than one 4,096-term slice, coefficients beyond +-1
+    ["alexander", "sum(torus(2,4097),sum(torus(3,4),torus(2,5)))"],
+    ["alexander", "--format", "json", "sum(torus(2,4097),sum(torus(3,4),torus(2,5)))"],
+    # a zero-variable document
+    ["torres", "--lk", "1", "--format", "json", "5"],
 ]
 
 # command line -> (exit code, sha256 of stdout)
@@ -190,6 +198,21 @@ GOLDEN = {
     ),
     "sw --p 3 --n 3 --delta-l 'y - 1' --format json": (
         0, "74c3302c5ae256bf5fe8917ad88604ebf6f0a8ef15c9e34e1d3719b97778046a"
+    ),
+    "torres --lk 3 '3*t^2 - 7 + t - t^-1 + 12*t^-5'": (
+        0, "f2b8eedb0d578bad55e8a2279c5ba77395bdf96f024b48a475214e61ec161839"
+    ),
+    "torres --lk 3 --format json '3*t^2 - 7 + t - t^-1 + 12*t^-5'": (
+        0, "3325fd4ec9dcf110050f71cc2f39b0b6ecf5a54de5bdc21f6c0364b54391dc46"
+    ),
+    "alexander 'sum(torus(2,4097),sum(torus(3,4),torus(2,5)))'": (
+        0, "64fb0a0f51e73e9f5aa4a911f21271e067c7bb3e3655186dc2fbd732427f476b"
+    ),
+    "alexander --format json 'sum(torus(2,4097),sum(torus(3,4),torus(2,5)))'": (
+        0, "b621371daafa05aefc3234ba4e2a6a268b91004114b360fcf6068b23a4f814ac"
+    ),
+    "torres --lk 1 --format json 5": (
+        0, "de49dfe6143d684f14178bbfd066e32a2bac0e8a59cfdcb330b1b83061c9cc5e"
     ),
 }
 

@@ -679,10 +679,14 @@ class TestJsonForm:
     @pytest.mark.parametrize("writer", [_write_text, _write_indent2])
     def test_writers_stream_in_bounded_memory(self, writer):
         # a sorted key list and one slice of text at a time, never the
-        # document: str of either polynomial alone is about 1 MB
+        # document: str of any of these polynomials alone is about 1 MB or
+        # more.  The last two have no repeated coefficient, so each slice's
+        # table of term templates is as large as the slice
         for poly in (
             torres_specialize(LaurentPoly.parse("1"), 100076),
             LaurentPoly(XY, {(e, e % 7 - 3): e % 5 - 2 or 1 for e in range(100_000)}),
+            LaurentPoly(T, {(e,): 3 * e - 150_001 for e in range(100_000)}),
+            LaurentPoly(XY, {(e, e % 7 - 3): (-1) ** e * (10 ** 20 + e) for e in range(100_000)}),
         ):
             written = []
             tracemalloc.start()

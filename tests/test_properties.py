@@ -516,10 +516,36 @@ class TestSerialization:
             assert str(poly) == format_one_variable(terms, "t")
             assert _dumps_indent2(poly) == json.dumps(poly.to_json_dict(), indent=2)
 
+    @given(
+        st.sampled_from([VariableSet(), XY, VariableSet("a", "b", "c")]).flatmap(
+            lambda v: polys(
+                variables=v,
+                max_terms=40,
+                coeff=st.sampled_from([1, -1, 2, -2]) | big_coefficients.filter(bool),
+            )
+        ),
+        st.sampled_from([1, 2, 3, 5, 4096]),
+    )
+    def test_writers_match_json_and_parse_at_other_variable_counts(self, poly, slice_size):
+        # each slice's table of term templates holds repeated coefficients
+        # next to ones drawn once
+        with mock.patch.object(laurent, "_SLICE", slice_size):
+            assert _dumps_indent2(poly) == json.dumps(poly.to_json_dict(), indent=2)
+            assert LaurentPoly.parse(str(poly), poly.variables) == poly
+
     @given(documents)
     # plain dicts that only look like polynomial documents are plain dicts
     @example({"variables": ["a"], "terms": [{"exps": [1], "coeff": 5}]})
     @example({"variables": ["a"], "terms": [{"exps": [1], "coeff": "5", "note": None}]})
+    # scalars that skip json.dumps: bools, None, ints of either sign and size
+    @example({"flag": True})
+    @example([False])
+    @example({"none": None})
+    @example([None])
+    @example({"n": -7})
+    @example([-7])
+    @example({"n": 10 ** 999})
+    @example([10 ** 999])
     @settings(deadline=None)
     def test_indent2_writer_matches_json_dumps(self, doc):
         assert _dumps_indent2(doc) == json.dumps(doc, indent=2, default=LaurentPoly.to_json_dict)
