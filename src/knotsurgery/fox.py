@@ -11,10 +11,11 @@ generator.  For T(p, q) the presentation is <x, y | x^p y^-q> with
 phi(x) = t^q and phi(y) = t^p.
 
 Words are tuples of nonzero ints: letter +k is generator number k (1-based)
-and -k is its inverse.  The derivative is taken run by run, not letter by
-letter: a run g^n of the generator adds an arithmetic progression of n
-exponents, counted at C level, so the Python-level work is one step per
-run, and the quotient is the Laurent layer's exact division.
+and -k is its inverse.  The numerator phi(dr/dx) * (t - 1) is built run by
+run, not letter by letter and with no polynomial product: a run g^n of the
+generator adds an arithmetic progression of n exponents, once shifted by +1
+and once subtracted in place, counted at C level, so the Python-level work
+is one step per run, and the quotient is the Laurent layer's exact division.
 """
 
 from __future__ import annotations
@@ -75,7 +76,11 @@ class GroupPresentation(_Frozen):
         """<x, y | x^p y^-q>, the standard torus-knot group presentation."""
         for v in (p, q):
             _require_int(v, "torus knot presentation parameter", 1)
-        return cls(("x", "y"), ((1,) * p + (-2,) * q,))
+        # the word is valid by construction: letters 1 and -2 of two
+        # generators, and no letter next to its inverse
+        g = object.__new__(cls)
+        g._store(generators=("x", "y"), relators=((1,) * p + (-2,) * q,))
+        return g
 
     @classmethod
     def unknot(cls) -> "GroupPresentation":
@@ -83,19 +88,22 @@ class GroupPresentation(_Frozen):
         return cls(("x",), ())
 
 
-def _abelianized_fox_derivative(
+def _fox_numerator(
     word: tuple[int, ...], wrt: int, exponent_of: Mapping[int, int]
 ) -> LaurentPoly:
-    """phi(dw/dg) for g the generator with 1-based index wrt.
+    """phi(dw/dg) * (t - 1) for g the generator with 1-based index wrt.
 
     Uses the product rule d(uv) = du + phi(u) dv run by run, keeping only the
     running abelianized prefix instead of the free-group prefix.  A run g^n
     of the wrt generator, phi(g) = t^step, adds t^prefix, t^(prefix + step),
-    ..., t^(prefix + (n-1) step); a run g^-n first moves the prefix down by
-    n step and then subtracts the same progression.  The progression's
-    exponents are monotone, so its two ends bound them all.
+    ..., t^(prefix + (n-1) step) to the derivative; a run g^-n first moves
+    the prefix down by n step and then subtracts the same progression.  Times
+    t - 1, a progression the derivative adds is added shifted by +1 and
+    subtracted in place, and one it subtracts the other way round, so the
+    numerator needs no product.  The progression's exponents are monotone,
+    so its two ends, and the higher one plus 1, bound them all.
     """
-    rises, falls = Counter(), Counter()
+    plus, minus = Counter(), Counter()
     prefix = 0
     for letter, run in groupby(word):
         n = len(tuple(run))
@@ -103,17 +111,21 @@ def _abelianized_fox_derivative(
         if letter < 0:
             prefix -= n * step
         if abs(letter) == wrt:
+            last = prefix + (n - 1) * step
             _checked_exponent(prefix)
-            _checked_exponent(prefix + (n - 1) * step)
-            counts = rises if letter > 0 else falls
+            _checked_exponent(last)
+            _checked_exponent(max(prefix, last) + 1)
+            up, down = (plus, minus) if letter > 0 else (minus, plus)
             if step:
-                counts.update(range(prefix, prefix + n * step, step))
+                up.update(range(prefix + 1, prefix + n * step + 1, step))
+                down.update(range(prefix, prefix + n * step, step))
             else:
-                counts[prefix] += n
+                up[prefix + 1] += n
+                down[prefix] += n
         if letter > 0:
             prefix += n * step
-    rises.subtract(falls)
-    return _from_dict(_T, rises)
+    plus.subtract(minus)
+    return _from_dict(_T, plus)
 
 
 def alexander_fox_oracle(
@@ -123,8 +135,10 @@ def alexander_fox_oracle(
 
     abelianization maps each generator name to the exponent of t it is sent
     to.  Every relator must die under the map (otherwise it does not define
-    a homomorphism onto the infinite cyclic group).  The result is canonical
-    but not symmetrized; compare with equal_up_to_units.
+    a homomorphism onto the infinite cyclic group).  The numerator
+    phi(dr/dx) * (t - 1) is built run-wise by _fox_numerator and divided
+    exactly by phi(y) - 1.  The result is canonical but not symmetrized;
+    compare with equal_up_to_units.
     """
     for name in g.generators:
         if name not in abelianization:
@@ -157,7 +171,5 @@ def alexander_fox_oracle(
         raise UnsupportedPresentationError(
             "abelianization kills the second generator; the recipe divides by phi(y) - 1"
         )
-    t = LaurentPoly.var(_T, "t")
-    dr_dx = _abelianized_fox_derivative(g.relators[0], 1, exponent_of)
-    numerator = dr_dx * (t - 1)
-    return numerator.exact_divide(LaurentPoly.var(_T, "t", ey) - 1)
+    numerator = _fox_numerator(g.relators[0], 1, exponent_of)
+    return numerator.exact_divide(_from_dict(_T, {_checked_exponent(ey): 1, 0: -1}))

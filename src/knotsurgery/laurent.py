@@ -258,7 +258,8 @@ def _unit_binomial_quotient(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
     # With d = a - b, num_e = lead (Q_(e-a) - Q_(e-b)) gives
     # Q_(k-d) = Q_k + num_(k+b) / lead: per residue class mod d, Q read
     # downward is a running sum of num / lead, constant between the class's
-    # terms of num, so each stretch is one range of exponents.  Q is finite,
+    # terms of num, so each stretch is one range of exponents, written by one
+    # C-level update, or one store when it holds one term.  Q is finite,
     # and the division exact, iff every class sums to 0.  A nonzero Q runs
     # from num's lowest exponent minus b to its highest minus a, and both
     # ends are checked before the array is written
@@ -271,12 +272,14 @@ def _unit_binomial_quotient(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
         sums, lasts = dict.fromkeys(map(d.__rmod__, keys), 0), {}
     coeffs = reversed(num._terms) if lead > 0 else map(operator.neg, reversed(num._terms))
     acc = {}
-    for e, c in zip(reversed(keys), coeffs):
-        r = e % d
+    for e, c, r in zip(reversed(keys), coeffs, map(d.__rmod__, reversed(keys))):
         running = sums[r]
         if running:
-            for x in range(lasts[r] - a, e - a, -d):
-                acc[x] = running
+            last = lasts[r]
+            if last - e == d:
+                acc[last - a] = running
+            else:
+                acc.update(zip(range(last - a, e - a, -d), repeat(running)))
         sums[r] = running + c
         lasts[r] = e
     for r in range(d) if d <= len(keys) else sums:

@@ -221,8 +221,15 @@ MUTANTS = [
     Mutant(
         "unit-binomial-run-one-short",
         "laurent.py",
-        "            for x in range(lasts[r] - a, e - a, -d):\n",
-        "            for x in range(lasts[r] - a, e - a + d, -d):\n",
+        "                acc.update(zip(range(last - a, e - a, -d), repeat(running)))\n",
+        "                acc.update(zip(range(last - a, e - a + d, -d), repeat(running)))\n",
+        (f"{LAURENT}::TestUnitBinomialDivision::test_quotients",),
+    ),
+    Mutant(
+        "unit-binomial-one-term-run-off-by-one",
+        "laurent.py",
+        "                acc[last - a] = running\n",
+        "                acc[last - a - d] = running\n",
         (f"{LAURENT}::TestUnitBinomialDivision::test_quotients",),
     ),
     # symmetrize's mirror test
@@ -314,7 +321,7 @@ MUTANTS = [
         "            if False:\n",
         (f"{FOX}::TestGroupPresentation::test_accepts_exactly_the_freely_reduced_words",),
     ),
-    # the Fox oracle's run-wise derivative and its abelianization
+    # the Fox oracle's run-wise numerator and its abelianization
     Mutant(
         "fox-run-start-unchecked",
         "fox.py",
@@ -325,9 +332,23 @@ MUTANTS = [
     Mutant(
         "fox-run-end-unchecked",
         "fox.py",
-        "            _checked_exponent(prefix + (n - 1) * step)\n",
+        "            _checked_exponent(last)\n",
         "",
         ("tests/test_fox.py::TestFoxOracle::test_run_top_out_of_range",),
+    ),
+    Mutant(
+        "fox-numerator-shift-unchecked",
+        "fox.py",
+        "            _checked_exponent(max(prefix, last) + 1)\n",
+        "",
+        ("tests/test_fox.py::TestFoxOracle::test_numerator_top_out_of_range",),
+    ),
+    Mutant(
+        "fox-divisor-unchecked",
+        "fox.py",
+        "_from_dict(_T, {_checked_exponent(ey): 1, 0: -1})",
+        "_from_dict(_T, {ey: 1, 0: -1})",
+        ("tests/test_fox.py::TestFoxOracle::test_divisor_out_of_range",),
     ),
     Mutant(
         "fox-abelianization-unchecked",

@@ -9,7 +9,7 @@ from knotsurgery import knots, laurent
 from knotsurgery.fox import (
     GroupPresentation,
     UnsupportedPresentationError,
-    _abelianized_fox_derivative,
+    _fox_numerator,
     alexander_fox_oracle,
 )
 from knotsurgery.knots import TorusKnotSpec, alexander_torus
@@ -79,14 +79,29 @@ class TestGroupPresentation:
         else:
             assert reduced
 
-    def test_torus_knot_rejects_nonpositive(self):
-        with pytest.raises(ValueError, match="must be a positive integer"):
-            GroupPresentation.torus_knot(0, 3)
+    @pytest.mark.parametrize(
+        "p, q", [*((p, q) for p in range(1, 7) for q in range(1, 7)), (300, 307)]
+    )
+    def test_torus_knot_equals_the_checked_presentation(self, p, q):
+        # torus_knot stores its word without the letter and reduction checks
+        g = GroupPresentation.torus_knot(p, q)
+        assert g == GroupPresentation(("x", "y"), ((1,) * p + (-2,) * q,))
 
-    @pytest.mark.parametrize("p, q", [(True, 3), (3, False), (2.0, 3)])
+    def test_torus_knot_rejects_nonpositive(self):
+        with pytest.raises(ValueError) as caught:
+            GroupPresentation.torus_knot(0, 3)
+        assert str(caught.value) == (
+            "torus knot presentation parameter must be a positive integer, got 0"
+        )
+
+    @pytest.mark.parametrize("p, q", [(True, 3), (3, False), (2.0, 3), (2, True)])
     def test_torus_knot_rejects_non_int(self, p, q):
-        with pytest.raises(ValueError, match="must be a positive integer"):
+        bad = p if type(p) is not int else q  # the first parameter that is not an int
+        with pytest.raises(ValueError) as caught:
             GroupPresentation.torus_knot(p, q)
+        assert str(caught.value) == (
+            f"torus knot presentation parameter must be a positive integer, got {bad!r}"
+        )
 
     def test_rejects_duplicate_generators(self):
         with pytest.raises(ValueError):
@@ -190,6 +205,22 @@ class TestFoxOracle:
         with pytest.raises(ExponentOverflowError):
             alexander_fox_oracle(g, {"x": sign * 3 << 61, "y": sign << 62})
 
+    def test_numerator_top_out_of_range(self):
+        # dr/dx of x^2 y^-2 under x, y -> t^(2^63 - 1) is 1 + t^(2^63 - 1), in
+        # range; times t - 1 it reaches t^(2^63)
+        g = GroupPresentation(("x", "y"), ((1, 1, -2, -2),))
+        top = (1 << 63) - 1
+        with pytest.raises(ExponentOverflowError, match=str(1 << 63)):
+            alexander_fox_oracle(g, {"x": top, "y": top})
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_divisor_out_of_range(self, sign):
+        # <x, y | x y^-1> under x, y -> t^(±2^64): the numerator t - 1 is in
+        # range, phi(y) - 1 is not
+        g = GroupPresentation(("x", "y"), ((1, -2),))
+        with pytest.raises(ExponentOverflowError, match=str(sign << 64)):
+            alexander_fox_oracle(g, {"x": sign << 64, "y": sign << 64})
+
 
 def _freely_reduced(runs) -> tuple[int, ...]:
     # the runs' letters with every adjacent inverse pair cancelled
@@ -214,8 +245,8 @@ class TestRunWiseDerivative:
     @settings(max_examples=500, deadline=None)
     def test_matches_the_letter_by_letter_derivative(self, word, wrt, ex, ey):
         exponent_of = {1: ex, 2: ey}
-        got = _abelianized_fox_derivative(word, wrt, exponent_of)
-        expected = fox_derivative_letters(word, wrt, exponent_of)
+        got = _fox_numerator(word, wrt, exponent_of)
+        expected = convolve(fox_derivative_letters(word, wrt, exponent_of), {1: 1, 0: -1})
         assert {exps[0]: c for exps, c in got.terms()} == expected
 
     def test_adjacent_torus_knots_up_to_400(self):

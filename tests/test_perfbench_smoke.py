@@ -35,11 +35,12 @@ def test_crosscheck_run_reports_all_ops_correct():
 
 def test_traced_runs_report_exact_counts():
     # --trace 1 reads each polynomial's term count off LaurentPoly._terms;
-    # oneshot divides nothing, so only crosscheck has quotient terms
-    for workload, divides in [("crosscheck", True), ("oneshot", False)]:
+    # oneshot divides nothing, so only crosscheck has quotient terms, and
+    # crosscheck multiplies nothing, since the Fox numerator needs no product
+    for workload, divides, multiplies in [("crosscheck", True, False), ("oneshot", False, True)]:
         metrics = result_of(workload, trace=1)["metrics"]
         assert metrics["laurent.init.terms"]["value"] > 0
-        assert metrics["laurent.mul.pairs"]["value"] > 0
+        assert (metrics["laurent.mul.pairs"]["value"] > 0) == multiplies
         assert (metrics["laurent.exact_divide.terms_out"]["value"] > 0) == divides
 
 
