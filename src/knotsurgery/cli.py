@@ -49,7 +49,8 @@ def _stream(doc, write_doc) -> None:
     # write_doc(doc, write) straight to stdout, then a newline.  This is the
     # one route to stdout, and an error writes no stdout byte: the one error
     # writing can hit is raised by _check_digits before the first write.
-    # An iterator in doc goes undrawn, so its items are checked as drawn
+    # An iterator in doc goes undrawn: its items are the caller's guarantee,
+    # as the family's rows are, whose coefficients are +-1
     _check_digits(doc)
     write = sys.stdout.write
     write_doc(doc, write)
@@ -92,7 +93,7 @@ def _write_sw_text(doc: dict, write) -> None:
 
 def _cmd_family(args) -> int:
     # the rows are built as they are written, so one Delta is held at once
-    rows = map(_checked_row, _family_rows(args.n, args.pmin, args.pmax, args.pcap))
+    rows = _family_rows(args.n, args.pmin, args.pmax, args.pcap)
     if args.format == "json":
         _stream({"n": args.n, "rows": map(FamilyRow.to_json_dict, rows)}, _write_indent2)
     else:
@@ -100,13 +101,6 @@ def _cmd_family(args) -> int:
             _write_rows(args.format, args.n, rows, write)
         _stream(rows, write_doc)
     return EXIT_OK
-
-
-def _checked_row(row: FamilyRow) -> FamilyRow:
-    # _stream cannot check rows not built yet, so each row is checked when
-    # it is drawn, before its first byte
-    _check_digits(row.delta_gamma)
-    return row
 
 
 def _cmd_certify(args) -> int:

@@ -22,13 +22,13 @@ from collections.abc import Iterator
 from .knots import _check_torus_exponent, alexander_torus, genus_torus
 from .laurent import (
     LaurentPoly,
-    _dumps_indent2,
     _Frozen,
     _joined,
     _json_int,
     _json_loads,
     _require_int,
     _require_json_object,
+    _write_indent2,
     _write_text,
 )
 from .surgery import LinkFamilyMember, basic_class_lower_bound
@@ -92,7 +92,7 @@ class FamilyReport(_Frozen):
         return {"n": self.n, "rows": [row.to_json_dict() for row in self.rows]}
 
     def to_json(self) -> str:
-        return _dumps_indent2(self.to_json_dict())
+        return _joined(_write_indent2, self.to_json_dict())
 
     def to_csv(self) -> str:
         return _joined(_write_rows, "csv", self.n, self.rows) + "\n"
@@ -149,7 +149,7 @@ class UnboundednessCertificate(_Frozen):
         }
 
     def to_json(self) -> str:
-        return _dumps_indent2(self.to_json_dict())
+        return _joined(_write_indent2, self.to_json_dict())
 
     @classmethod
     def from_json_dict(cls, data) -> "UnboundednessCertificate":

@@ -39,7 +39,6 @@ from .laurent import (
     ExponentOverflowError,
     LaurentPoly,
     VariableSet,
-    _coefficient_sum,
     _from_canonical,
     _Frozen,
     _require_int,
@@ -194,7 +193,7 @@ def _torus_quotient(p: int, q: int) -> LaurentPoly:
         raise InternalInconsistencyError(
             f"T({p},{q}) quotient does not run from t^{-g} to t^{g}: its span is not {2 * g}"
         )
-    value = _coefficient_sum(quotient)
+    value = sum(quotient._terms)
     if value != 1:
         raise InternalInconsistencyError(f"T({p},{q}) quotient has Delta(1) = {value}, not 1")
     return quotient

@@ -56,18 +56,19 @@ neither builds the whole output: ``_write_text`` writes one polynomial's
 text form, and ``_write_indent2`` writes an indented document that holds
 polynomials as ``LaurentPoly`` values, as the bytes of
 ``json.dumps(doc, indent=2, default=LaurentPoly.to_json_dict)``.  ``str``
-and ``_dumps_indent2`` join what they write.  Every polynomial goes out
-from the top of its sequences, a slice of 4,096 terms per call, with no
-sort.  A slice is written with one C-level ``%``: a table built for the
-slice maps each distinct coefficient to its term's text with a ``%d`` in
-each exponent slot, so a coefficient is turned into decimal once per
-slice, and the slice's exponents fill the slots.  Only one-variable text
-at exponents 0 and 1 and multivariable text go term by term.  Writing
-can fail in one way only, on CPython's int-to-string digit limit, and
-``_check_digits`` raises that error for a whole document before the first
-write, so a caller that streams to stdout writes all of it or nothing.  An
-iterator in a document is written as a list, drawn one item at a time,
-and ``_check_digits`` leaves it undrawn: its caller checks each item.
+joins what ``_write_text`` writes, and ``_joined`` what any writer writes.
+Every polynomial goes out from the top of its sequences, a slice of 4,096
+terms per call, with no sort.  A slice is written with one C-level ``%``:
+a table built for the slice maps each distinct coefficient to its term's
+text with a ``%d`` in each exponent slot, so a coefficient is turned into
+decimal once per slice, and the slice's exponents fill the slots.  Only
+one-variable text at exponents 0 and 1 and multivariable text go term by
+term.  Writing can fail in one way only, on CPython's int-to-string digit
+limit, and ``_check_digits`` raises that error for a whole document before
+the first write, so a caller that streams to stdout writes all of it or
+nothing.  An iterator in a document is written as a list, drawn one item
+at a time, and ``_check_digits`` leaves it undrawn: its items are the
+caller's guarantee.
 """
 
 from __future__ import annotations
@@ -192,11 +193,6 @@ def _from_canonical(variables: "VariableSet", keys, coeffs: list) -> "LaurentPol
 
 def _from_dict(variables: "VariableSet", acc: dict) -> "LaurentPoly":
     return _from_canonical(variables, *_sorted_terms(variables, acc))
-
-
-def _coefficient_sum(poly: "LaurentPoly") -> int:
-    # the sum of the coefficients: the value at 1 of every variable
-    return sum(poly._terms)
 
 
 def _vector_sum(e1: tuple, e2: tuple) -> tuple:
@@ -760,7 +756,8 @@ def _check_digits(doc) -> None:
     coefficient of largest magnitude has the most digits, so converting it
     fails if and only if converting any coefficient of its polynomial would.
     doc is a LaurentPoly, or a dict or list holding documents; other values
-    pass, and an iterator passes undrawn.
+    pass, and an iterator passes undrawn: its items are the caller's
+    guarantee.
     """
     if isinstance(doc, LaurentPoly):
         coeffs = doc._terms
@@ -844,13 +841,8 @@ def _write_text(poly: LaurentPoly, write) -> None:
         write(chunk)
 
 
-def _dumps_indent2(doc) -> str:
-    """json.dumps(doc, indent=2, default=LaurentPoly.to_json_dict), byte for byte."""
-    return _joined(_write_indent2, doc)
-
-
 def _write_indent2(value, write, newline: str = "\n") -> None:
-    """Write _dumps_indent2(value) through write.
+    """Write json.dumps(value, indent=2, default=LaurentPoly.to_json_dict) through write.
 
     A LaurentPoly in value is written from its terms, one C-level format per
     slice of terms; an iterator is written as the list of its items, each

@@ -16,13 +16,14 @@ running sum over Delta_Gamma's own terms, at a cost proportional to the
 input and output terms.
 
 The full two-variable Delta_L is not determined by this data, so the
-pipeline works through the specialization: sw_link_surgery accepts an
-explicit Delta_L for synthetic checks, while sw_specialized carries the
-specialization and the basic-class lower bound it yields.  For n >= 2 the
-prefactor vanishes at t_K = 1, so the specialization is zero by that law and
-is written down, not evaluated.  Each nonzero
-term of an SW polynomial marks a basic class, so term counts bound the
-number of basic classes from below.  basic_class_lower_bound is the one
+pipeline works through the specialization: sw_link_surgery, the one route
+to the full polynomial, takes an explicit Delta_L for synthetic checks,
+while sw_specialized carries the specialization and the basic-class lower
+bound it yields, doubling Delta_L(1, y), from Torres or Delta_L, just once.
+For n >= 2 the prefactor vanishes at t_K = 1, so the specialization is
+zero by that law and is written down, not evaluated.  Each nonzero term of
+an SW polynomial marks a basic class, so term counts bound the number of
+basic classes from below.  basic_class_lower_bound is the one
 route to that bound and the only memo; it holds the ints this process computed.
 """
 
@@ -135,18 +136,13 @@ def sw_prefactor(n: int) -> LaurentPoly:
     return (t_k - t_k_inv) ** (n - 1)
 
 
-def _doubled(delta_L: LaurentPoly) -> LaurentPoly:
-    # Delta_L(t_K^2, t_G^2) for a polynomial in x and y (either may be absent)
-    images = {"x": (2, 0), "y": (0, 2)}
+def sw_link_surgery(spec: SurgerySpec, delta_L: LaurentPoly) -> LaurentPoly:
+    """Full SW polynomial (t_K - t_K^-1)^(n-1) * Delta_L(t_K^2, t_G^2)."""
+    images = {"x": (2, 0), "y": (0, 2)}  # delta_L may lack either variable
     for name in delta_L.variables:
         if name not in images:
             raise ValueError(f"delta_L may only use x and y, found {name!r}")
-    return delta_L.substitute(images, into=KG_VARS)
-
-
-def sw_link_surgery(spec: SurgerySpec, delta_L: LaurentPoly) -> LaurentPoly:
-    """Full SW polynomial (t_K - t_K^-1)^(n-1) * Delta_L(t_K^2, t_G^2)."""
-    return sw_prefactor(spec.n) * _doubled(delta_L)
+    return sw_prefactor(spec.n) * delta_L.substitute(images, into=KG_VARS)
 
 
 def sw_specialized(spec: SurgerySpec, delta_L: LaurentPoly | None = None) -> SWResult:
@@ -154,18 +150,19 @@ def sw_specialized(spec: SurgerySpec, delta_L: LaurentPoly | None = None) -> SWR
 
     Without delta_L this is the production path: the specialization comes
     from the Torres condition and the full polynomial is unavailable.  With
-    an explicit delta_L (over x, y) the full polynomial is computed too.
+    an explicit delta_L (over x, y) the full polynomial comes from
+    sw_link_surgery.  Either way Delta_L(1, y) is doubled into t_G once.
     """
     member = spec.member
     if delta_L is None:
-        # Delta_L(1, t_G^2): Torres with lk = 1 collapses it to Delta_Gamma
+        # Torres with lk = 1 collapses Delta_L(1, y) to Delta_Gamma
         polynomial = None
-        delta_at_1 = torres_specialize(alexander_torus(member.gamma), member.linking_number)
-        base = delta_at_1.substitute({delta_at_1.variables.names[0]: (2,)}, into=TG_VARS)
+        at_one = torres_specialize(alexander_torus(member.gamma), member.linking_number)
     else:
-        doubled = _doubled(delta_L)
-        polynomial = sw_prefactor(spec.n) * doubled
-        base = doubled.evaluate_at_one("t_K")
+        polynomial = sw_link_surgery(spec, delta_L)
+        at_one = delta_L.evaluate_at_one("x") if "x" in delta_L.variables else delta_L
+    # Delta_L(1, t_G^2); at most one variable is left, y or Torres' own
+    base = at_one.substitute({name: (2,) for name in at_one.variables}, into=TG_VARS)
     # the prefactor (t_K - t_K^-1)^(n-1) vanishes at t_K = 1 for n >= 2
     specialization = base if spec.n == 1 else LaurentPoly.zero(TG_VARS)
     return SWResult(

@@ -376,6 +376,24 @@ MUTANTS = [
         "    except NotImplementedError:\n",
         ("tests/test_cli.py::TestFamilyCommand::test_out_of_memory_exits_1",),
     ),
+    # sw_specialized's one Delta_L(1, y) and its one doubling into t_G
+    Mutant(
+        "explicit-delta-l-x-not-set-to-1",
+        "surgery.py",
+        '        at_one = delta_L.evaluate_at_one("x") if "x" in delta_L.variables else delta_L\n',
+        "        at_one = delta_L\n",
+        (f"{PROPERTIES}::TestSwRoutes::test_specialization_is_the_full_polynomial_at_tK1",),
+    ),
+    Mutant(
+        "specialization-not-doubled",
+        "surgery.py",
+        "    base = at_one.substitute({name: (2,) for name in at_one.variables}, into=TG_VARS)\n",
+        "    base = at_one.substitute({name: (1,) for name in at_one.variables}, into=TG_VARS)\n",
+        (
+            "tests/test_surgery.py::TestSwSpecialized::test_p2_n1",
+            f"{PROPERTIES}::TestSwRoutes::test_specialization_is_the_full_polynomial_at_tK1",
+        ),
+    ),
 ]
 
 

@@ -7,9 +7,9 @@ import tracemalloc
 import jsonschema
 import pytest
 
-from knotsurgery import cli, family, knots, schemas
+from knotsurgery import cli, family, knots, schemas, surgery
 from knotsurgery.cli import main
-from knotsurgery.family import FamilyReport, FamilyRow, UnboundednessCertificate, analyze_family
+from knotsurgery.family import FamilyReport, UnboundednessCertificate, analyze_family
 from knotsurgery.knots import (
     MAX_KNOT_DEPTH,
     T_VARS,
@@ -24,7 +24,8 @@ from knotsurgery.laurent import (
     LaurentPoly,
     NotSymmetrizableError,
     VariableSet,
-    _dumps_indent2,
+    _joined,
+    _write_indent2,
 )
 from knotsurgery.surgery import LinkFamilyMember, SurgerySpec, sw_specialized, torres_specialize
 
@@ -217,6 +218,16 @@ class TestSwCommand:
         data = json.loads(out)
         jsonschema.validate(instance=data, schema=schemas.load("sw"))
         assert data["full_polynomial"] != "unavailable"
+
+    def test_explicit_delta_l_takes_one_sw_link_surgery_call(self, capsys, monkeypatch):
+        calls = []
+        original = surgery.sw_link_surgery
+        monkeypatch.setattr(
+            surgery, "sw_link_surgery", lambda *args: calls.append(args) or original(*args)
+        )
+        code, _, _ = run(capsys, "sw", "--p", "3", "--n", "2", "--delta-l", "x*y - 2 + y^-1")
+        assert code == 0
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_coefficient_past_the_output_digit_limit_exits_1(self, fmt, capsys):
@@ -609,13 +620,13 @@ class TestStreamedOutput:
         code, out, _ = run(capsys, "torres", "--lk", "1", "--", text)
         assert (code, out) == (0, text + "\n")
         code, out, _ = run(capsys, "torres", "--lk", "1", "--format", "json", "--", text)
-        assert (code, out) == (0, _dumps_indent2(poly) + "\n")
+        assert (code, out) == (0, _joined(_write_indent2, poly) + "\n")
         assert out == json.dumps(poly.to_json_dict(), indent=2) + "\n"
 
     @pytest.mark.parametrize("lk,text", [("0", "t"), ("1", "-7"), ("2", "5"), ("1", "t - 2")])
     def test_zero_constant_and_small(self, lk, text, capsys):
         poly = torres_specialize(LaurentPoly.parse(text), int(lk))
-        for fmt, want in (("text", str(poly)), ("json", _dumps_indent2(poly))):
+        for fmt, want in (("text", str(poly)), ("json", _joined(_write_indent2, poly))):
             code, out, _ = run(capsys, "torres", "--lk", lk, "--format", fmt, "--", text)
             assert (code, out) == (0, want + "\n")
 
@@ -626,7 +637,7 @@ class TestStreamedOutput:
             capsys, "sw", "--p", "3", "--n", n, "--format", "json", "--delta-l", str(delta_L)
         )
         doc = sw_specialized(SurgerySpec(int(n), LinkFamilyMember(3)), delta_L).to_json_dict()
-        assert (code, out) == (0, _dumps_indent2(doc) + "\n")
+        assert (code, out) == (0, _joined(_write_indent2, doc) + "\n")
 
     @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
     def test_family_report(self, fmt, capsys):
@@ -637,17 +648,14 @@ class TestStreamedOutput:
         want = {"json": report.to_json() + "\n", "csv": report.to_csv(), "text": report.to_text()}
         assert (code, out) == (0, want[fmt])
 
-    @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
-    def test_family_digit_limit_stops_before_the_row(self, fmt, capsys, monkeypatch):
-        # each row is checked as it is drawn: the first row goes out in
-        # full, and nothing of the second, whose coefficient cannot print
-        report = analyze_family(1, 1, 2)
-        big = LaurentPoly(VariableSet("t"), {(0,): 10 ** 5000})
-        rows = (report.rows[0], FamilyRow(2, big, 1, True, 0, 0))
-        monkeypatch.setattr(cli, "_family_rows", lambda *args: iter(rows))
-        code, out, err = run(capsys, "family", "--pmin", "1", "--pmax", "2", "--format", fmt)
-        assert (code, out) == (1, _unclosed(FamilyReport(1, rows[:1]), fmt))
-        assert err.startswith("error: Exceeds the limit (4300 digits)")
+    def test_family_rows_have_alternating_unit_coefficients(self):
+        # _stream leaves the rows undrawn, so no row is checked against the
+        # digit limit: each Delta's coefficients are +1, -1, ..., +1
+        rows = [*cli._family_rows(1, 1, 400, 1000), *cli._family_rows(1, 4096, 4096, 4096)]
+        assert [row.p for row in rows] == [*range(1, 401), 4096]
+        for row in rows:
+            coeffs = [c for _, c in row.delta_gamma.terms()]
+            assert coeffs == [1, -1] * (len(coeffs) // 2) + [1]
 
     @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
     def test_family_internal_inconsistency_follows_the_rows_written(

@@ -33,7 +33,7 @@ def test_every_module_with_exports_is_checked():
 PRIVATE_IMPORTS = {
     "knots": {
         "laurent": {
-            "_Frozen", "_coefficient_sum", "_from_canonical", "_require_int", "_tokenize",
+            "_Frozen", "_from_canonical", "_require_int", "_tokenize",
         },
     },
     "surgery": {
@@ -42,8 +42,8 @@ PRIVATE_IMPORTS = {
     "family": {
         "knots": {"_check_torus_exponent"},
         "laurent": {
-            "_Frozen", "_dumps_indent2", "_joined", "_json_int", "_json_loads",
-            "_require_int", "_require_json_object", "_write_text",
+            "_Frozen", "_joined", "_json_int", "_json_loads",
+            "_require_int", "_require_json_object", "_write_indent2", "_write_text",
         },
     },
     "fox": {"laurent": {"_Frozen", "_checked_exponent", "_from_dict", "_require_int"}},

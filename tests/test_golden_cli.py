@@ -51,6 +51,9 @@ COMMANDS = [
     ["alexander", "--format", "json", "sum(torus(2,4097),sum(torus(3,4),torus(2,5)))"],
     # a zero-variable document
     ["torres", "--lk", "1", "--format", "json", "5"],
+    # a constant Delta_L, and an n = 2 prefactor over a Delta_L in x only
+    ["sw", "--p", "3", "--n", "1", "--delta-l", "5", "--format", "json"],
+    ["sw", "--p", "3", "--n", "2", "--delta-l", "x^2 - 1", "--format", "text"],
 ]
 
 # command line -> (exit code, sha256 of stdout)
@@ -213,6 +216,12 @@ GOLDEN = {
     ),
     "torres --lk 1 --format json 5": (
         0, "de49dfe6143d684f14178bbfd066e32a2bac0e8a59cfdcb330b1b83061c9cc5e"
+    ),
+    "sw --p 3 --n 1 --delta-l 5 --format json": (
+        0, "30b75651481dbd4e76461d96bc3fac8a7162d2fcc0ff555c76789712253328e6"
+    ),
+    "sw --p 3 --n 2 --delta-l 'x^2 - 1' --format text": (
+        0, "b0821d01257402caa1a9fa59dcc17bd571de60df3cace4181c13b5013250be42"
     ),
 }
 

@@ -22,7 +22,7 @@ from knotsurgery.laurent import (
     PolyParseError,
     VariableSet,
     _check_digits,
-    _dumps_indent2,
+    _joined,
     _write_indent2,
     _write_text,
 )
@@ -647,8 +647,8 @@ class TestJsonForm:
                 return {key: lazy(item) for key, item in value.items()}
             return map(lazy, value) if isinstance(value, list) else value
 
-        assert laurent._joined(_write_indent2, lazy(doc)) == _dumps_indent2(doc)
-        assert _dumps_indent2(doc) == json.dumps(
+        assert _joined(_write_indent2, lazy(doc)) == _joined(_write_indent2, doc)
+        assert _joined(_write_indent2, doc) == json.dumps(
             doc, indent=2, default=LaurentPoly.to_json_dict
         )
 
@@ -658,7 +658,7 @@ class TestJsonForm:
         poly = torres_specialize(LaurentPoly.parse("1"), 100076)
         tracemalloc.start()
         try:
-            text = _dumps_indent2(poly)
+            text = _joined(_write_indent2, poly)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -670,7 +670,7 @@ class TestJsonForm:
         poly = torres_specialize(LaurentPoly.parse("1"), 100076)
         tracemalloc.start()
         try:
-            text = _dumps_indent2(poly)
+            text = _joined(_write_indent2, poly)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -696,7 +696,7 @@ class TestJsonForm:
             finally:
                 tracemalloc.stop()
             assert peak <= 2_000_000
-            want = _dumps_indent2(poly) if writer is _write_indent2 else str(poly)
+            want = _joined(_write_indent2, poly) if writer is _write_indent2 else str(poly)
             assert sum(written) == len(want)
 
     def test_digit_check_reaches_every_polynomial_of_a_document(self):

@@ -40,9 +40,17 @@ from knotsurgery.laurent import (
     NotDivisibleError,
     PolyParseError,
     VariableSet,
-    _dumps_indent2,
+    _joined,
+    _write_indent2,
 )
-from knotsurgery.surgery import SWResult, torres_specialize
+from knotsurgery.surgery import (
+    LinkFamilyMember,
+    SurgerySpec,
+    SWResult,
+    sw_link_surgery,
+    sw_specialized,
+    torres_specialize,
+)
 
 from _oracles import (
     convolve,
@@ -483,6 +491,23 @@ class TestSubstitutionAndEvaluation:
         assert constant.coefficient(()) == total
 
 
+class TestSwRoutes:
+    @settings(deadline=None)
+    @given(
+        st.sampled_from([XY, VariableSet("x"), VariableSet("y"), VariableSet()]).flatmap(polys),
+        st.integers(1, 6),
+    )
+    def test_specialization_is_the_full_polynomial_at_tK1(self, delta_L, p):
+        # Delta_L over x and y, x only, y only, or a constant, with exponents
+        # of both signs: the doubled Delta_L(1, y) is SW(X_p) at t_K = 1
+        spec = SurgerySpec(1, LinkFamilyMember(p))
+        full = sw_link_surgery(spec, delta_L)
+        result = sw_specialized(spec, delta_L)
+        assert result.polynomial == full
+        assert result.specialization_at_tK1 == full.evaluate_at_one("t_K")
+        assert result.basic_class_lower_bound == result.specialization_at_tK1.term_count()
+
+
 class TestSerialization:
     @given(polys(coeff=big_coefficients))
     def test_text_round_trip(self, poly):
@@ -514,7 +539,7 @@ class TestSerialization:
         poly = from_dict(terms)
         with mock.patch.object(laurent, "_SLICE", slice_size):
             assert str(poly) == format_one_variable(terms, "t")
-            assert _dumps_indent2(poly) == json.dumps(poly.to_json_dict(), indent=2)
+            assert _joined(_write_indent2, poly) == json.dumps(poly.to_json_dict(), indent=2)
 
     @given(
         st.sampled_from([VariableSet(), XY, VariableSet("a", "b", "c")]).flatmap(
@@ -530,7 +555,7 @@ class TestSerialization:
         # each slice's table of term templates holds repeated coefficients
         # next to ones drawn once
         with mock.patch.object(laurent, "_SLICE", slice_size):
-            assert _dumps_indent2(poly) == json.dumps(poly.to_json_dict(), indent=2)
+            assert _joined(_write_indent2, poly) == json.dumps(poly.to_json_dict(), indent=2)
             assert LaurentPoly.parse(str(poly), poly.variables) == poly
 
     @given(documents)
@@ -548,7 +573,9 @@ class TestSerialization:
     @example([10 ** 999])
     @settings(deadline=None)
     def test_indent2_writer_matches_json_dumps(self, doc):
-        assert _dumps_indent2(doc) == json.dumps(doc, indent=2, default=LaurentPoly.to_json_dict)
+        assert _joined(_write_indent2, doc) == json.dumps(
+            doc, indent=2, default=LaurentPoly.to_json_dict
+        )
 
 
 @st.composite
