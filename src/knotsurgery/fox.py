@@ -14,21 +14,26 @@ Words are tuples of nonzero ints: letter +k is generator number k (1-based)
 and -k is its inverse.  The numerator phi(dr/dx) * (t - 1) is built run by
 run, not letter by letter and with no polynomial product: a run g^n of the
 generator adds an arithmetic progression of n exponents, once shifted by +1
-and once subtracted in place, counted at C level, so the Python-level work
-is one step per run, and the quotient is the Laurent layer's exact division.
+and once subtracted in place, into two plain lists at C level.  When no
+exponent repeats or is shared, as for x^p y^-q with q > 1, the numerator is
+their sorted union with coefficients +-1; otherwise the lists are counted.
+So the Python-level work is one step per run, and the quotient is the
+Laurent layer's exact division.
 """
 
 from __future__ import annotations
 
 import operator
+from array import array
 from collections import Counter
 from collections.abc import Mapping
-from itertools import groupby
+from itertools import groupby, repeat
 
 from .laurent import (
     LaurentPoly,
     VariableSet,
     _checked_exponent,
+    _from_canonical,
     _from_dict,
     _Frozen,
     _require_int,
@@ -102,8 +107,14 @@ def _fox_numerator(
     subtracted in place, and one it subtracts the other way round, so the
     numerator needs no product.  The progression's exponents are monotone,
     so its two ends, and the higher one plus 1, bound them all.
+
+    Each progression is appended to a plain list, plus or minus.  If
+    neither list repeats an exponent and they share none, each coefficient
+    is +-1 by membership and the sorted union is written directly;
+    otherwise (a step-0 run repeats its exponent, progressions that meet
+    may cancel) the lists are counted with a Counter.
     """
-    plus, minus = Counter(), Counter()
+    plus, minus = [], []
     prefix = 0
     for letter, run in groupby(word):
         n = len(tuple(run))
@@ -117,15 +128,21 @@ def _fox_numerator(
             _checked_exponent(max(prefix, last) + 1)
             up, down = (plus, minus) if letter > 0 else (minus, plus)
             if step:
-                up.update(range(prefix + 1, prefix + n * step + 1, step))
-                down.update(range(prefix, prefix + n * step, step))
+                up.extend(range(prefix + 1, prefix + n * step + 1, step))
+                down.extend(range(prefix, prefix + n * step, step))
             else:
-                up[prefix + 1] += n
-                down[prefix] += n
+                up.extend(repeat(prefix + 1, n))
+                down.extend(repeat(prefix, n))
         if letter > 0:
             prefix += n * step
-    plus.subtract(minus)
-    return _from_dict(_T, plus)
+    ups = set(plus)
+    if len(ups) == len(plus) and len(set(minus)) == len(minus) and ups.isdisjoint(minus):
+        keys = sorted(plus + minus)
+        signs = map((-1, 1).__getitem__, map(ups.__contains__, keys))
+        return _from_canonical(_T, array("q", keys), list(signs))
+    acc = Counter(plus)
+    acc.subtract(minus)
+    return _from_dict(_T, acc)
 
 
 def alexander_fox_oracle(

@@ -256,9 +256,11 @@ def _unit_binomial_quotient(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
     # downward is a running sum of num / lead, constant between the class's
     # terms of num, so each stretch is one range of exponents, written by one
     # C-level update, or one store when it holds one term.  Q is finite,
-    # and the division exact, iff every class sums to 0.  A nonzero Q runs
-    # from num's lowest exponent minus b to its highest minus a, and both
-    # ends are checked before the array is written
+    # and the division exact, iff every class sums to 0: one C-level any
+    # over the sums tests that, and only a failure walks the classes to
+    # name the first bad one.  A nonzero Q runs from num's lowest exponent
+    # minus b to its highest minus a, and both ends are checked before the
+    # array is written
     keys = num._keys
     (b, a), lead = den._keys, den._terms[1]
     d = a - b
@@ -268,7 +270,8 @@ def _unit_binomial_quotient(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
         sums, lasts = dict.fromkeys(map(d.__rmod__, keys), 0), {}
     coeffs = reversed(num._terms) if lead > 0 else map(operator.neg, reversed(num._terms))
     acc = {}
-    for e, c, r in zip(reversed(keys), coeffs, map(d.__rmod__, reversed(keys))):
+    for e, c in zip(reversed(keys), coeffs):
+        r = e % d
         running = sums[r]
         if running:
             last = lasts[r]
@@ -278,12 +281,13 @@ def _unit_binomial_quotient(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
                 acc.update(zip(range(last - a, e - a, -d), repeat(running)))
         sums[r] = running + c
         lasts[r] = e
-    for r in range(d) if d <= len(keys) else sums:
-        if sums[r]:
-            raise NotDivisibleError(
-                f"remainder at exponent {lasts[r]}: a {len(keys)}-term polynomial is"
-                " not an exact multiple of a 2-term divisor"
-            )
+    if any(sums if d <= len(keys) else sums.values()):
+        for r in range(d) if d <= len(keys) else sums:
+            if sums[r]:
+                raise NotDivisibleError(
+                    f"remainder at exponent {lasts[r]}: a {len(keys)}-term polynomial is"
+                    " not an exact multiple of a 2-term divisor"
+                )
     _checked_exponent(keys[0] - b)
     _checked_exponent(keys[-1] - a)
     out = sorted(acc)

@@ -202,6 +202,18 @@ MUTANTS = [
         ),
     ),
     Mutant(
+        "unit-binomial-exactness-untested",
+        "laurent.py",
+        "    if any(sums if d <= len(keys) else sums.values()):\n",
+        "    if False:\n",
+        (
+            f"{LAURENT}::TestExactDivide::test_not_divisible",
+            # d = 999 is more than the numerator's 3 terms: the dict table
+            f"{LAURENT}::TestUnitBinomialDivision::test_remainder_names_the_last_term_of_its_class"
+            "[t^1000 - 1]",
+        ),
+    ),
+    Mutant(
         "unit-binomial-low-end-unchecked",
         "laurent.py",
         "    _checked_exponent(keys[0] - b)\n",
@@ -342,6 +354,20 @@ MUTANTS = [
         "            _checked_exponent(max(prefix, last) + 1)\n",
         "",
         ("tests/test_fox.py::TestFoxOracle::test_numerator_top_out_of_range",),
+    ),
+    Mutant(
+        "fox-numerator-repeats-unchecked",
+        "fox.py",
+        "len(ups) == len(plus) and len(set(minus)) == len(minus) and ",
+        "",
+        (f"{FOX}::TestRunWiseDerivative::test_both_numerator_branches[zero-step]",),
+    ),
+    Mutant(
+        "fox-numerator-meeting-unchecked",
+        "fox.py",
+        " and ups.isdisjoint(minus)",
+        "",
+        (f"{FOX}::TestRunWiseDerivative::test_both_numerator_branches[progressions-meet]",),
     ),
     Mutant(
         "fox-divisor-unchecked",

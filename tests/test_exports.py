@@ -46,7 +46,11 @@ PRIVATE_IMPORTS = {
             "_require_int", "_require_json_object", "_write_indent2", "_write_text",
         },
     },
-    "fox": {"laurent": {"_Frozen", "_checked_exponent", "_from_dict", "_require_int"}},
+    "fox": {
+        "laurent": {
+            "_Frozen", "_checked_exponent", "_from_canonical", "_from_dict", "_require_int",
+        },
+    },
     "cli": {
         "family": {"_family_rows", "_write_rows"},
         "laurent": {"_check_digits", "_write_indent2", "_write_text"},

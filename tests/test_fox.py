@@ -1,11 +1,12 @@
 import math
+import time
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from knotsurgery import knots, laurent
+from knotsurgery import fox, knots, laurent
 from knotsurgery.fox import (
     GroupPresentation,
     UnsupportedPresentationError,
@@ -249,6 +250,24 @@ class TestRunWiseDerivative:
         expected = convolve(fox_derivative_letters(word, wrt, exponent_of), {1: 1, 0: -1})
         assert {exps[0]: c for exps, c in got.terms()} == expected
 
+    @pytest.mark.parametrize(
+        "word, exponent_of, counted",
+        [
+            # distinct exponents: the sorted union of the two lists, no Counter
+            pytest.param((1,) * 5 + (-2,) * 6, {1: 6, 2: 5}, False, id="T(5,6)"),
+            # a run with step 0 repeats its exponent: 3t - 3
+            pytest.param((1, 1, 1), {1: 0}, True, id="zero-step"),
+            # x y x^-1 under x -> t, y -> 1: the progressions meet and cancel to 0
+            pytest.param((1, 2, -1), {1: 1, 2: 0}, True, id="progressions-meet"),
+        ],
+    )
+    def test_both_numerator_branches(self, word, exponent_of, counted):
+        with mock.patch.object(fox, "Counter", wraps=fox.Counter) as counter:
+            got = _fox_numerator(word, 1, exponent_of)
+        assert counter.called == counted
+        expected = convolve(fox_derivative_letters(word, 1, exponent_of), {1: 1, 0: -1})
+        assert {exps[0]: c for exps, c in got.terms()} == expected
+
     def test_adjacent_torus_knots_up_to_400(self):
         # the quotient by t^p - 1 is unique, so checking the product against
         # the letter-by-letter numerator pins the oracle's exact output
@@ -260,6 +279,18 @@ class TestRunWiseDerivative:
             numerator = convolve(derivative, {1: 1, 0: -1})
             assert convolve(terms, {p: 1, 0: -1}) == numerator, p
             assert got.equal_up_to_units(alexander_torus(TorusKnotSpec(p, p + 1))), p
+
+    def test_adjacent_torus_knot_at_p_2_to_the_17_within_budget(self):
+        # the oracle's cost is linear in p: T(2^17, 2^17 + 1) in a few tenths
+        # of a second on a 2-core host, against a budget of 5 s
+        p = 1 << 17
+        budget = 5.0
+        start = time.monotonic()
+        got = alexander_fox_oracle(GroupPresentation.torus_knot(p, p + 1), {"x": p + 1, "y": p})
+        elapsed = time.monotonic() - start
+        assert got.term_count() == 2 * p - 1
+        assert got.equal_up_to_units(alexander_torus(TorusKnotSpec(p, p + 1)))
+        assert elapsed <= budget, f"the Fox oracle took {elapsed:.2f}s, budget {budget}s"
 
 
 def _raises(*args, **kwargs):
