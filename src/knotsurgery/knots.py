@@ -4,17 +4,20 @@ Torus knots use the closed formula
 
     Delta_{T(p,q)}(t) = (t^(p*q) - 1)(t - 1) / ((t^p - 1)(t^q - 1)),
 
-written with no numerator and no division: Delta/(1 - t) sums t^s over the
-semigroup S = <p, q>, so the coefficient of t^e is [e in S] - [e-1 in S].
-The adjacent knots T(p, p+1), the family's, fill Delta's arrays from two
-interleaved arithmetic progressions.  Every other T(p, q) takes one run of
-exponents per residue class mod p, between where the class and the class
-before it enter S, and sorts the runs' terms one window of exponents at a
-time.  Both routes write Delta from t^-genus, centered, and both results
-pass the same two checks: the span is 2 genus, and Delta(1) = 1, a sum of
-the coefficients.  So connected sums multiply centered factors into a
-centered product, symmetrize only checks the result, and the raw
-representative (symmetrize=False) is Delta times t^genus.
+written with no numerator and no division.  For coprime 1 < p < q, with
+r p + s q = (p - 1)(q - 1) = 2 genus and r, s >= 0,
+
+    t^genus Delta = sum_{i<=r, j<=s} t^(ip + jq) - sum_{r<i<q, s<j<p} t^(ip + jq - pq),
+
+and the terms alternate +1, -1, ..., +1 along Delta (T. Y. Lam and K. H.
+Leung, On the cyclotomic polynomial Phi_pq(X), Amer. Math. Monthly 103,
+1996).  One writer interleaves the two grids' ascending exponents; the
+family's T(p, p+1) and every T(2, q) have one row per grid.  It writes
+Delta from t^-genus, centered, and its result passes two checks: the span
+is 2 genus, and Delta(1) = 1, a sum of the coefficients.  So connected
+sums multiply centered factors into a centered product, symmetrize only
+checks the result, and the raw representative (symmetrize=False) is Delta
+times t^genus.
 Mirroring is the identity on these invariants (Alexander polynomials cannot
 see chirality), so Mirror nodes exist purely to record how a knot was described.
 
@@ -65,7 +68,7 @@ __all__ = [
 
 T_VARS = VariableSet("t")
 MAX_KNOT_DEPTH = 200
-_WINDOW = 2048  # least exponents per residue class in a window of the torus writer
+_WINDOW = 2048  # least exponents per row in a window of the torus writer
 
 
 class InternalInconsistencyError(RuntimeError):
@@ -136,47 +139,40 @@ def _check_torus_exponent(p: int, q: int) -> None:
         raise ExponentOverflowError(f"T({p},{q}) needs exponent {p * q} > {INT64_MAX}")
 
 
-def _adjacent_torus_delta(p: int) -> LaurentPoly:
-    # Delta_T(p,p+1) centered, straight from the semigroup <p, p+1>: Delta is
-    # (1 - t) times the sum of t^s over it, so with g = p(p - 1)/2
-    #   Delta = sum_{k<p} t^(kp - g) - sum_{k<p-1} t^(k(p+1) + 1 - g),
-    # and kp - g < kp + k + 1 - g < (k+1)p - g interleaves the progressions.
-    # Every exponent lies in [-g, g]; the caller checks that p(p+1) is in range
-    g = p * (p - 1) // 2
-    keys = array("q", [0]) * (2 * p - 1)
-    keys[0::2] = array("q", range(-g, g + 1, p))
-    keys[1::2] = array("q", range(1 - g, g, p + 1))
-    coeffs = [1, -1] * p
-    coeffs.pop()
-    return _from_canonical(T_VARS, keys, coeffs)
+def _grid(a: int, ii: range, b: int, jj: range, shift: int) -> array:
+    # the distinct exponents i a + j b + shift, i in ii and j in jj, ascending:
+    # one row of step b per i of the shorter side.  Each pass slices the rows
+    # to one window of b * w exponents and sorts it, so at most a window's
+    # exponents are int objects at a time; w is at least the row count, so
+    # the passes' slices number at most the grid's span over b, plus the rows
+    if len(ii) > len(jj):
+        a, ii, b, jj = b, jj, a, ii
+    rows = [range(i * a + jj.start * b + shift, i * a + jj.stop * b + shift, b) for i in ii]
+    w = max(_WINDOW, len(rows))
+    keys = array("q")
+    for low in range(rows[0].start, rows[-1][-1] + 1, b * w):
+        window = []
+        for row in rows:
+            k = -((row.start - low) // b)  # row[k] is the row's first exponent >= low
+            window += row[max(k, 0):max(k + w, 0)]
+        window.sort()
+        keys.fromlist(window)
+    return keys
 
 
 def _torus_delta(p: int, q: int) -> LaurentPoly:
-    # Delta_T(p,q) centered, p < q, straight from the semigroup S = <p, q>.
-    # The class of bq mod p enters S at bq, and the class before it at b'q,
-    # b' = b - q^-1 mod p, so the class's terms [e in S] - [e-1 in S] are one
-    # run from min(bq, b'q + 1) to below the max, step p, all in [0, 2g].
-    # Along Delta the terms alternate +1, -1, ..., +1.  The runs interleave:
-    # each pass slices them to one window of p * w exponents and sorts it, so
-    # at most a window's exponents are int objects at a time.  w is at least
-    # p, so the passes' slices, p each, number at most Delta's span over p, plus p
+    # Delta_T(p,q) centered, 1 < p < q, from the two grids of the module
+    # docstring: +1 at even and -1 at odd places.  Every exponent lies in
+    # [-g, g]; the caller checks that pq is in range
     g = (p - 1) * (q - 1) // 2
-    step = pow(q, -1, p)
-    runs = []
-    for b in range(p):
-        enter, before = b * q - g, (b - step) % p * q + 1 - g
-        runs.append(range(min(enter, before), max(enter, before), p))
-    w = max(_WINDOW, p)
-    keys = array("q")
-    for low in range(-g, g + 1, p * w):
-        window = []
-        for run in runs:
-            i = -((run.start - low) // p)  # run[i] is the run's first exponent >= low
-            window += run[max(i, 0):max(i + w, 0)]
-        window.sort()
-        keys.fromlist(window)
-    coeffs = [1, -1] * ((len(keys) + 1) // 2)
-    del coeffs[len(keys):]
+    s = (pow(q, -1, p) - 1) % p
+    r = (2 * g - s * q) // p
+    m = (r + 1) * (s + 1)
+    keys = array("q", [0]) * (2 * m - 1)
+    keys[0::2] = _grid(p, range(r + 1), q, range(s + 1), -g)
+    keys[1::2] = _grid(p, range(r + 1, q), q, range(s + 1, p), -p * q - g)
+    coeffs = [1, -1] * m
+    coeffs.pop()
     return _from_canonical(T_VARS, keys, coeffs)
 
 
@@ -186,8 +182,8 @@ def _torus_quotient(p: int, q: int) -> LaurentPoly:
         return LaurentPoly.one(T_VARS)
     _check_torus_exponent(p, q)
     g = (p - 1) * (q - 1) // 2
-    quotient = _adjacent_torus_delta(p) if q == p + 1 else _torus_delta(p, q)
-    # each writer's ascending exponents must start at -g and end at g: span 2g
+    quotient = _torus_delta(p, q)
+    # the writer's ascending exponents must start at -g and end at g: span 2g
     keys = quotient._keys
     if not (keys and keys[0] == -g and keys[-1] == g):
         raise InternalInconsistencyError(

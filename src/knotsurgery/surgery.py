@@ -116,15 +116,16 @@ def torres_specialize(delta_gamma: LaurentPoly, lk: int) -> LaurentPoly:
     The product with the geometric sum 1 + y + ... + y^(lk-1) is the
     quotient delta_gamma * (y^lk - 1) / (y - 1), taken as one running sum
     over the terms of delta_gamma, so the cost follows the input and output
-    terms and no geometric sum, numerator or product is built.  lk = 0
-    gives 0, lk = 1 gives delta_gamma back unchanged.
+    terms and no geometric sum, numerator or product is built.  A constant
+    with no variables is read over y first.  lk = 0 gives 0, lk = 1 gives
+    delta_gamma back.
     """
     _require_int(lk, "linking number", 0)
     _require_one_variable("torres_specialize", delta_gamma)
-    if lk == 1:
-        return delta_gamma
     if len(delta_gamma.variables) == 0:
         delta_gamma = LaurentPoly.constant(VariableSet("y"), delta_gamma.coefficient(()))
+    if lk == 1:
+        return delta_gamma
     return _geometric_multiple(delta_gamma, lk)
 
 

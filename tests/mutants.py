@@ -99,26 +99,33 @@ MUTANTS = [
         "            keys.extend(reversed(range(start, e)))\n",
         ("tests/test_surgery.py::TestTorresSpecialize::test_lk3_on_constant_is_geometric_sum",),
     ),
-    # the semigroup writer of every other T(p, q), one window at a time
+    # the grid writer of every T(p, q), one window at a time
     Mutant(
-        "torus-writer-steps-the-wrong-way",
+        "torus-s-off-by-one",
         "knots.py",
-        "        enter, before = b * q - g, (b - step) % p * q + 1 - g\n",
-        "        enter, before = b * q - g, (b + step) % p * q + 1 - g\n",
+        "    s = (pow(q, -1, p) - 1) % p\n",
+        "    s = pow(q, -1, p) % p\n",
         ("tests/test_knots.py::TestTorusKernel::test_small_pairs_match_both_oracles",),
     ),
     Mutant(
-        "torus-window-slice-one-early",  # a run's last term before the window comes again
+        "torus-second-grid-unshifted",
         "knots.py",
-        "            i = -((run.start - low) // p)  # run[i] is the run's first exponent >= low\n",
-        "            i = (low - run.start) // p\n",
+        "    keys[1::2] = _grid(p, range(r + 1, q), q, range(s + 1, p), -p * q - g)\n",
+        "    keys[1::2] = _grid(p, range(r + 1, q), q, range(s + 1, p), -g)\n",
+        ("tests/test_knots.py::TestTorusKernel::test_small_pairs_match_both_oracles",),
+    ),
+    Mutant(
+        "torus-window-slice-one-early",  # a row's last term before the window comes again
+        "knots.py",
+        "            k = -((row.start - low) // b)  # row[k] is the row's first exponent >= low\n",
+        "            k = (low - row.start) // b\n",
         (f"{PROPERTIES}::TestTorusWriter::test_matches_both_oracles_in_every_window",),
     ),
     Mutant(
         "torus-window-slice-one-late",
         "knots.py",
-        "            window += run[max(i, 0):max(i + w, 0)]\n",
-        "            window += run[max(i + 1, 0):max(i + w, 0)]\n",
+        "            window += row[max(k, 0):max(k + w, 0)]\n",
+        "            window += row[max(k + 1, 0):max(k + w, 0)]\n",
         (f"{PROPERTIES}::TestTorusWriter::test_matches_both_oracles_in_every_window",),
     ),
     Mutant(
@@ -126,23 +133,19 @@ MUTANTS = [
         "knots.py",
         "        window.sort()\n",
         "",
-        ("tests/test_knots.py::TestTorusKernel::test_small_pairs_match_both_oracles",),
-    ),
-    # the adjacent writer of T(p, p+1)
-    Mutant(
-        "adjacent-second-step-wrong",
-        "knots.py",
-        '    keys[1::2] = array("q", range(1 - g, g, p + 1))\n',
-        '    keys[1::2] = array("q", range(1 - g, g, p))\n',
-        ("tests/test_knots.py::TestAdjacentWriter::test_matches_the_semigroup_and_the_kernel",),
+        (f"{PROPERTIES}::TestTorusWriter::test_matches_both_oracles_in_every_window",),
     ),
     Mutant(
-        "adjacent-coefficients-flipped",
+        "torus-coefficients-flipped",
         "knots.py",
-        "    coeffs = [1, -1] * p\n",
-        "    coeffs = [-1, 1] * p\n",
-        ("tests/test_knots.py::TestAdjacentWriter::test_matches_the_semigroup_and_the_kernel",),
+        "    coeffs = [1, -1] * m\n",
+        "    coeffs = [-1, 1] * m\n",
+        (
+            "tests/test_knots.py::TestTorusKernel::test_small_pairs_match_both_oracles",
+            "tests/test_knots.py::TestAdjacentWriter::test_matches_the_semigroup_and_the_kernel",
+        ),
     ),
+    # the span check, skipped for the family's T(p, p+1)
     Mutant(
         "adjacent-span-unchecked",
         "knots.py",
@@ -383,7 +386,7 @@ MUTANTS = [
         "        i + 1: abelianization[name]\n",
         ("tests/test_fox.py::TestFoxOracle::test_abelianization_values_must_be_integers",),
     ),
-    # both torus routes' Delta(1) = 1 check
+    # the torus quotient's Delta(1) = 1 check, on T(2,5) and on T(2,3)
     Mutant(
         "torus-value-at-one-unchecked",
         "knots.py",

@@ -15,7 +15,6 @@ from knotsurgery.knots import (
     T_VARS,
     InternalInconsistencyError,
     TorusKnotSpec,
-    _adjacent_torus_delta,
     _torus_delta,
     alexander_expr,
     alexander_torus,
@@ -303,13 +302,12 @@ class TestFamilyCommand:
         ],
     )
     def test_input_errors_exit_1_before_any_row(self, argv, fmt, capsys, monkeypatch):
-        # both torus routes are patched to fail, so a missing check stops at
+        # the torus writer is patched to fail, so a missing check stops at
         # the first row past p = 1 instead of starting the oversize sweep
         def no_kernel(*args):
-            raise AssertionError("a torus route ran")
+            raise AssertionError("the torus writer ran")
 
         monkeypatch.setattr(knots, "_torus_delta", no_kernel)
-        monkeypatch.setattr(knots, "_adjacent_torus_delta", no_kernel)
         code, out, err = run(capsys, "family", *argv, "--format", fmt)
         assert (code, out) == (1, "")
         assert err.startswith("error: ")
@@ -546,8 +544,8 @@ class TestJsonOutput:
         assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
 
-# a faulty semigroup writer of Delta_T(p,q), and the error each fault
-# surfaces as on T(2,5), which takes that writer (genus 2)
+# a faulty writer of Delta_T(p,q), and the error each fault surfaces as on
+# T(2,5) (genus 2)
 KERNEL_FAULTS = {
     # centered, of the right span and with Delta(1) = 1, but t^2 and t^-2 differ
     "asymmetric": (
@@ -559,28 +557,28 @@ KERNEL_FAULTS = {
     "doubled": (lambda p, q: _torus_delta(p, q) * 2, InternalInconsistencyError),
 }
 
-# a faulty writer of Delta_T(p,p+1), and the error each fault surfaces as on
-# T(2,3), which takes the writer (genus 1)
+# the same writer faulty on the family's T(2,3) (genus 1), and the error
+# each fault surfaces as there
 WRITER_FAULTS = {
     # the right terms but two coefficients off, Delta(1) still 1: t gains 1
     # and the constant term loses 1
     "wrong_coefficients": (
-        lambda p: _adjacent_torus_delta(p) + LaurentPoly.var(T_VARS, "t") - 1,
+        lambda p, q: _torus_delta(p, q) + LaurentPoly.var(T_VARS, "t") - 1,
         NotSymmetrizableError,
     ),
     # centered, of the right span and with Delta(1) = 1, but t and t^-1 differ
     "asymmetric": (
-        lambda p: LaurentPoly.parse("t + 1 - t^-1", T_VARS),
+        lambda p, q: LaurentPoly.parse("t + 1 - t^-1", T_VARS),
         NotSymmetrizableError,
     ),
-    "wrong_span": (lambda p: LaurentPoly.parse("1 - t", T_VARS), InternalInconsistencyError),
+    "wrong_span": (lambda p, q: LaurentPoly.parse("1 - t", T_VARS), InternalInconsistencyError),
     # the right terms, each coefficient doubled: symmetric, but Delta(1) = 2
-    "doubled": (lambda p: _adjacent_torus_delta(p) * 2, InternalInconsistencyError),
+    "doubled": (lambda p, q: _torus_delta(p, q) * 2, InternalInconsistencyError),
 }
 
 
-def _exits_2(route: str, fault, error, knot: str, capsys, monkeypatch) -> None:
-    monkeypatch.setattr(knots, route, fault)
+def _exits_2(fault, error, knot: str, capsys, monkeypatch) -> None:
+    monkeypatch.setattr(knots, "_torus_delta", fault)
     with pytest.raises(error):
         alexander_expr(knots.parse_knot_expr(knot))
     code, out, err = run(capsys, "alexander", knot)
@@ -590,12 +588,12 @@ def _exits_2(route: str, fault, error, knot: str, capsys, monkeypatch) -> None:
 
 @pytest.mark.parametrize("kernel,error", KERNEL_FAULTS.values(), ids=KERNEL_FAULTS.keys())
 def test_internal_inconsistency_exits_2(kernel, error, capsys, monkeypatch):
-    _exits_2("_torus_delta", kernel, error, "torus(2,5)", capsys, monkeypatch)
+    _exits_2(kernel, error, "torus(2,5)", capsys, monkeypatch)
 
 
 @pytest.mark.parametrize("writer,error", WRITER_FAULTS.values(), ids=WRITER_FAULTS.keys())
 def test_writer_inconsistency_exits_2(writer, error, capsys, monkeypatch):
-    _exits_2("_adjacent_torus_delta", writer, error, "torus(2,3)", capsys, monkeypatch)
+    _exits_2(writer, error, "torus(2,3)", capsys, monkeypatch)
 
 
 def _slice_edge_poly(count: int) -> LaurentPoly:

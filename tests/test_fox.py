@@ -299,7 +299,7 @@ def _raises(*args, **kwargs):
 
 class TestIndependentRoutes:
     # the Fox oracle and the closed formula share no kernel: each still
-    # builds Delta with the other's writers and division step patched to raise
+    # builds Delta with the other's writer and division step patched to raise
     PAIRS = [(2, 3), (3, 4), (3, 7), (5, 12), (300, 307)]
 
     def expected(self, p, q) -> LaurentPoly:
@@ -307,7 +307,7 @@ class TestIndependentRoutes:
 
     def test_fox_oracle_without_the_torus_and_torres_kernels(self):
         with mock.patch.object(laurent, "_geometric_multiple", _raises), mock.patch.multiple(
-            knots, _torus_delta=_raises, _adjacent_torus_delta=_raises
+            knots, _torus_delta=_raises, _grid=_raises
         ):
             for p, q in self.PAIRS:
                 got = alexander_fox_oracle(GroupPresentation.torus_knot(p, q), {"x": q, "y": p})

@@ -25,6 +25,12 @@ COMMANDS = [
     # Delta spans about ten of the semigroup writer's windows
     ["alexander", "torus(2,40147)"],
     ["alexander", "--format", "json", "torus(5,12289)"],
+    # grids of several rows: two in the second grid of T(4001,8003) and of
+    # T(3,100003), ten in the first of T(101,1009), 47 and 26 in T(73,233)'s
+    ["alexander", "torus(4001,8003)"],
+    ["alexander", "--format", "json", "torus(101,1009)"],
+    ["alexander", "torus(3,100003)"],
+    ["alexander", "--no-symmetrize", "torus(73,233)"],
     ["alexander", "--no-symmetrize", "torus(7,9)"],
     ["alexander", "--no-symmetrize", "sum(torus(2,3),mirror(torus(3,4)))"],
     ["alexander", "--no-symmetrize", "--format", "json", "sum(torus(2,3),mirror(torus(3,4)))"],
@@ -49,7 +55,7 @@ COMMANDS = [
     # more than one 4,096-term slice, coefficients beyond +-1
     ["alexander", "sum(torus(2,4097),sum(torus(3,4),torus(2,5)))"],
     ["alexander", "--format", "json", "sum(torus(2,4097),sum(torus(3,4),torus(2,5)))"],
-    # a zero-variable document
+    # a constant that has no variables, written over y at lk = 1 as at any lk
     ["torres", "--lk", "1", "--format", "json", "5"],
     # a constant Delta_L, and an n = 2 prefactor over a Delta_L in x only
     ["sw", "--p", "3", "--n", "1", "--delta-l", "5", "--format", "json"],
@@ -75,6 +81,18 @@ GOLDEN = {
     ),
     "alexander --format json 'torus(5,12289)'": (
         0, "b77ea96587f579cc5a66a4d7cfe0e3dba7da3bba27a17316839c23cccc3365b0"
+    ),
+    "alexander 'torus(4001,8003)'": (
+        0, "bd3b71527303fe5215f740ec8146a922068ec5a8271bcc223a7032dc8af0eff9"
+    ),
+    "alexander --format json 'torus(101,1009)'": (
+        0, "a52d75d047d4b2938ebbc8ad9f7f899dc5e2a86b914b974cdabdce0e1f24f5a9"
+    ),
+    "alexander 'torus(3,100003)'": (
+        0, "a91b93841fa5dbf3210ef68334e796d4b582327df00c354872ae78e77e664582"
+    ),
+    "alexander --no-symmetrize 'torus(73,233)'": (
+        0, "d3a76947f9598784cbc5ce5f7a350c2ec0749b9e9cdc170f50296df99219cfa2"
     ),
     "alexander --no-symmetrize 'torus(7,9)'": (
         0, "d533f7736c3231aba46871e36a200acb21e813f831775649b4418d83a247d574"
@@ -119,13 +137,13 @@ GOLDEN = {
         0, "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865"
     ),
     "torres --lk 1 1 --format json": (
-        0, "b1384c3fe2e320e71321ddb9975e421bff232244b37d78b5bf78412019d48ef5"
+        0, "9b6672caf62be8150d110109bc01fc79bc2098da1a3d4b5ddb684624fbb5b804"
     ),
     "torres --lk 1 0 --format text": (
         0, "9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa"
     ),
     "torres --lk 1 0 --format json": (
-        0, "915ee13375f01b43a3289d6d71355c033ca2207d3feed648e8721066f068c308"
+        0, "fa24ed268e8109f18877b6dc027378862b1c6644fa2747dc6b41dbd95af0631f"
     ),
     "torres --lk 2 't - 1 + t^-1' --format text": (
         0, "7750856493255c15817bfc6f94576c23c19a2f5b163e3e9889f594e0a4d1debb"
@@ -215,7 +233,7 @@ GOLDEN = {
         0, "b621371daafa05aefc3234ba4e2a6a268b91004114b360fcf6068b23a4f814ac"
     ),
     "torres --lk 1 --format json 5": (
-        0, "de49dfe6143d684f14178bbfd066e32a2bac0e8a59cfdcb330b1b83061c9cc5e"
+        0, "6d81ca9cc8bfeeb0f74d94b995ede61cb67796210aeeaaf6b9d4225b4c987e7e"
     ),
     "sw --p 3 --n 1 --delta-l 5 --format json": (
         0, "30b75651481dbd4e76461d96bc3fac8a7162d2fcc0ff555c76789712253328e6"

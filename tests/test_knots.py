@@ -19,7 +19,6 @@ from knotsurgery.knots import (
     alexander_torus,
     format_knot_expr,
     genus_torus,
-    _adjacent_torus_delta,
     _torus_delta,
     parse_knot_expr,
 )
@@ -133,10 +132,13 @@ class TestAlexanderTorus:
 
     def test_symmetry_is_still_checked(self, monkeypatch):
         # centered, of the right span and with Delta(1) = 1, but the
-        # coefficients of t^g and t^-g differ, from the semigroup writer
-        # (T(2,5), g = 2) and the adjacent one (T(2,3))
-        monkeypatch.setattr(knots, "_torus_delta", lambda p, q: poly("t^2 + 1 - t^-2"))
-        monkeypatch.setattr(knots, "_adjacent_torus_delta", lambda p: poly("t + 1 - t^-1"))
+        # coefficients of t^g and t^-g differ, on T(2,5) (g = 2) and on the
+        # family's T(2,3) (g = 1)
+        def asymmetric(p, q):
+            g = (p - 1) * (q - 1) // 2
+            return poly(f"t^{g} + 1 - t^{-g}")
+
+        monkeypatch.setattr(knots, "_torus_delta", asymmetric)
         for pq in [(2, 5), (2, 3)]:
             with pytest.raises(NotSymmetrizableError):
                 alexander_torus(TorusKnotSpec(*pq))
@@ -168,7 +170,7 @@ def coprime_pairs(lo: int, hi: int):
 
 
 class TestTorusKernel:
-    # the kernel of every T(p, q) with q != p + 1 is the semigroup writer
+    # the kernel of every T(p, q), p > 1, is the grid writer
     def test_small_pairs_match_both_oracles(self):
         for p, q in coprime_pairs(2, 40):
             got = raw_quotient(p, q)
@@ -191,9 +193,8 @@ class TestTorusKernel:
 
     @pytest.mark.parametrize("pq", [(2, 40001), (5, 12), (300, 307)])
     def test_divides_by_the_smaller_binomial(self, pq, monkeypatch):
-        # the semigroup writer takes one run per residue class mod the smaller
-        # parameter; T(p, p+1) takes the adjacent writer instead, tested in
-        # TestAdjacentWriter
+        # the writer takes the smaller parameter first, whatever order the
+        # knot was given in
         calls = []
 
         def spy(p, q):
@@ -217,10 +218,42 @@ class TestTorusKernel:
         assert delta.term_count() == 100001
         assert peak <= 1.5 * held
 
+    def test_peak_memory_of_grids_with_several_rows(self):
+        # T(101, 10007)'s grids have 38 and 63 rows: a window holds up to
+        # 2048 exponents of each row, still few next to Delta's 474,391 terms
+        tracemalloc.start()
+        try:
+            delta = alexander_torus(TorusKnotSpec(101, 10007))
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert delta.term_count() == 474391
+        assert peak <= 1.5 * held
+
+    def test_rows_per_grid(self, monkeypatch):
+        # a grid is laid out along its shorter side: the family's T(p, p+1)
+        # and every T(2, q) fill each grid with one row, T(4001, 8003) its
+        # second grid with two
+        rows = []
+
+        def spy(a, ii, b, jj, shift):
+            rows.append(min(len(ii), len(jj)))
+            return grid(a, ii, b, jj, shift)
+
+        grid = knots._grid
+        monkeypatch.setattr(knots, "_grid", spy)
+        for pq, want in [
+            *(((p, p + 1), [1, 1]) for p in (2, 3, 4, 300, 4096)),
+            *(((2, q), [1, 1]) for q in (3, 5, 40147)),
+            ((4001, 8003), [1, 2]),
+        ]:
+            rows.clear()
+            alexander_torus(TorusKnotSpec(*pq))
+            assert rows == want, pq
+
     def test_span_mismatch_detected(self, monkeypatch):
-        # on both routes: the semigroup writer (T(2,5)) and the adjacent one (T(2,3))
+        # on T(2,5) and on the family's T(2,3)
         monkeypatch.setattr(knots, "_torus_delta", lambda p, q: poly("1 - t"))
-        monkeypatch.setattr(knots, "_adjacent_torus_delta", lambda p: poly("1 - t"))
         for pq in [(2, 5), (2, 3)]:
             with pytest.raises(InternalInconsistencyError, match="span"):
                 knots._torus_quotient(*pq)
@@ -230,8 +263,7 @@ class TestTorusKernel:
         def stray(g):
             return poly(f"t^{-g} - 1 + t^{g} + t^{g + 1} - t^{g + 2}")
 
-        monkeypatch.setattr(knots, "_torus_delta", lambda p, q: stray(2))
-        monkeypatch.setattr(knots, "_adjacent_torus_delta", lambda p: stray(1))
+        monkeypatch.setattr(knots, "_torus_delta", lambda p, q: stray((p - 1) * (q - 1) // 2))
         for pq in [(2, 5), (2, 3)]:
             with pytest.raises(InternalInconsistencyError, match="span"):
                 knots._torus_quotient(*pq)
@@ -245,25 +277,40 @@ class TestTorusKernel:
         assert alexander_torus(TorusKnotSpec(1, 2 ** 70)) == poly("1")
 
 
+def adjacent_progressions(p: int) -> LaurentPoly:
+    # Delta_T(p,p+1) centered, with g = p(p - 1)/2: (1 - t) times the sum of
+    # t^s over the semigroup <p, p+1> is
+    #   sum_{k<p} t^(kp - g) - sum_{k<p-1} t^(k(p+1) + 1 - g)
+    g = p * (p - 1) // 2
+    terms = {(k * p - g,): 1 for k in range(p)}
+    terms.update({(k * (p + 1) + 1 - g,): -1 for k in range(p - 1)})
+    return LaurentPoly(T_VARS, terms)
+
+
 class TestAdjacentWriter:
+    # the family's T(p, p+1), whose grids are one row each
     def test_matches_the_semigroup_and_the_kernel(self):
-        # the kernel here is the semigroup writer, which covers T(p, p+1) too
         for p in [*range(1, 301), 4096]:
-            got = _adjacent_torus_delta(p)
-            assert got == _torus_delta(p, p + 1), p
+            got = knots._torus_quotient(p, p + 1)
+            assert got == adjacent_progressions(p), p
             if p <= 300:
                 assert got == semigroup_delta_centered(p, p + 1), p
 
-    def test_adjacent_knots_skip_the_kernel(self, monkeypatch):
-        def no_kernel(p, q):
-            raise AssertionError("the kernel ran")
+    def test_adjacent_knots_take_the_one_writer(self, monkeypatch):
+        # T(p, p+1) and every other T(p, q) take the same writer
+        calls = []
 
-        monkeypatch.setattr(knots, "_torus_delta", no_kernel)
+        def spy(p, q):
+            calls.append((p, q))
+            return writer(p, q)
+
+        writer = knots._torus_delta
+        monkeypatch.setattr(knots, "_torus_delta", spy)
         for p in (2, 3, 300):
             delta = alexander_torus(TorusKnotSpec(p, p + 1))
-            assert delta == _adjacent_torus_delta(p)
-        with pytest.raises(AssertionError, match="the kernel ran"):
-            alexander_torus(TorusKnotSpec(2, 5))
+            assert delta == adjacent_progressions(p)
+        alexander_torus(TorusKnotSpec(2, 5))
+        assert calls == [(2, 3), (3, 4), (300, 301), (2, 5)]
 
     def test_peak_memory_is_within_twice_the_result(self):
         # no numerator, no dict of exponents: the keys and coefficient list

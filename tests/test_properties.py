@@ -214,7 +214,7 @@ class TestTorres:
     def test_constant_without_variables(self, c, lk):
         delta = LaurentPoly(VariableSet(), {(): c})
         expected = from_dict(convolve(geometric_sum(lk), {0: c}), VariableSet("y"))
-        assert torres_specialize(delta, lk) == (delta if lk == 1 else expected)
+        assert torres_specialize(delta, lk) == expected
 
 
 class TestDivision:
@@ -237,9 +237,8 @@ class TestDivision:
             assert got == LaurentPoly(T, {(e,): c for e, c in expected.items()})
 
 
-# coprime p < q, with p = 2 and the adjacent q = p + 1 drawn often: the
-# adjacent knots take their own writer in production, but the semigroup
-# writer covers them too
+# coprime p < q, with p = 2 and the family's q = p + 1 drawn often: their
+# grids are one row each, and the others' grids have several
 torus_pairs = st.one_of(
     st.integers(1, 150).map(lambda k: (2, 2 * k + 1)),
     st.integers(2, 24)
@@ -250,13 +249,15 @@ torus_pairs = st.one_of(
 
 class TestTorusWriter:
     @given(torus_pairs, st.sampled_from([1, 2, 3, knots._WINDOW]))
-    # T(3, 5) in windows of 9 exponents: a slice cut one term off there puts
-    # a term in the next window, out of order; random draws find such a case
-    # only some of the time
+    # T(3, 5) in windows of 10 and of 3 exponents: its first grid's two rows
+    # overlap, and a slice cut one term off there puts a term in the next
+    # window, out of order, or drops it; random draws find such a case only
+    # some of the time
     @example((3, 5), 1)
     @settings(deadline=None)
     def test_matches_both_oracles_in_every_window(self, pq, window):
-        # windows of p * max(window, p) exponents cut the runs at many places
+        # windows of step * max(window, rows) exponents cut the rows at many
+        # places
         p, q = pq
         event("adjacent" if q == p + 1 else "other")
         with mock.patch.object(knots, "_WINDOW", window):
@@ -376,7 +377,7 @@ class TestEveryRouteIsCanonical:
 
     @given(st.integers(1, 400))
     def test_adjacent_torus_delta(self, p):
-        assert_canonical(knots._adjacent_torus_delta(p))
+        assert_canonical(knots._torus_quotient(p, p + 1))
 
     @given(polys(), st.integers(2, 60))
     def test_torres(self, poly, lk):

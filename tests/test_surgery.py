@@ -62,7 +62,7 @@ class TestTorresSpecialize:
         assert torres_specialize(bottom, 0) == LaurentPoly.zero(T)
         assert torres_specialize(bottom, 2) == LaurentPoly(T, {(INT64_MIN,): 3, (INT64_MIN + 1,): 3})
 
-    @pytest.mark.parametrize("lk", [0, 2, 5])
+    @pytest.mark.parametrize("lk", [0, 1, 2, 5])
     def test_zero_delta_gives_zero_over_the_variable(self, lk):
         assert torres_specialize(LaurentPoly.zero(T), lk) == LaurentPoly.zero(T)
         assert torres_specialize(LaurentPoly.zero(VariableSet()), lk) == LaurentPoly.zero(
@@ -76,6 +76,7 @@ class TestTorresSpecialize:
     def test_constant_without_variables_defaults_to_y(self):
         one = LaurentPoly.one(VariableSet())
         assert str(torres_specialize(one, 3)) == "y^2 + y + 1"
+        assert torres_specialize(one, 1) == LaurentPoly.one(VariableSet("y"))
 
     def test_lk2_matches_convolution(self):
         delta = tpoly("t - 1 + t^-1")
