@@ -61,18 +61,11 @@ class GroupPresentation(_Frozen):
         if len(set(generators)) != len(generators):
             raise ValueError("duplicate generator names")
         n = len(generators)
-        letters = set(range(-n, n + 1)) - {0}
         for word in relators:
-            # C-level passes over the word: its types, its distinct letters,
-            # and the letters that start its runs, since a pair g g^-1 always
-            # straddles two runs.  Only a word that fails is walked letter by
-            # letter, to name the first bad one.  A bool is not a letter
-            if not (set(map(type, word)) <= {int} and set(word) <= letters):
-                for letter in word:
-                    if type(letter) is not int or not 0 < abs(letter) <= n:
-                        raise ValueError(f"letter {letter!r} is not a valid generator index")
-            heads = [letter for letter, _ in groupby(word)]
-            if 0 in map(operator.add, heads, heads[1:]):
+            for letter in word:  # a bool is not a letter
+                if type(letter) is not int or not 0 < abs(letter) <= n:
+                    raise ValueError(f"letter {letter!r} is not a valid generator index")
+            if 0 in map(operator.add, word, word[1:]):
                 raise ValueError(f"relator {word!r} is not freely reduced")
         self._store(generators=generators, relators=relators)
 

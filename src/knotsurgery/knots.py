@@ -74,8 +74,9 @@ _WINDOW = 2048  # least exponents per row in a window of the torus writer
 class InternalInconsistencyError(RuntimeError):
     """A closed formula violated a property it is supposed to guarantee.
 
-    Raised when the quotient inside alexander_torus has the wrong span, or a
-    value at t = 1 other than 1.
+    Raised when the torus writer's two exponent grids have the wrong sizes,
+    or the quotient inside alexander_torus has the wrong span or a value at
+    t = 1 other than 1.
     Unreachable for valid inputs; seeing it means the arithmetic layer has a
     bug.
     """
@@ -145,6 +146,8 @@ def _grid(a: int, ii: range, b: int, jj: range, shift: int) -> array:
     # to one window of b * w exponents and sorts it, so at most a window's
     # exponents are int objects at a time; w is at least the row count, so
     # the passes' slices number at most the grid's span over b, plus the rows
+    if not (ii and jj):
+        return array("q")
     if len(ii) > len(jj):
         a, ii, b, jj = b, jj, a, ii
     rows = [range(i * a + jj.start * b + shift, i * a + jj.stop * b + shift, b) for i in ii]
@@ -160,6 +163,14 @@ def _grid(a: int, ii: range, b: int, jj: range, shift: int) -> array:
     return keys
 
 
+def _sized(p: int, q: int, m: int, grid: array) -> array:
+    # grid, once it is seen to hold the m exponents the writer places; each
+    # grid is checked and placed before the next is built
+    if len(grid) != m:
+        raise InternalInconsistencyError(f"T({p},{q}) grid holds {len(grid)} exponents, not {m}")
+    return grid
+
+
 def _torus_delta(p: int, q: int) -> LaurentPoly:
     # Delta_T(p,q) centered, 1 < p < q, from the two grids of the module
     # docstring: +1 at even and -1 at odd places.  Every exponent lies in
@@ -169,8 +180,8 @@ def _torus_delta(p: int, q: int) -> LaurentPoly:
     r = (2 * g - s * q) // p
     m = (r + 1) * (s + 1)
     keys = array("q", [0]) * (2 * m - 1)
-    keys[0::2] = _grid(p, range(r + 1), q, range(s + 1), -g)
-    keys[1::2] = _grid(p, range(r + 1, q), q, range(s + 1, p), -p * q - g)
+    keys[0::2] = _sized(p, q, m, _grid(p, range(r + 1), q, range(s + 1), -g))
+    keys[1::2] = _sized(p, q, m - 1, _grid(p, range(r + 1, q), q, range(s + 1, p), -p * q - g))
     coeffs = [1, -1] * m
     coeffs.pop()
     return _from_canonical(T_VARS, keys, coeffs)

@@ -110,8 +110,8 @@ MUTANTS = [
     Mutant(
         "torus-second-grid-unshifted",
         "knots.py",
-        "    keys[1::2] = _grid(p, range(r + 1, q), q, range(s + 1, p), -p * q - g)\n",
-        "    keys[1::2] = _grid(p, range(r + 1, q), q, range(s + 1, p), -g)\n",
+        "range(s + 1, p), -p * q - g))\n",
+        "range(s + 1, p), -g))\n",
         ("tests/test_knots.py::TestTorusKernel::test_small_pairs_match_both_oracles",),
     ),
     Mutant(
@@ -134,6 +134,20 @@ MUTANTS = [
         "        window.sort()\n",
         "",
         (f"{PROPERTIES}::TestTorusWriter::test_matches_both_oracles_in_every_window",),
+    ),
+    Mutant(
+        "torus-empty-grid-unguarded",  # an empty grid's rows[0] raises IndexError
+        "knots.py",
+        '    if not (ii and jj):\n        return array("q")\n',
+        "",
+        ("tests/test_cli.py::test_grid_shape_fault_exits_2",),
+    ),
+    Mutant(
+        "torus-grid-sizes-unchecked",  # a wrong shape fails in the slice assignments
+        "knots.py",
+        "    if len(grid) != m:\n",
+        "    if False:\n",
+        ("tests/test_cli.py::test_grid_shape_fault_exits_2",),
     ),
     Mutant(
         "torus-coefficients-flipped",
@@ -325,14 +339,14 @@ MUTANTS = [
     Mutant(
         "presentation-letter-types-unchecked",
         "fox.py",
-        "            if not (set(map(type, word)) <= {int} and set(word) <= letters):\n",
-        "            if not set(word) <= letters:\n",
+        "                if type(letter) is not int or not 0 < abs(letter) <= n:\n",
+        "                if not 0 < abs(letter) <= n:\n",
         (f"{FOX}::TestGroupPresentation::test_rejection_messages",),
     ),
     Mutant(
         "presentation-reduction-unchecked",
         "fox.py",
-        "            if 0 in map(operator.add, heads, heads[1:]):\n",
+        "            if 0 in map(operator.add, word, word[1:]):\n",
         "            if False:\n",
         (f"{FOX}::TestGroupPresentation::test_accepts_exactly_the_freely_reduced_words",),
     ),

@@ -15,6 +15,7 @@ from knotsurgery.knots import (
     T_VARS,
     InternalInconsistencyError,
     TorusKnotSpec,
+    _grid,
     _torus_delta,
     alexander_expr,
     alexander_torus,
@@ -594,6 +595,26 @@ def test_internal_inconsistency_exits_2(kernel, error, capsys, monkeypatch):
 @pytest.mark.parametrize("writer,error", WRITER_FAULTS.values(), ids=WRITER_FAULTS.keys())
 def test_writer_inconsistency_exits_2(writer, error, capsys, monkeypatch):
     _exits_2(writer, error, "torus(2,3)", capsys, monkeypatch)
+
+
+# a wrong grid shape inside the writer: every grid one exponent short, and s
+# off by one through a pow that shadows the builtin in knots
+GRID_FAULTS = {
+    "grid_one_short": ("_grid", lambda *args: _grid(*args)[:-1]),
+    "s_off_by_one": ("pow", lambda *args: pow(*args) + 1),
+}
+
+
+@pytest.mark.parametrize("name,fault", GRID_FAULTS.values(), ids=GRID_FAULTS.keys())
+@pytest.mark.parametrize("knot", ["torus(2,5)", "torus(3,7)"])
+def test_grid_shape_fault_exits_2(name, fault, knot, capsys, monkeypatch):
+    monkeypatch.setattr(knots, name, fault, raising=False)
+    with pytest.raises(InternalInconsistencyError):
+        alexander_expr(knots.parse_knot_expr(knot))
+    code, out, err = run(capsys, "alexander", knot)
+    assert (code, out) == (2, "")
+    assert err.startswith("internal inconsistency: ")
+    assert "Traceback" not in err
 
 
 def _slice_edge_poly(count: int) -> LaurentPoly:

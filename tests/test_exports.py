@@ -1,4 +1,4 @@
-"""Every exported name resolves: a removal must also leave the __all__ lists.
+"""Every exported name resolves, and the package exports its modules' __all__.
 
 Private names that cross module boundaries are pinned too, so a new one is
 added on purpose.
@@ -6,7 +6,10 @@ added on purpose.
 
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -27,6 +30,52 @@ def test_all_names_resolve(module_name):
 
 def test_every_module_with_exports_is_checked():
     assert {"knotsurgery.laurent", "knotsurgery.surgery", "knotsurgery.cli"} <= set(MODULES)
+
+
+def test_package_exports_each_library_module_once():
+    from knotsurgery import family, fox, knots, laurent, surgery
+
+    expected = ["__version__"]
+    for module in (laurent, knots, fox, surgery, family):
+        expected += module.__all__
+    assert knotsurgery.__all__ == expected
+    assert len(set(expected)) == len(expected)
+
+
+# the names the package exported when it still listed them by hand
+EARLIER_EXPORTS = [
+    "__version__", "VariableSet", "LaurentPoly", "ExponentOverflowError",
+    "NotDivisibleError", "NotSymmetrizableError", "PolyParseError", "TorusKnotSpec",
+    "KnotExpr", "Unknot", "Torus", "Mirror", "ConnectedSum", "KnotParseError",
+    "InternalInconsistencyError", "alexander_torus", "alexander_expr", "genus_torus",
+    "parse_knot_expr", "format_knot_expr", "GroupPresentation",
+    "UnsupportedPresentationError", "alexander_fox_oracle", "LinkFamilyMember",
+    "SurgerySpec", "SWResult", "torres_specialize", "sw_prefactor", "sw_link_surgery",
+    "sw_specialized", "basic_class_lower_bound", "FamilyRow", "FamilyReport", "Witness",
+    "UnboundednessCertificate", "CapExhaustedError", "DEFAULT_P_CAP",
+    "CERTIFICATE_SCHEMA_VERSION", "analyze_family", "certify_unbounded",
+    "verify_certificate",
+]
+
+
+def test_earlier_exports_are_kept():
+    assert len(EARLIER_EXPORTS) == 41
+    assert [name for name in EARLIER_EXPORTS if name not in knotsurgery.__all__] == []
+
+
+def test_package_import_leaves_the_cli_unloaded():
+    # what the package adds to a bare interpreter, whose start-up may load
+    # some modules on its own
+    env = {**os.environ, "PYTHONPATH": str(Path(knotsurgery.__path__[0]).parent)}
+    code = "import sys, {}; print(sorted({{'argparse', 'knotsurgery.cli'}} & set(sys.modules)))"
+    bare, package = (
+        subprocess.run(
+            [sys.executable, "-c", code.format(module)],
+            env=env, capture_output=True, text=True, check=True,
+        ).stdout
+        for module in ("os", "knotsurgery")
+    )
+    assert package == bare
 
 
 # importing module -> {defining module: private names it imports from there}

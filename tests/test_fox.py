@@ -70,8 +70,7 @@ class TestGroupPresentation:
 
     @given(st.lists(st.sampled_from([1, -1, 2, -2, 3, -3]), max_size=12).map(tuple))
     def test_accepts_exactly_the_freely_reduced_words(self, word):
-        # the check reads only the letters that start runs; a pairwise scan
-        # of all adjacent letters decides the same
+        # a word is freely reduced when no letter is next to its inverse
         reduced = all(a != -b for a, b in zip(word, word[1:]))
         try:
             GroupPresentation(("x", "y", "z"), (word,))
