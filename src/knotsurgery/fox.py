@@ -131,8 +131,8 @@ def _fox_numerator(
     ups = set(plus)
     if len(ups) == len(plus) and len(set(minus)) == len(minus) and ups.isdisjoint(minus):
         keys = sorted(plus + minus)
-        signs = map((-1, 1).__getitem__, map(ups.__contains__, keys))
-        return _from_canonical(_T, array("q", keys), list(signs))
+        signs = [1 if e in ups else -1 for e in keys]
+        return _from_canonical(_T, array("q", keys), signs)
     acc = Counter(plus)
     acc.subtract(minus)
     return _from_dict(_T, acc)

@@ -57,18 +57,20 @@ text form, and ``_write_indent2`` writes an indented document that holds
 polynomials as ``LaurentPoly`` values, as the bytes of
 ``json.dumps(doc, indent=2, default=LaurentPoly.to_json_dict)``.  ``str``
 joins what ``_write_text`` writes, and ``_joined`` what any writer writes.
-Every polynomial goes out from the top of its sequences, a slice of 4,096
-terms per call, with no sort.  A slice is written with one C-level ``%``:
-a table built for the slice maps each distinct coefficient to its term's
-text with a ``%d`` in each exponent slot, so a coefficient is turned into
-decimal once per slice, and the slice's exponents fill the slots.  Only
-one-variable text at exponents 0 and 1 and multivariable text go term by
-term.  Writing can fail in one way only, on CPython's int-to-string digit
-limit, and ``_check_digits`` raises that error for a whole document before
-the first write, so a caller that streams to stdout writes all of it or
-nothing.  An iterator in a document is written as a list, drawn one item
-at a time, and ``_check_digits`` leaves it undrawn: its items are the
-caller's guarantee.
+Every polynomial goes out from the top of its sequences, one slice of terms
+per call, with no sort: 4,096 terms for text and 1,024 for JSON, since a
+JSON term is about seven times as long as a text term and a writer holds a
+few copies of its slice's text at once.  A slice is written with one
+C-level ``%``: a table built for the slice maps each distinct coefficient
+to its term's text with a ``%d`` in each exponent slot, so a coefficient is
+turned into decimal once per slice, and the slice's exponents fill the
+slots.  Only one-variable text at exponents 0 and 1 and multivariable text
+go term by term.  Writing can fail in one way only, on CPython's
+int-to-string digit limit, and ``_check_digits`` raises that error for a
+whole document before the first write, so a caller that streams to stdout
+writes all of it or nothing.  An iterator in a document is written as a
+list, drawn one item at a time, and ``_check_digits`` leaves it undrawn:
+its items are the caller's guarantee.
 """
 
 from __future__ import annotations
@@ -84,7 +86,7 @@ from itertools import chain, compress, islice, repeat, starmap
 
 INT64_MIN = -(1 << 63)
 INT64_MAX = (1 << 63) - 1
-_SLICE = 4096  # terms per chunk when a polynomial is written
+_SLICE = 4096  # terms per chunk of written text; JSON chunks take a quarter
 
 __all__ = [
     "INT64_MIN",
@@ -772,13 +774,13 @@ def _check_digits(doc) -> None:
             _check_digits(item)
 
 
-def _slices(poly: LaurentPoly, start: int, stop: int) -> Iterator[tuple]:
-    # poly's terms start..stop-1, from the top down, _SLICE terms at a time,
+def _slices(poly: LaurentPoly, start: int, stop: int, size: int) -> Iterator[tuple]:
+    # poly's terms start..stop-1, from the top down, size terms at a time,
     # each slice as its keys and its coefficients, so a writer holds one
     # slice's text at once
     keys, coeffs = poly._keys, poly._terms
-    for end in range(stop, start, -_SLICE):
-        begin = max(end - _SLICE, start)
+    for end in range(stop, start, -size):
+        begin = max(end - size, start)
         yield keys[begin:end][::-1], coeffs[begin:end][::-1]
 
 
@@ -812,7 +814,7 @@ def _text_chunks(poly: LaurentPoly) -> Iterator[str]:
         return "".join(map(_signed_term, repeat(names), exps, coeffs))
 
     if len(names) != 1:
-        yield from starmap(general, _slices(poly, 0, len(keys)))
+        yield from starmap(general, _slices(poly, 0, len(keys), _SLICE))
         return
     power = f"{names[0]}^%d"
 
@@ -825,11 +827,11 @@ def _text_chunks(poly: LaurentPoly) -> Iterator[str]:
         )
 
     low, high = bisect_left(keys, 0), bisect_left(keys, 2)
-    for exps, coeffs in _slices(poly, high, len(keys)):
+    for exps, coeffs in _slices(poly, high, len(keys), _SLICE):
         yield _filled(template, "", exps, coeffs)
-    for exps, coeffs in _slices(poly, low, high):
+    for exps, coeffs in _slices(poly, low, high, _SLICE):
         yield general(zip(exps), coeffs)
-    for exps, coeffs in _slices(poly, 0, low):
+    for exps, coeffs in _slices(poly, 0, low, _SLICE):
         yield _filled(template, "", exps, coeffs)
 
 
@@ -904,7 +906,10 @@ def _write_poly_indent2(poly: LaurentPoly, write, newline: str) -> None:
 
     sep = f",{n2}"
     opening = f"[{n2}"
-    for exps, coeffs in _slices(poly, 0, len(poly._terms)):
+    # a one-variable JSON term at six-digit exponents is about 70 bytes and a
+    # text term about 10, so a JSON slice takes a quarter of text's terms (at
+    # least one): its text is about 70 KB, not 290 KB
+    for exps, coeffs in _slices(poly, 0, len(poly._terms), max(_SLICE // 4, 1)):
         write(opening)
         write(_filled(template, sep, exps if width == 1 else chain.from_iterable(exps), coeffs))
         opening = sep

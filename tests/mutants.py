@@ -299,6 +299,14 @@ MUTANTS = [
         "            if False:\n",
         (f"{LAURENT}::TestEqualUpToUnits::test_same_coefficients_on_other_exponents_differ",),
     ),
+    # the JSON writer's slice, a quarter of text's terms
+    Mutant(
+        "json-slice-as-large-as-text",
+        "laurent.py",
+        "_slices(poly, 0, len(poly._terms), max(_SLICE // 4, 1))",
+        "_slices(poly, 0, len(poly._terms), _SLICE)",
+        ("tests/test_cli.py::TestStreamedOutput::test_json_writer_holds_one_small_slice",),
+    ),
     # verify_certificate's first pass: the certificate's own claims, before
     # any bound is recomputed
     Mutant(

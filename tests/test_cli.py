@@ -630,7 +630,8 @@ def _slice_edge_poly(count: int) -> LaurentPoly:
 class TestStreamedOutput:
     """The CLI writes to stdout as it goes, with the bytes str and json.dumps give."""
 
-    @pytest.mark.parametrize("count", [4095, 4096, 4097, 8193])
+    # text slices hold 4,096 terms and JSON slices 1,024
+    @pytest.mark.parametrize("count", [1023, 1024, 1025, 2049, 4095, 4096, 4097, 8193])
     def test_polynomials_across_slice_boundaries(self, count, capsys):
         poly = _slice_edge_poly(count)
         text = str(poly)
@@ -657,6 +658,23 @@ class TestStreamedOutput:
         )
         doc = sw_specialized(SurgerySpec(int(n), LinkFamilyMember(3)), delta_L).to_json_dict()
         assert (code, out) == (0, _joined(_write_indent2, doc) + "\n")
+
+    def test_sw_json_across_a_json_slice_edge(self, capsys):
+        # the full polynomial's 1,640 two-variable terms cross the JSON
+        # writer's 1,024-term slice edge; json.dumps checks the bytes without
+        # the streaming writer
+        coeffs = (1, -1, 2, -3, 10**20)
+        delta_L = LaurentPoly(
+            VariableSet("x", "y"),
+            {(i, j - 20): coeffs[(i + j) % len(coeffs)] for i in range(40) for j in range(40)},
+        )
+        code, out, _ = run(
+            capsys, "sw", "--p", "3", "--n", "2", "--format", "json", f"--delta-l={delta_L}"
+        )
+        doc = sw_specialized(SurgerySpec(2, LinkFamilyMember(3)), delta_L).to_json_dict()
+        assert doc["full_polynomial"].term_count() == 1640
+        assert code == 0
+        assert out == json.dumps(doc, indent=2, default=LaurentPoly.to_json_dict) + "\n"
 
     @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
     def test_family_report(self, fmt, capsys):
@@ -762,6 +780,42 @@ class TestStreamedOutput:
         # y^9999..y^2 in three slices, then y + 1, then the newline
         assert len(writes) == 5
         assert "".join(writes) == str(torres_specialize(LaurentPoly.parse("1"), 10000)) + "\n"
+
+    def test_writes_json_in_slices(self, capsys, monkeypatch):
+        # two writes per slice of 1,024 terms, the opening and the slice
+        writes = []
+        monkeypatch.setattr(sys.stdout, "write", writes.append)
+        assert main(["torres", "--lk", "10000", "--format", "json", "1"]) == 0
+        # the five writes of "variables", ten slices, the tail and the newline
+        assert len(writes) == 27
+        poly = torres_specialize(LaurentPoly.parse("1"), 10000)
+        assert "".join(writes) == json.dumps(poly.to_json_dict(), indent=2) + "\n"
+
+    def test_json_writer_holds_one_small_slice(self, monkeypatch):
+        # the 200,000-term result holds about 3.3 MB; a JSON slice of 1,024
+        # terms adds about 0.25 MB to the peak, one of 4,096 terms 0.9 MB.  A
+        # first, small call keeps what main() loads only once out of the peak
+        class Discard:
+            def write(self, text):
+                return len(text)
+
+        monkeypatch.setattr(sys, "stdout", Discard())
+        assert main(["torres", "--lk", "2", "--format", "json", "1"]) == 0
+        tracemalloc.start()
+        try:
+            result = torres_specialize(LaurentPoly.parse("1"), 200000)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        del result
+        tracemalloc.start()
+        try:
+            code = main(["torres", "--lk", "200000", "--format", "json", "1"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak - held < 500_000
 
 
 class TestParserBehavior:
