@@ -20,7 +20,6 @@ import sys
 
 from .family import (
     DEFAULT_P_CAP,
-    FamilyRow,
     UnboundednessCertificate,
     _family_rows,
     _write_rows,
@@ -36,7 +35,9 @@ from .laurent import (
     _write_indent2,
     _write_text,
 )
-from .surgery import LinkFamilyMember, SurgerySpec, sw_specialized, torres_specialize
+from .surgery import (
+    LinkFamilyMember, SurgerySpec, _write_sw_text, sw_specialized, torres_specialize
+)
 
 __all__ = ["main", "app", "EXIT_OK", "EXIT_USAGE", "EXIT_INTERNAL"]
 
@@ -79,27 +80,10 @@ def _cmd_sw(args) -> int:
     return EXIT_OK
 
 
-def _write_sw_text(doc: dict, write) -> None:
-    # the text form of an SWResult document, both polynomials streamed
-    write(f"p = {doc['p']}\nn = {doc['n']}\nspecialization at t_K = 1: ")
-    _write_text(doc["specialization"], write)
-    write(f"\nbasic-class lower bound: {doc['lower_bound']}\nfull polynomial: ")
-    full = doc["full_polynomial"]
-    if isinstance(full, str):
-        write(full)
-    else:
-        _write_text(full, write)
-
-
 def _cmd_family(args) -> int:
     # the rows are built as they are written, so one Delta is held at once
     rows = _family_rows(args.n, args.pmin, args.pmax, args.pcap)
-    if args.format == "json":
-        _stream({"n": args.n, "rows": map(FamilyRow.to_json_dict, rows)}, _write_indent2)
-    else:
-        def write_doc(rows, write):
-            _write_rows(args.format, args.n, rows, write)
-        _stream(rows, write_doc)
+    _stream(rows, lambda doc, write: _write_rows(args.format, args.n, doc, write))
     return EXIT_OK
 
 

@@ -92,7 +92,7 @@ class FamilyReport(_Frozen):
         return {"n": self.n, "rows": [row.to_json_dict() for row in self.rows]}
 
     def to_json(self) -> str:
-        return _joined(_write_indent2, self.to_json_dict())
+        return _joined(_write_rows, "json", self.n, self.rows)
 
     def to_csv(self) -> str:
         return _joined(_write_rows, "csv", self.n, self.rows) + "\n"
@@ -102,11 +102,14 @@ class FamilyReport(_Frozen):
 
 
 def _write_rows(fmt: str, n: int, rows, write) -> None:
-    # the csv or text report of n and an iterable of rows through write, a
-    # line head and then the row's polynomial per row, with no final
-    # newline; each row is drawn just before its first byte.  No csv field
-    # is quoted, since none can hold a comma, quote or newline: ints,
-    # true/false, and polynomials over identifier names
+    # the json, csv or text report of n and an iterable of rows through
+    # write, with no final newline; each row is drawn just before its first
+    # byte.  csv and text write a line head and then the row's polynomial
+    # per row.  No csv field is quoted, since none can hold a comma, quote
+    # or newline: ints, true/false, and polynomials over identifier names
+    if fmt == "json":
+        _write_indent2({"n": n, "rows": map(FamilyRow.to_json_dict, rows)}, write)
+        return
     csv = fmt == "csv"
     write(",".join(CSV_COLUMNS) if csv else f"family report for n = {n}")
     for row in rows:

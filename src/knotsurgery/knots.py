@@ -135,7 +135,7 @@ class ConnectedSum(KnotExpr, _Frozen):
 
 
 def _check_torus_exponent(p: int, q: int) -> None:
-    # the closed formula for T(p, q), p > 1, needs the exponent pq
+    # refuses T(p, q), p > 1, whose pq leaves the signed 64-bit range (no t^(pq) is built)
     if p * q > INT64_MAX:
         raise ExponentOverflowError(f"T({p},{q}) needs exponent {p * q} > {INT64_MAX}")
 
@@ -256,6 +256,14 @@ def format_knot_expr(k: KnotExpr) -> str:
 
 _KNOT_TOKEN_RE = re.compile(r"\s*(?:(?P<word>[a-z]+)|(?P<int>[0-9]+)|(?P<punct>[(),]))")
 
+# each constructor's builder and arguments: E a subexpression, a letter an integer
+_CONSTRUCTORS = {
+    "unknot": (Unknot, ""),
+    "torus": (Torus.of, "pq"),
+    "mirror": (Mirror, "E"),
+    "sum": (ConnectedSum, "EE"),
+}
+
 
 def parse_knot_expr(text: str) -> KnotExpr:
     """Parse the grammar `unknot | torus(p,q) | mirror(E) | sum(E,E)`.
@@ -279,33 +287,21 @@ def parse_knot_expr(text: str) -> KnotExpr:
         if depth > MAX_KNOT_DEPTH:
             raise KnotParseError(f"knot expression nests deeper than {MAX_KNOT_DEPTH} levels")
         head = take()
-        if head == "unknot":
-            return Unknot()
-        if head == "torus":
-            take("(")
-            p = take()
-            take(",")
-            q = take()
+        if head not in _CONSTRUCTORS:
+            raise KnotParseError(f"unknown knot constructor {head!r}")
+        build, kinds = _CONSTRUCTORS[head]
+        args = []
+        for i, kind in enumerate(kinds):
+            take("," if i else "(")
+            args.append(parse_expr(depth + 1) if kind == "E" else take())
+        if kinds:
             take(")")
-            if not (p.isdigit() and q.isdigit()):
-                raise KnotParseError("torus(p,q) needs integer parameters")
-            try:
-                return Torus(TorusKnotSpec(int(p), int(q)))
-            except ValueError as exc:
-                raise KnotParseError(str(exc)) from exc
-        if head == "mirror":
-            take("(")
-            inner = parse_expr(depth + 1)
-            take(")")
-            return Mirror(inner)
-        if head == "sum":
-            take("(")
-            left = parse_expr(depth + 1)
-            take(",")
-            right = parse_expr(depth + 1)
-            take(")")
-            return ConnectedSum(left, right)
-        raise KnotParseError(f"unknown knot constructor {head!r}")
+        if not all(arg.isdigit() for arg, kind in zip(args, kinds) if kind != "E"):
+            raise KnotParseError(f"{head}({','.join(kinds)}) needs integer parameters")
+        try:
+            return build(*(arg if kind == "E" else int(arg) for arg, kind in zip(args, kinds)))
+        except ValueError as exc:
+            raise KnotParseError(str(exc)) from exc
 
     expr = parse_expr(0)
     if cursor != len(tokens):

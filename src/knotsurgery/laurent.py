@@ -41,7 +41,7 @@ other divisor keeps a remainder dict with a heap of its exponents: each
 step pops the highest, takes its term as the lead's cancellation and
 subtracts the quotient term times the divisor's lower terms, zipped once
 beforehand.  No torus-knot formula lives here: the knot layer writes each
-Delta_T(p,q) from its semigroup straight into the two sequences.
+Delta_T(p,q) from Lam and Leung's two exponent grids into the sequences.
 
 Text form: ``coeff*var^exp`` factors joined by ``+`` / ``-``, variables in
 the set's fixed order, terms in descending lexicographic exponent order,

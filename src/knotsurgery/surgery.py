@@ -39,6 +39,7 @@ from .laurent import (
     _geometric_multiple,
     _require_int,
     _require_one_variable,
+    _write_text,
 )
 
 __all__ = [
@@ -108,6 +109,18 @@ class SWResult(_Frozen):
             "lower_bound": self.basic_class_lower_bound,
             "full_polynomial": "unavailable" if self.polynomial is None else self.polynomial,
         }
+
+
+def _write_sw_text(doc: dict, write) -> None:
+    # the text form of an SWResult document, both polynomials streamed
+    write(f"p = {doc['p']}\nn = {doc['n']}\nspecialization at t_K = 1: ")
+    _write_text(doc["specialization"], write)
+    write(f"\nbasic-class lower bound: {doc['lower_bound']}\nfull polynomial: ")
+    full = doc["full_polynomial"]
+    if isinstance(full, str):
+        write(full)
+    else:
+        _write_text(full, write)
 
 
 def torres_specialize(delta_gamma: LaurentPoly, lk: int) -> LaurentPoly:
@@ -180,8 +193,8 @@ def basic_class_lower_bound(p: int) -> int:
     """Nonzero-term count of Delta_{T(p,p+1)}; bounds the basic classes of X_p.
 
     Equals 2p - 1 for this family, so in particular it is at least p.
-    Delta is written straight from the semigroup <p, p+1>'s two progressions
-    of exponents, with no division, so the count costs O(p) time and about
-    16 bytes a term of Delta.
+    Delta is written straight from Lam and Leung's two exponent grids, one
+    row each for T(p, p+1), with no division, so the count costs O(p) time
+    and about 16 bytes a term of Delta.
     """
     return alexander_torus(LinkFamilyMember(p).gamma).term_count()

@@ -419,6 +419,14 @@ MUTANTS = [
             "tests/test_cli.py::test_writer_inconsistency_exits_2",
         ),
     ),
+    # the knot grammar's integer arguments, checked after the closing ")"
+    Mutant(
+        "knot-integer-arguments-unchecked",  # int("a") raises its own message
+        "knots.py",
+        '        if not all(arg.isdigit() for arg, kind in zip(args, kinds) if kind != "E"):\n',
+        "        if False:\n",
+        (f"{PROPERTIES}::test_parse_error_messages[parse_knot_expr:torus(a,b)]",),
+    ),
     # an input too large for memory is a usage error
     Mutant(
         "out-of-memory-uncaught",

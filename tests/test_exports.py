@@ -86,7 +86,9 @@ PRIVATE_IMPORTS = {
         },
     },
     "surgery": {
-        "laurent": {"_Frozen", "_geometric_multiple", "_require_int", "_require_one_variable"},
+        "laurent": {
+            "_Frozen", "_geometric_multiple", "_require_int", "_require_one_variable", "_write_text",
+        },
     },
     "family": {
         "knots": {"_check_torus_exponent"},
@@ -103,6 +105,7 @@ PRIVATE_IMPORTS = {
     "cli": {
         "family": {"_family_rows", "_write_rows"},
         "laurent": {"_check_digits", "_write_indent2", "_write_text"},
+        "surgery": {"_write_sw_text"},
     },
 }
 

@@ -786,6 +786,12 @@ PARSE_ERROR_MESSAGES = [
     (parse_knot_expr, "torus(-2,3)", KnotParseError, "unexpected character '-'"),
     (parse_knot_expr, "torus(2,3)\x00", KnotParseError, "unexpected character '\\x00'"),
     (parse_knot_expr, "torus(\u0663,4)", KnotParseError, "unexpected character '\u0663'"),
+    (parse_knot_expr, "torus(2,3", KnotParseError, "unexpected end of knot expression"),
+    (parse_knot_expr, "sum(unknot)", KnotParseError, "expected ',', got ')'"),
+    (parse_knot_expr, "torus(2,3))", KnotParseError, "trailing input after knot expression: ')'"),
+    (parse_knot_expr, "torus(2,\uff13)", KnotParseError, "unexpected character '\uff13'"),
+    (parse_knot_expr, "torus(,3)", KnotParseError, "expected ',', got '3'"),
+    (parse_knot_expr, "unknot(2)", KnotParseError, "trailing input after knot expression: '('"),
     (LaurentPoly.parse, "", PolyParseError, "empty polynomial text"),
     (LaurentPoly.parse, "t +", PolyParseError, "expected a coefficient or variable, got None"),
     (LaurentPoly.parse, "* t", PolyParseError, "expected a coefficient or variable, got '*'"),
