@@ -140,35 +140,44 @@ def _check_torus_exponent(p: int, q: int) -> None:
         raise ExponentOverflowError(f"T({p},{q}) needs exponent {p * q} > {INT64_MAX}")
 
 
-def _grid(a: int, ii: range, b: int, jj: range, shift: int) -> array:
-    # the distinct exponents i a + j b + shift, i in ii and j in jj, ascending:
-    # one row of step b per i of the shorter side.  Each pass slices the rows
-    # to one window of b * w exponents and sorts it, so at most a window's
-    # exponents are int objects at a time; w is at least the row count, so
-    # the passes' slices number at most the grid's span over b, plus the rows
+def _grid(
+    keys: array, start: int, m: int, a: int, ii: range, b: int, jj: range, shift: int
+) -> int:
+    # writes the distinct exponents i a + j b + shift, i in ii and j in jj,
+    # ascending into keys[start::2], which has m slots, and returns how many
+    # it wrote: one row of step b per i of the shorter side.  Each pass
+    # slices the rows to one window of b * w exponents, sorts it and writes
+    # it to its strided slice, so at most a window's exponents are int
+    # objects at a time and no whole-grid array is built; w is at least the
+    # row count, so the passes' slices number at most the grid's span over b,
+    # plus the rows.  A window that would pass the m-th slot raises before
+    # it is written
     if not (ii and jj):
-        return array("q")
+        return 0
     if len(ii) > len(jj):
         a, ii, b, jj = b, jj, a, ii
     rows = [range(i * a + jj.start * b + shift, i * a + jj.stop * b + shift, b) for i in ii]
     w = max(_WINDOW, len(rows))
-    keys = array("q")
+    count = 0
     for low in range(rows[0].start, rows[-1][-1] + 1, b * w):
         window = []
         for row in rows:
             k = -((row.start - low) // b)  # row[k] is the row's first exponent >= low
             window += row[max(k, 0):max(k + w, 0)]
         window.sort()
-        keys.fromlist(window)
-    return keys
+        end = count + len(window)
+        if end > m:
+            p, q = sorted((a, b))
+            raise InternalInconsistencyError(f"T({p},{q}) grid holds more than {m} exponents")
+        keys[start + 2 * count:start + 2 * end:2] = array("q", window)
+        count = end
+    return count
 
 
-def _sized(p: int, q: int, m: int, grid: array) -> array:
-    # grid, once it is seen to hold the m exponents the writer places; each
-    # grid is checked and placed before the next is built
-    if len(grid) != m:
-        raise InternalInconsistencyError(f"T({p},{q}) grid holds {len(grid)} exponents, not {m}")
-    return grid
+def _sized(p: int, q: int, m: int, count: int) -> None:
+    # each grid's count is checked once it is written, before the next grid
+    if count != m:
+        raise InternalInconsistencyError(f"T({p},{q}) grid holds {count} exponents, not {m}")
 
 
 def _torus_delta(p: int, q: int) -> LaurentPoly:
@@ -180,8 +189,8 @@ def _torus_delta(p: int, q: int) -> LaurentPoly:
     r = (2 * g - s * q) // p
     m = (r + 1) * (s + 1)
     keys = array("q", [0]) * (2 * m - 1)
-    keys[0::2] = _sized(p, q, m, _grid(p, range(r + 1), q, range(s + 1), -g))
-    keys[1::2] = _sized(p, q, m - 1, _grid(p, range(r + 1, q), q, range(s + 1, p), -p * q - g))
+    _sized(p, q, m, _grid(keys, 0, m, p, range(r + 1), q, range(s + 1), -g))
+    _sized(p, q, m - 1, _grid(keys, 1, m - 1, p, range(r + 1, q), q, range(s + 1, p), -p * q - g))
     coeffs = [1, -1] * m
     coeffs.pop()
     return _from_canonical(T_VARS, keys, coeffs)

@@ -55,7 +55,8 @@ Two writers stream what the CLI prints through a ``write`` callable, and
 neither builds the whole output: ``_write_text`` writes one polynomial's
 text form, and ``_write_indent2`` writes an indented document that holds
 polynomials as ``LaurentPoly`` values, as the bytes of
-``json.dumps(doc, indent=2, default=LaurentPoly.to_json_dict)``.  ``str``
+``json.dumps(doc, indent=2, default=LaurentPoly.to_json_dict)``, with no
+``json`` import for the names and numbers the package writes.  ``str``
 joins what ``_write_text`` writes, and ``_joined`` what any writer writes.
 Every polynomial goes out from the top of its sequences, one slice of terms
 per call, with no sort: 4,096 terms for text and 1,024 for JSON, since a
@@ -76,7 +77,6 @@ its items are the caller's guarantee.
 from __future__ import annotations
 
 import heapq
-import json
 import operator
 import re
 from array import array
@@ -719,6 +719,8 @@ class LaurentPoly:
         }
 
     def to_json(self) -> str:
+        import json
+
         return json.dumps(self.to_json_dict(), separators=(",", ":"))
 
     @classmethod
@@ -852,11 +854,14 @@ def _write_indent2(value, write, newline: str = "\n") -> None:
 
     A LaurentPoly in value is written from its terms, one C-level format per
     slice of terms; an iterator is written as the list of its items, each
-    drawn just before it is written; ints, bools and None are written as
-    json.dumps spells them, and every other scalar goes through json.dumps.
-    With indent set, json.dumps uses the pure-Python encoder, whose
-    per-value dispatch dominated large polynomial output.  newline is "\n"
-    plus the indentation of the line where value starts.
+    drawn just before it is written; ints, bools, None and strings that
+    match _NAME_RE (every dict key and variable name the package writes)
+    are spelled directly, as json.dumps spells them, so the package's
+    documents are written with no JSON module loaded.  Other scalars, such
+    as floats and strings that need escaping, import json and go through
+    json.dumps.  With indent set, json.dumps uses the pure-Python encoder,
+    whose per-value dispatch dominated large polynomial output.  newline is
+    "\n" plus the indentation of the line where value starts.
     """
     inner = newline + "  "
     if isinstance(value, LaurentPoly):
@@ -864,7 +869,9 @@ def _write_indent2(value, write, newline: str = "\n") -> None:
     elif isinstance(value, dict) and value:
         opening = "{"
         for key, item in value.items():
-            write(f"{opening}{inner}{json.dumps(key)}: ")
+            # json.dumps quotes a key that is no string: a float, int, bool or None
+            name = _json_scalar(key) if isinstance(key, str) else f'"{_json_scalar(key)}"'
+            write(f"{opening}{inner}{name}: ")
             _write_indent2(item, write, inner)
             opening = ","
         write(newline + "}")
@@ -882,7 +889,17 @@ def _write_indent2(value, write, newline: str = "\n") -> None:
     elif value is None:
         write("null")
     else:
-        write(json.dumps(value))
+        write(_json_scalar(value))
+
+
+def _json_scalar(value) -> str:
+    # a name as json.dumps spells it: _NAME_RE's characters are ASCII
+    # letters, digits and "_", none of which JSON escapes
+    if isinstance(value, str) and _NAME_RE.match(value):
+        return f'"{value}"'
+    import json
+
+    return json.dumps(value)
 
 
 def _write_poly_indent2(poly: LaurentPoly, write, newline: str) -> None:
@@ -924,6 +941,8 @@ def _require_json_object(data, keys: set[str]) -> None:
 def _json_loads(text: str, error: type[ValueError], prefix: str):
     # malformed input too: a document nested too deeply for the decoder, or a
     # number beyond int()'s digit limit (a ValueError, as JSONDecodeError is)
+    import json
+
     try:
         return json.loads(text)
     except (ValueError, RecursionError) as exc:

@@ -138,15 +138,22 @@ MUTANTS = [
     Mutant(
         "torus-empty-grid-unguarded",  # an empty grid's rows[0] raises IndexError
         "knots.py",
-        '    if not (ii and jj):\n        return array("q")\n',
+        "    if not (ii and jj):\n        return 0\n",
         "",
         ("tests/test_cli.py::test_grid_shape_fault_exits_2",),
     ),
     Mutant(
-        "torus-grid-sizes-unchecked",  # a wrong shape fails in the slice assignments
+        "torus-grid-sizes-unchecked",  # a short grid fails only the span check
         "knots.py",
-        "    if len(grid) != m:\n",
+        "    if count != m:\n",
         "    if False:\n",
+        ("tests/test_cli.py::test_grid_shape_fault_exits_2",),
+    ),
+    Mutant(
+        "torus-grid-overflow-unchecked",  # a long grid fails in a slice assignment
+        "knots.py",
+        "        if end > m:\n",
+        "        if False:\n",
         ("tests/test_cli.py::test_grid_shape_fault_exits_2",),
     ),
     Mutant(
@@ -306,6 +313,21 @@ MUTANTS = [
         "_slices(poly, 0, len(poly._terms), max(_SLICE // 4, 1))",
         "_slices(poly, 0, len(poly._terms), _SLICE)",
         ("tests/test_cli.py::TestStreamedOutput::test_json_writer_holds_one_small_slice",),
+    ),
+    # the indent-2 writer spells only names directly, and writing loads no json
+    Mutant(
+        "indent2-every-string-direct",
+        "laurent.py",
+        "    if isinstance(value, str) and _NAME_RE.match(value):\n",
+        "    if isinstance(value, str):\n",
+        (f"{PROPERTIES}::TestSerialization::test_indent2_writer_matches_json_dumps",),
+    ),
+    Mutant(
+        "json-imported-at-module-level",
+        "laurent.py",
+        "import heapq\nimport operator\n",
+        "import heapq\nimport json\nimport operator\n",
+        ("tests/test_import_path.py::test_cli_import_adds_none_of_the_heavy_modules",),
     ),
     # verify_certificate's first pass: the certificate's own claims, before
     # any bound is recomputed

@@ -597,10 +597,27 @@ def test_writer_inconsistency_exits_2(writer, error, capsys, monkeypatch):
     _exits_2(writer, error, "torus(2,3)", capsys, monkeypatch)
 
 
-# a wrong grid shape inside the writer: every grid one exponent short, and s
-# off by one through a pow that shadows the builtin in knots
+def _resized_grid(step: int):
+    # _grid with the longer of its sides one element shorter (step -1) or
+    # longer (step 1): the grid it writes is one row short of its m slots or
+    # one row past them
+    def fault(keys, start, m, a, ii, b, jj, shift):
+        if len(ii) >= len(jj):
+            ii = range(ii.start, ii.stop + step)
+        else:
+            jj = range(jj.start, jj.stop + step)
+        return _grid(keys, start, m, a, ii, b, jj, shift)
+
+    return fault
+
+
+# a wrong grid shape inside the writer: every grid one row short or one row
+# long, and s off by one through a pow that shadows the builtin in knots.
+# Each is caught by a grid size check, never by a slice assignment's
+# ValueError or by the span check after the writer
 GRID_FAULTS = {
-    "grid_one_short": ("_grid", lambda *args: _grid(*args)[:-1]),
+    "grid_one_short": ("_grid", _resized_grid(-1)),
+    "grid_one_long": ("_grid", _resized_grid(1)),
     "s_off_by_one": ("pow", lambda *args: pow(*args) + 1),
 }
 
@@ -609,7 +626,7 @@ GRID_FAULTS = {
 @pytest.mark.parametrize("knot", ["torus(2,5)", "torus(3,7)"])
 def test_grid_shape_fault_exits_2(name, fault, knot, capsys, monkeypatch):
     monkeypatch.setattr(knots, name, fault, raising=False)
-    with pytest.raises(InternalInconsistencyError):
+    with pytest.raises(InternalInconsistencyError, match="grid holds"):
         alexander_expr(knots.parse_knot_expr(knot))
     code, out, err = run(capsys, "alexander", knot)
     assert (code, out) == (2, "")

@@ -14,8 +14,12 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-# dataclasses pulls in inspect, ast, dis and tokenize; typing is not needed at run time
-KEPT_OFF = {"dataclasses", "inspect", "ast", "dis", "tokenize", "typing"}
+# dataclasses pulls in inspect, ast, dis and tokenize; typing is not needed at
+# run time; json loads only where a document is parsed
+KEPT_OFF = {
+    "dataclasses", "inspect", "ast", "dis", "tokenize", "typing",
+    "json", "json.decoder", "json.encoder", "json.scanner", "_json",
+}
 
 
 def _loaded_modules(statement: str) -> set[str]:
@@ -32,3 +36,41 @@ def test_cli_import_adds_none_of_the_heavy_modules():
     with_cli = _loaded_modules("import knotsurgery.cli")
     assert "knotsurgery.cli" in with_cli
     assert sorted((with_cli - bare) & KEPT_OFF) == []
+
+
+def _json_loaded_after(argv: list[str]) -> bool:
+    # runs cli.main(argv) in a fresh interpreter, stdout discarded; -S keeps
+    # a site-packages .pth file from loading json before the package does
+    code = (
+        "import contextlib, io, sys\n"
+        "from knotsurgery.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = main({argv!r})\n"
+        "print(code, 'json' in sys.modules)"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.split()[0] == "0"
+    return out.split()[1] == "True"
+
+
+def test_only_certificate_verification_loads_json(tmp_path):
+    # every document is written without json; reading one needs the parser
+    for argv in [
+        ["certify", "--target", "10"],
+        ["family", "--pmin", "1", "--pmax", "3", "--format", "json"],
+        ["alexander", "torus(2,5)", "--format", "json"],
+        ["sw", "--p", "2", "--format", "json"],
+    ]:
+        assert not _json_loaded_after(argv), argv
+    certificate = tmp_path / "certificate.json"
+    with certificate.open("w", encoding="utf-8") as handle:
+        subprocess.run(
+            [sys.executable, "-m", "knotsurgery", "certify", "--target", "10"],
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+            stdout=handle,
+            check=True,
+        )
+    assert _json_loaded_after(["certify", "--verify", str(certificate)])

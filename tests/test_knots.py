@@ -236,9 +236,9 @@ class TestTorusKernel:
         # second grid with two
         rows = []
 
-        def spy(a, ii, b, jj, shift):
+        def spy(keys, start, m, a, ii, b, jj, shift):
             rows.append(min(len(ii), len(jj)))
-            return grid(a, ii, b, jj, shift)
+            return grid(keys, start, m, a, ii, b, jj, shift)
 
         grid = knots._grid
         monkeypatch.setattr(knots, "_grid", spy)

@@ -572,6 +572,27 @@ class TestSerialization:
     @example([-7])
     @example({"n": 10 ** 999})
     @example([10 ** 999])
+    # scalars that go through json.dumps: strings that are no name, because
+    # they are empty, start with a digit or need escaping, and a float; a key
+    # that is no string is quoted
+    @example({"": 0})
+    @example({"v": ""})
+    @example({"1t": 0})
+    @example({"v": "1t"})
+    @example({'"': 0})
+    @example({"v": '"'})
+    @example({"\\": 0})
+    @example({"v": "\\"})
+    @example({"\x7f": 0})
+    @example({"v": "\x7f"})
+    @example({"\n": 0})
+    @example({"v": "\n"})
+    @example({"é": 0})
+    @example({"v": "é"})
+    @example({"a b": 0})
+    @example({"v": "a b"})
+    @example({1.5: 0})
+    @example({"v": 1.5})
     @settings(deadline=None)
     def test_indent2_writer_matches_json_dumps(self, doc):
         assert _joined(_write_indent2, doc) == json.dumps(
