@@ -11,11 +11,19 @@ of its guarantees).
 An exit-1 error writes no stdout byte, with one exception: `family` writes
 each row as it is built, so running out of memory while building a row, like
 an exit 2 raised there, can follow the rows before it, each written in full.
+A failed stdout write (a full disk, a closed pipe or a closed stdout) is an
+exit-1 error at any output size.
+
+`app`, the process entry point, flushes stdout and stderr after main() returns
+and then ends the process with os._exit, without interpreter teardown, so
+atexit handlers that site customisation registers do not run.  main() itself
+returns its exit code and never ends the process.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .family import (
@@ -47,15 +55,21 @@ EXIT_INTERNAL = 2
 
 
 def _stream(doc, write_doc) -> None:
-    # write_doc(doc, write) straight to stdout, then a newline.  This is the
-    # one route to stdout, and an error writes no stdout byte: the one error
-    # writing can hit is raised by _check_digits before the first write.
-    # An iterator in doc goes undrawn: its items are the caller's guarantee,
-    # as the family's rows are, whose coefficients are +-1
+    # write_doc(doc, write) straight to stdout, then a newline, then a flush,
+    # so a failed write of any output size is an OSError raised here.  This
+    # is the one route to stdout, and an error writes no stdout byte: the one
+    # error the document itself can raise while writing is raised by
+    # _check_digits before the first write.  An iterator in doc goes
+    # undrawn: its items are the caller's guarantee, as the family's rows
+    # are, whose coefficients are +-1
+    out = sys.stdout
+    if out is None:  # fd 1 was closed when the interpreter started
+        raise OSError("stdout is closed")
     _check_digits(doc)
-    write = sys.stdout.write
+    write = out.write
     write_doc(doc, write)
     write("\n")
+    out.flush()
 
 
 def _cmd_alexander(args) -> int:
@@ -198,4 +212,18 @@ def main(argv=None) -> int:
 
 
 def app() -> None:
-    sys.exit(main())
+    code = main()
+    try:
+        # argparse writes --help past _stream, and a family that fails
+        # mid-stream leaves its last rows in the buffer
+        sys.stdout.flush()
+    except (AttributeError, OSError) as exc:
+        # sys.stdout is None when fd 1 was closed at start-up.  A failure
+        # that main() already reported gets no second line
+        if code == EXIT_OK:
+            error = exc if isinstance(exc, OSError) else "stdout is closed"
+            print(f"error: {error}", file=sys.stderr)
+            code = EXIT_USAGE
+    if sys.stderr is not None:
+        sys.stderr.flush()
+    os._exit(code)

@@ -47,6 +47,7 @@ PROPERTIES = "tests/test_properties.py"
 FOX = "tests/test_fox.py"
 VERIFY = "tests/test_family.py::TestVerifyCertificate"
 VERIFY_WORK = "tests/test_family.py::TestVerifyWork"
+PROCESS_EXIT = "tests/test_cli.py::TestProcessExit"
 
 MUTANTS = [
     # three mutants that the tests once let through
@@ -486,6 +487,53 @@ MUTANTS = [
             "tests/test_family.py::TestOneBoundRoute::"
             "test_verification_after_certifying_rebuilds_each_witness_delta",
         ),
+    ),
+    # the process ends with os._exit: main() flushes each document, app what
+    # argparse wrote, and a failed write of any size is one error line
+    Mutant(
+        "document-not-flushed",  # app's flush then fails after main() returned 1
+        "cli.py",
+        '    write("\\n")\n    out.flush()\n',
+        '    write("\\n")\n',
+        (f"{PROCESS_EXIT}::test_full_disk_after_a_failed_verification",),
+    ),
+    Mutant(
+        "stdout-not-flushed-at-exit",
+        "cli.py",
+        "        sys.stdout.flush()\n",
+        "        pass\n",
+        (
+            "tests/test_golden_cli.py::test_help_through_the_process_entry_point",
+            f"{PROCESS_EXIT}::test_rows_before_a_family_failure_reach_stdout",
+        ),
+    ),
+    Mutant(
+        "failed-help-write-unreported",
+        "cli.py",
+        "        if code == EXIT_OK:\n",
+        "        if False:\n",
+        (f"{PROCESS_EXIT}::test_full_disk[--help]",),
+    ),
+    Mutant(
+        "closed-stdout-unchecked",  # an AttributeError and its traceback
+        "cli.py",
+        "    if out is None:",
+        "    if False:",
+        (f"{PROCESS_EXIT}::test_closed_stdout[alexander torus(2,3)]",),
+    ),
+    Mutant(
+        "closed-stderr-flushed",  # an AttributeError after a success
+        "cli.py",
+        "    if sys.stderr is not None:\n",
+        "    if True:\n",
+        (f"{PROCESS_EXIT}::test_closed_stderr_leaves_a_success",),
+    ),
+    Mutant(
+        "verify-handle-leaked",
+        "cli.py",
+        '        with open(args.verify, "r", encoding="utf-8") as handle:\n',
+        '        handle = open(args.verify, "r", encoding="utf-8")\n        if True:\n',
+        ("tests/test_cli.py::TestCertifyCommand::test_verify_closes_the_file",),
     ),
 ]
 

@@ -9,7 +9,12 @@ import pytest
 
 from knotsurgery import cli, family, knots, schemas, surgery
 from knotsurgery.cli import main
-from knotsurgery.family import FamilyReport, UnboundednessCertificate, analyze_family
+from knotsurgery.family import (
+    FamilyReport,
+    UnboundednessCertificate,
+    analyze_family,
+    certify_unbounded,
+)
 from knotsurgery.knots import (
     MAX_KNOT_DEPTH,
     T_VARS,
@@ -36,6 +41,15 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+class _Discard:
+    # a stdout that drops what it is given
+    def write(self, text):
+        return len(text)
+
+    def flush(self):
+        pass
 
 
 def _unclosed(report: FamilyReport, fmt: str) -> str:
@@ -431,9 +445,12 @@ class TestCertifyCommand:
         _, out, _ = run(capsys, "certify", "--target", "7")
         path = tmp_path / "cert.json"
         path.write_text(out)
+        # main() in place of the process entry point, whose os._exit skips
+        # the teardown where a leaked handle would warn
+        main_in_place = "import sys, knotsurgery.cli; sys.exit(knotsurgery.cli.main(sys.argv[1:]))"
         proc = subprocess.run(
-            [sys.executable, "-X", "dev", "-W", "error::ResourceWarning",
-             "-m", "knotsurgery", "certify", "--verify", str(path)],
+            [sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-c", main_in_place,
+             "certify", "--verify", str(path)],
             capture_output=True,
             text=True,
         )
@@ -745,11 +762,7 @@ class TestStreamedOutput:
     def test_family_holds_one_row_at_a_time(self, fmt, monkeypatch):
         # the 400 rows hold about 19 MB together; one row and one slice of
         # its text are well under 2 MB
-        class Discard:
-            def write(self, text):
-                return len(text)
-
-        monkeypatch.setattr(sys, "stdout", Discard())
+        monkeypatch.setattr(sys, "stdout", _Discard())
         tracemalloc.start()
         try:
             code = main(["family", "--pmin", "1", "--pmax", "400", "--format", fmt])
@@ -764,11 +777,7 @@ class TestStreamedOutput:
         # 200,000 terms as an exponent array and a list of shared ints take
         # about 3.5 MB; a dict slot, a 1-tuple key and an int per term took
         # about 30 MB
-        class Discard:
-            def write(self, text):
-                return len(text)
-
-        monkeypatch.setattr(sys, "stdout", Discard())
+        monkeypatch.setattr(sys, "stdout", _Discard())
         tracemalloc.start()
         try:
             code = main(["torres", "--lk", "200000", "--format", fmt, "1"])
@@ -814,11 +823,7 @@ class TestStreamedOutput:
         # the 200,000-term result holds about 3.3 MB; a JSON slice of 1,024
         # terms adds about 0.25 MB to the peak, one of 4,096 terms 0.9 MB.  A
         # first, small call keeps what main() loads only once out of the peak
-        class Discard:
-            def write(self, text):
-                return len(text)
-
-        monkeypatch.setattr(sys, "stdout", Discard())
+        monkeypatch.setattr(sys, "stdout", _Discard())
         assert main(["torres", "--lk", "2", "--format", "json", "1"]) == 0
         tracemalloc.start()
         try:
@@ -909,3 +914,101 @@ class TestModuleEntryPoint:
             text=True,
         )
         assert proc.returncode == 1
+
+
+def _python(*args, **kwargs) -> subprocess.CompletedProcess:
+    # python ARGS with stdout fully buffered, as it is by default:
+    # PYTHONUNBUFFERED would send each write at once and hide what the
+    # process fails to flush
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    kwargs.setdefault("stdout", subprocess.PIPE)
+    return subprocess.run(
+        [sys.executable, *args], stderr=subprocess.PIPE, text=True, env=env, **kwargs
+    )
+
+
+def _entry_point(*argv, **kwargs) -> subprocess.CompletedProcess:
+    return _python("-m", "knotsurgery", *argv, **kwargs)
+
+
+FULL_DISK = "error: [Errno 28] No space left on device\n"
+
+
+class TestProcessExit:
+    # app flushes and ends the process with os._exit: a failed stdout write
+    # is one error line and exit 1 at any output size
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # each held in stdout's buffer until a flush
+            ["certify", "--target", "5"],
+            ["alexander", "torus(2,3)"],
+            ["--help"],  # written by argparse, past _stream
+            # larger than the buffer
+            ["alexander", "torus(2,40147)"],
+            ["family", "--pmin", "1", "--pmax", "60", "--format", "json"],
+        ],
+        ids=" ".join,
+    )
+    def test_full_disk(self, argv):
+        with open("/dev/full", "w") as full:
+            proc = _entry_point(*argv, stdout=full)
+        assert (proc.returncode, proc.stderr) == (1, FULL_DISK)
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_full_disk_after_a_failed_verification(self, tmp_path):
+        # the verdict of an exit-1 verification is a document too: here the
+        # last witness claims one more than recomputation gives
+        doc = certify_unbounded(5).to_json_dict()
+        doc["witnesses"][-1]["lower_bound"] += 1
+        path = tmp_path / "tampered.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert _entry_point("certify", "--verify", str(path)).returncode == 1
+        with open("/dev/full", "w") as full:
+            proc = _entry_point("certify", "--verify", str(path), stdout=full)
+        assert (proc.returncode, proc.stderr) == (1, FULL_DISK)
+
+    def test_closed_pipe(self):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = _entry_point("alexander", "torus(2,3)", stdout=write)
+        finally:
+            os.close(write)
+        assert (proc.returncode, proc.stderr) == (1, "error: [Errno 32] Broken pipe\n")
+
+    @pytest.mark.parametrize(
+        "argv", [["certify", "--target", "5"], ["alexander", "torus(2,3)"]], ids=" ".join
+    )
+    def test_closed_stdout(self, argv):
+        proc = _entry_point(*argv, stdout=None, preexec_fn=lambda: os.close(1))
+        assert (proc.returncode, proc.stderr) == (1, "error: stdout is closed\n")
+
+    def test_closed_stdout_after_help(self):
+        # argparse writes the help to stderr when sys.stdout is None
+        proc = _entry_point("--help", stdout=None, preexec_fn=lambda: os.close(1))
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("usage: knotsurgery")
+        assert proc.stderr.endswith("\nerror: stdout is closed\n")
+
+    def test_closed_stderr_leaves_a_success(self):
+        proc = _entry_point("alexander", "torus(2,3)", preexec_fn=lambda: os.close(2))
+        assert (proc.returncode, proc.stdout) == (0, "t - 1 + t^-1\n")
+
+    def test_rows_before_a_family_failure_reach_stdout(self):
+        # they sit in stdout's buffer when main() returns
+        script = (
+            "import sys\n"
+            "from knotsurgery import cli, family\n"
+            "real = family.alexander_torus\n"
+            "def exhausted(spec):\n"
+            "    if spec.p == 3:\n"
+            "        raise MemoryError\n"
+            "    return real(spec)\n"
+            "family.alexander_torus = exhausted\n"
+            "cli.app()\n"
+        )
+        proc = _python("-c", script, "family", "--pmin", "1", "--pmax", "5", "--format", "json")
+        assert (proc.returncode, proc.stdout) == (1, _unclosed(analyze_family(1, 1, 2), "json"))
+        assert proc.stderr.startswith("error: out of memory")

@@ -127,13 +127,20 @@ def test_private_imports_across_modules_are_pinned():
 
 
 def test_cli_writes_stdout_through_one_route():
-    # in cli.py, sys.stdout appears only inside _stream, and print only as
-    # the callee of a call whose one keyword is file=sys.stderr
+    # in cli.py, sys.stdout appears only inside _stream and in one
+    # sys.stdout.flush() call in app, which sends what argparse wrote, and
+    # print only as the callee of a call whose one keyword is file=sys.stderr
     tree = ast.parse((Path(knotsurgery.__path__[0]) / "cli.py").read_text(encoding="utf-8"))
-    stream = next(
-        node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "_stream"
+    stream, app = (
+        next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == name)
+        for name in ("_stream", "app")
     )
-    inside_stream = {id(node) for node in ast.walk(stream)}
+    app_flushes = [
+        node.func.value for node in ast.walk(app)
+        if isinstance(node, ast.Call) and ast.unparse(node) == "sys.stdout.flush()"
+    ]
+    assert len(app_flushes) == 1
+    allowed = {id(node) for node in ast.walk(stream)} | {id(app_flushes[0])}
     to_stderr = {
         id(node.func) for node in ast.walk(tree)
         if isinstance(node, ast.Call) and list(map(ast.unparse, node.keywords)) == ["file=sys.stderr"]
@@ -143,5 +150,5 @@ def test_cli_writes_stdout_through_one_route():
         if isinstance(node, ast.Attribute) and ast.unparse(node) == "sys.stdout"
     ]
     prints = [node for node in ast.walk(tree) if isinstance(node, ast.Name) and node.id == "print"]
-    assert stdout and all(id(node) in inside_stream for node in stdout)
+    assert stdout and all(id(node) in allowed for node in stdout)
     assert prints and all(id(node) in to_stderr for node in prints)

@@ -7,7 +7,10 @@ outputs on purpose records the new hash and says why in CHANGES.md.
 
 import hashlib
 import json
+import os
 import shlex
+import subprocess
+import sys
 
 import pytest
 
@@ -282,3 +285,35 @@ def test_certify_verify_and_tampered(capsys, tmp_path):
     tampered.write_text(json.dumps(doc, indent=2), encoding="utf-8")
     code, digest, _ = run(capsys, ["certify", "--verify", str(tampered)])
     assert (code, digest) == CERTIFY_GOLDEN["tampered"]
+
+
+# the records larger than stdout's buffer, run as a process: app ends it with
+# os._exit, so what reaches stdout is what was flushed before it.  The child's
+# stdout is fully buffered, as by default; PYTHONUNBUFFERED would hide a lost
+# flush
+LARGER_THAN_A_BUFFER = [
+    argv for argv in COMMANDS
+    if argv[0] == "family" or argv[1:] in (["torus(2,40147)"], ["torus(3,100003)"])
+]
+
+
+def _through_the_entry_point(argv):
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    return subprocess.run(
+        [sys.executable, "-m", "knotsurgery", *argv], capture_output=True, env=env
+    )
+
+
+@pytest.mark.parametrize("argv", LARGER_THAN_A_BUFFER, ids=shlex.join)
+def test_stdout_through_the_process_entry_point(argv):
+    proc = _through_the_entry_point(argv)
+    digest = hashlib.sha256(proc.stdout).hexdigest()
+    assert (proc.returncode, digest) == GOLDEN[shlex.join(argv)]
+
+
+def test_help_through_the_process_entry_point(capsys, monkeypatch):
+    # argparse writes --help past the documents' flush, so app's flush sends it
+    monkeypatch.setenv("COLUMNS", "80")
+    assert main(["--help"]) == 0
+    proc = _through_the_entry_point(["--help"])
+    assert (proc.returncode, proc.stdout.decode("utf-8")) == (0, capsys.readouterr().out)
