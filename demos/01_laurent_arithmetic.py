@@ -41,4 +41,4 @@ print("big coefficients survive serialization:",
 # exponent order, so output is stable across runs and machines.
 two_vars = LaurentPoly.parse("t_K^2*t_G^-1 - 3")
 print("two-variable term order:", two_vars)
-print("JSON form:", two_vars.to_json())
+print("JSON form:\n" + two_vars.to_json())

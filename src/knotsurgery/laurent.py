@@ -48,16 +48,17 @@ the set's fixed order, terms in descending lexicographic exponent order,
 e.g. ``t_K^2*t_G^-1 - 3``; integers are ASCII digits, and the knot grammar
 shares this grammar's tokenizer.  JSON form: ``{"variables": [...], "terms":
 [{"exps": [...], "coeff": "<decimal string>"}]}`` -- coefficients travel as
-decimal strings so arbitrary precision survives transport.  ``to_json`` is
-compact.
+decimal strings so arbitrary precision survives transport.  ``to_json``
+gives the indent-2 bytes that the CLI's ``--format json`` prints.
 
 Two writers stream what the CLI prints through a ``write`` callable, and
 neither builds the whole output: ``_write_text`` writes one polynomial's
 text form, and ``_write_indent2`` writes an indented document that holds
 polynomials as ``LaurentPoly`` values, as the bytes of
-``json.dumps(doc, indent=2, default=LaurentPoly.to_json_dict)``, with no
-``json`` import for the names and numbers the package writes.  ``str``
-joins what ``_write_text`` writes, and ``_joined`` what any writer writes.
+``json.dumps(doc, indent=2, default=LaurentPoly.to_json_dict)``.  No writer
+imports ``json``; only ``_json_loads`` does, to read.  ``str`` and
+``to_json`` join what ``_write_text`` and ``_write_indent2`` write, and
+``_joined`` what any writer writes.
 Every polynomial goes out from the top of its sequences, one slice of terms
 per call, with no sort: 4,096 terms for text and 1,024 for JSON, since a
 JSON term is about seven times as long as a text term and a writer holds a
@@ -82,6 +83,7 @@ import re
 from array import array
 from bisect import bisect_left
 from collections.abc import Iterable, Iterator, Mapping
+from functools import partial
 from itertools import chain, compress, islice, repeat, starmap
 
 INT64_MIN = -(1 << 63)
@@ -719,9 +721,7 @@ class LaurentPoly:
         }
 
     def to_json(self) -> str:
-        import json
-
-        return json.dumps(self.to_json_dict(), separators=(",", ":"))
+        return _joined(_write_indent2, self)
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "LaurentPoly":
@@ -807,9 +807,10 @@ def _signed_term(names: tuple[str, ...], exps: tuple[int, ...], coeff: int) -> s
 def _text_chunks(poly: LaurentPoly) -> Iterator[str]:
     # the text form as nonempty chunks, each term led by " + " or " - ", a
     # slice at a time.  One-variable terms at t^2 and above or below t^0
-    # share a template per coefficient, such as " - 3*t^%d"; t^1 and t^0,
-    # the exponents that print no "^", and every term of other variable
-    # counts go through _signed_term
+    # share a template per coefficient, _signed_term's term with "%d" for
+    # its exponent, such as " - 3*t^%d"; t^1 and t^0, the exponents that
+    # print no "^", and every term of other variable counts go through
+    # _signed_term one by one
     names, keys = poly.variables.names, poly._keys
 
     def general(exps: Iterable[tuple], coeffs: list) -> str:
@@ -818,16 +819,7 @@ def _text_chunks(poly: LaurentPoly) -> Iterator[str]:
     if len(names) != 1:
         yield from starmap(general, _slices(poly, 0, len(keys), _SLICE))
         return
-    power = f"{names[0]}^%d"
-
-    def template(c: int) -> str:
-        return (
-            f" + {power}" if c == 1
-            else f" - {power}" if c == -1
-            else f" + {c}*{power}" if c > 0
-            else f" - {-c}*{power}"
-        )
-
+    template = partial(_signed_term, names, ("%d",))
     low, high = bisect_left(keys, 0), bisect_left(keys, 2)
     for exps, coeffs in _slices(poly, high, len(keys), _SLICE):
         yield _filled(template, "", exps, coeffs)
@@ -852,29 +844,28 @@ def _write_text(poly: LaurentPoly, write) -> None:
 def _write_indent2(value, write, newline: str = "\n") -> None:
     """Write json.dumps(value, indent=2, default=LaurentPoly.to_json_dict) through write.
 
-    A LaurentPoly in value is written from its terms, one C-level format per
-    slice of terms; an iterator is written as the list of its items, each
-    drawn just before it is written; ints, bools, None and strings that
-    match _NAME_RE (every dict key and variable name the package writes)
-    are spelled directly, as json.dumps spells them, so the package's
-    documents are written with no JSON module loaded.  Other scalars, such
-    as floats and strings that need escaping, import json and go through
-    json.dumps.  With indent set, json.dumps uses the pure-Python encoder,
-    whose per-value dispatch dominated large polynomial output.  newline is
-    "\n" plus the indentation of the line where value starts.
+    value holds only what the package's documents hold: LaurentPoly values,
+    dicts keyed by names, lists, iterators, bools, ints and names, the
+    strings that match _NAME_RE.  Any other value, such as a float, None or
+    a string that is no name, raises TypeError when the writer reaches it.
+    A LaurentPoly is written from its terms, one C-level format per slice
+    of terms; an iterator is written as the list of its items, each drawn
+    just before it is written; the scalars are spelled as json.dumps spells
+    them, with no JSON module loaded.  With indent set, json.dumps uses the
+    pure-Python encoder, whose per-value dispatch dominated large polynomial
+    output.  newline is "\n" plus the indentation of the line where value
+    starts.
     """
     inner = newline + "  "
     if isinstance(value, LaurentPoly):
         _write_poly_indent2(value, write, newline)
-    elif isinstance(value, dict) and value:
+    elif isinstance(value, dict):
         opening = "{"
         for key, item in value.items():
-            # json.dumps quotes a key that is no string: a float, int, bool or None
-            name = _json_scalar(key) if isinstance(key, str) else f'"{_json_scalar(key)}"'
-            write(f"{opening}{inner}{name}: ")
+            write(f"{opening}{inner}{_json_name(key)}: ")
             _write_indent2(item, write, inner)
             opening = ","
-        write(newline + "}")
+        write("{}" if opening == "{" else newline + "}")
     elif isinstance(value, (list, Iterator)):
         opening = "["
         for item in value:
@@ -886,20 +877,16 @@ def _write_indent2(value, write, newline: str = "\n") -> None:
         write("true" if value else "false")
     elif isinstance(value, int):
         write(int.__repr__(value))
-    elif value is None:
-        write("null")
     else:
-        write(_json_scalar(value))
+        write(_json_name(value))
 
 
-def _json_scalar(value) -> str:
-    # a name as json.dumps spells it: _NAME_RE's characters are ASCII
-    # letters, digits and "_", none of which JSON escapes
-    if isinstance(value, str) and _NAME_RE.match(value):
-        return f'"{value}"'
-    import json
-
-    return json.dumps(value)
+def _json_name(value) -> str:
+    # a key or string of a document, as json.dumps spells it: _NAME_RE's
+    # characters are ASCII letters, digits and "_", none of which JSON escapes
+    if not (isinstance(value, str) and _NAME_RE.match(value)):
+        raise TypeError(f"cannot write {value!r}: a document's scalars are names, ints and bools")
+    return f'"{value}"'
 
 
 def _write_poly_indent2(poly: LaurentPoly, write, newline: str) -> None:

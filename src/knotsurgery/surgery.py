@@ -34,6 +34,8 @@ from .laurent import (
     LaurentPoly,
     VariableSet,
     _Frozen,
+    _checked_exponent,
+    _from_canonical,
     _geometric_multiple,
     _require_int,
     _require_one_variable,
@@ -141,11 +143,23 @@ def torres_specialize(delta_gamma: LaurentPoly, lk: int) -> LaurentPoly:
 
 
 def sw_prefactor(n: int) -> LaurentPoly:
-    """(t_K - t_K^-1)^(n-1), the part of SW(X_p) the E(n) factor contributes."""
+    """(t_K - t_K^-1)^(n-1), the part of SW(X_p) the E(n) factor contributes.
+
+    Written from its binomial coefficients in ascending order, with no
+    product taken: for m = n - 1 the coefficient of t_K^(2j-m) is
+    (-1)^(m-j) C(m, j), each found from the one before it by one multiply
+    and one exact divide, so the work takes n steps, linear in n.  m is
+    checked against the 64-bit exponent range before the first term is
+    built, so an n past that range fails at once.
+    """
     _require_int(n, "E(n) parameter", 1)
-    t_k = LaurentPoly.var(KG_VARS, "t_K")
-    t_k_inv = LaurentPoly.var(KG_VARS, "t_K", -1)
-    return (t_k - t_k_inv) ** (n - 1)
+    m = _checked_exponent(n - 1)
+    keys, coeffs, c = [], [], -1 if m % 2 else 1
+    for j in range(m + 1):
+        keys.append((2 * j - m, 0))
+        coeffs.append(c)
+        c = -c * (m - j) // (j + 1)
+    return _from_canonical(KG_VARS, keys, coeffs)
 
 
 def sw_link_surgery(spec: SurgerySpec, delta_L: LaurentPoly) -> LaurentPoly:

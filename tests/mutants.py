@@ -319,9 +319,11 @@ MUTANTS = [
     Mutant(
         "indent2-every-string-direct",
         "laurent.py",
-        "    if isinstance(value, str) and _NAME_RE.match(value):\n",
-        "    if isinstance(value, str):\n",
-        (f"{PROPERTIES}::TestSerialization::test_indent2_writer_matches_json_dumps",),
+        "    if not (isinstance(value, str) and _NAME_RE.match(value)):\n",
+        "    if not isinstance(value, str):\n",
+        (
+            f"{LAURENT}::TestJsonForm::test_indent2_writer_refuses_a_value_no_document_holds",
+        ),
     ),
     Mutant(
         "json-imported-at-module-level",
@@ -457,6 +459,14 @@ MUTANTS = [
         "    except MemoryError:\n",
         "    except NotImplementedError:\n",
         ("tests/test_cli.py::TestFamilyCommand::test_out_of_memory_exits_1",),
+    ),
+    # the SW prefactor's exponent range, checked before any term is built
+    Mutant(
+        "sw-prefactor-exponent-unchecked",
+        "surgery.py",
+        "    m = _checked_exponent(n - 1)\n",
+        "    m = n - 1\n",
+        ("tests/test_cli.py::TestSwCommand::test_prefactor_of_a_large_n_exits_1[past-64-bit]",),
     ),
     # sw_specialized's one Delta_L(1, y) and its one doubling into t_G
     Mutant(

@@ -24,6 +24,7 @@ from knotsurgery.knots import (
     _torus_delta,
     alexander_expr,
     alexander_torus,
+    parse_knot_expr,
 )
 from knotsurgery.laurent import (
     LaurentPoly,
@@ -254,6 +255,33 @@ class TestSwCommand:
         )
         assert (code, out) == (1, "")
         assert err.startswith("error: Exceeds the limit (4300 digits)")
+
+    @pytest.mark.parametrize(
+        "n, error",
+        [
+            # past the 64-bit exponent range: refused before any term is built
+            (2**63 + 1, "error: exponent 9223372036854775808 outside the signed 64-bit range\n"),
+            # within it, but about 2^62 terms, which no memory holds
+            (2**62 + 1, "error: out of memory: the input is too large to compute\n"),
+            # 20,001 terms, whose middle coefficients pass the output digit limit
+            (20001, "error: Exceeds the limit (4300 digits) for integer string conversion"),
+        ],
+        ids=["past-64-bit", "past-memory", "past-digit-limit"],
+    )
+    def test_prefactor_of_a_large_n_exits_1(self, n, error):
+        # a child under a 256 MiB address-space limit and a timeout, so a
+        # prefactor that went on building could not take the host's memory
+        def limit():
+            import resource
+
+            resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))
+
+        proc = _entry_point(
+            "sw", "--p", "3", "--n", str(n), "--delta-l", "5", preexec_fn=limit, timeout=60
+        )
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr.startswith(error)
+        assert proc.stderr.count("\n") == 1
 
     def test_bad_delta_l_variables_exit_1(self, capsys):
         code, _, err = run(capsys, "sw", "--p", "1", "--delta-l", "t - 1")
@@ -560,6 +588,15 @@ class TestJsonOutput:
         code, out, _ = run(capsys, *argv)
         assert code == 0
         assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+    @pytest.mark.parametrize(
+        "knot", ["unknot", "torus(2,5)", "sum(torus(2,5),mirror(torus(3,4)))"]
+    )
+    def test_to_json_is_what_alexander_prints(self, knot, capsys):
+        # one writer for the polynomial document, indent 2 as the CLI prints it
+        poly = alexander_expr(parse_knot_expr(knot))
+        assert poly.to_json() == _joined(_write_indent2, poly)
+        assert run(capsys, "alexander", "--format", "json", knot) == (0, poly.to_json() + "\n", "")
 
 
 # a faulty writer of Delta_T(p,q), and the error each fault surfaces as on

@@ -87,7 +87,8 @@ PRIVATE_IMPORTS = {
     },
     "surgery": {
         "laurent": {
-            "_Frozen", "_geometric_multiple", "_require_int", "_require_one_variable", "_write_text",
+            "_Frozen", "_checked_exponent", "_from_canonical", "_geometric_multiple",
+            "_require_int", "_require_one_variable", "_write_text",
         },
     },
     "family": {

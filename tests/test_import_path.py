@@ -38,22 +38,25 @@ def test_cli_import_adds_none_of_the_heavy_modules():
     assert sorted((with_cli - bare) & KEPT_OFF) == []
 
 
-def _json_loaded_after(argv: list[str]) -> bool:
-    # runs cli.main(argv) in a fresh interpreter, stdout discarded; -S keeps
-    # a site-packages .pth file from loading json before the package does
-    code = (
-        "import contextlib, io, sys\n"
-        "from knotsurgery.cli import main\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    code = main({argv!r})\n"
-        "print(code, 'json' in sys.modules)"
-    )
+def _json_loaded_after(code: str) -> bool:
+    # runs code in a fresh interpreter; -S keeps a site-packages .pth file
+    # from loading json before the package does
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     out = subprocess.run(
-        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-S", "-c", f"{code}\nimport sys\nprint('json' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True,
     ).stdout
-    assert out.split()[0] == "0"
-    return out.split()[1] == "True"
+    return out.split()[-1] == "True"
+
+
+def _cli(argv: list[str]) -> str:
+    # code that runs cli.main(argv), stdout discarded, and needs it to succeed
+    return (
+        "import contextlib, io\n"
+        "from knotsurgery.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main({argv!r}) == 0\n"
+    )
 
 
 def test_only_certificate_verification_loads_json(tmp_path):
@@ -62,9 +65,18 @@ def test_only_certificate_verification_loads_json(tmp_path):
         ["certify", "--target", "10"],
         ["family", "--pmin", "1", "--pmax", "3", "--format", "json"],
         ["alexander", "torus(2,5)", "--format", "json"],
+        ["torres", "--lk", "3", "t - 1 + t^-1", "--format", "json"],
         ["sw", "--p", "2", "--format", "json"],
+        ["sw", "--p", "2", "--n", "3", "--delta-l", "x*y - 2 + y^-1", "--format", "json"],
     ]:
-        assert not _json_loaded_after(argv), argv
+        assert not _json_loaded_after(_cli(argv)), argv
+    # the library's own to_json methods, in process
+    assert not _json_loaded_after(
+        "from knotsurgery import LaurentPoly, analyze_family, certify_unbounded\n"
+        "LaurentPoly.parse('x^2*y - 3').to_json()\n"
+        "certify_unbounded(10).to_json()\n"
+        "analyze_family(2, 1, 3).to_json()\n"
+    )
     certificate = tmp_path / "certificate.json"
     with certificate.open("w", encoding="utf-8") as handle:
         subprocess.run(
@@ -73,4 +85,31 @@ def test_only_certificate_verification_loads_json(tmp_path):
             stdout=handle,
             check=True,
         )
-    assert _json_loaded_after(["certify", "--verify", str(certificate)])
+    assert _json_loaded_after(_cli(["certify", "--verify", str(certificate)]))
+
+
+def _json_imports() -> list[str]:
+    # "module.function" for each import of json under src/knotsurgery, named
+    # by the innermost function that holds it, or "module" at module level
+    found = []
+
+    def visit(node, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, f"{scope.split('.')[0]}.{child.name}")
+                continue
+            if isinstance(child, ast.Import):
+                modules = [alias.name for alias in child.names]
+            else:
+                modules = [child.module or ""] if isinstance(child, ast.ImportFrom) else []
+            found.extend(scope for module in modules if module.split(".")[0] == "json")
+            visit(child, scope)
+
+    for path in sorted((SRC / "knotsurgery").glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    return found
+
+
+def test_json_is_imported_only_where_a_document_is_read():
+    # one read route; no writer may take the JSON module back up
+    assert _json_imports() == ["laurent._json_loads"]

@@ -652,6 +652,14 @@ class TestJsonForm:
             doc, indent=2, default=LaurentPoly.to_json_dict
         )
 
+    @pytest.mark.parametrize("value", [1.5, None, "", "a b", '"', "\u00e9"])
+    def test_indent2_writer_refuses_a_value_no_document_holds(self, value):
+        # a float, None and strings that are no name, alone, as an item, as
+        # a dict's value and as its key
+        for doc in [value, [value], {"v": value}, {value: 0}]:
+            with pytest.raises(TypeError, match=re.escape(repr(value))):
+                _joined(_write_indent2, doc)
+
     def test_indent2_writer_peak_is_within_five_times_its_output(self):
         # the writer reads the terms straight off the polynomial: no JSON tree
         # of dicts, lists and strings is built on the way

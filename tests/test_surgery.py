@@ -97,6 +97,9 @@ class TestSwLinkSurgery:
         assert sw_prefactor(1) == LaurentPoly.one(KG_VARS)
         assert sw_prefactor(2) == kg("t_K - t_K^-1")
         assert sw_prefactor(3) == kg("t_K^2 - 2 + t_K^-2")
+        # the binomial expansion against repeated squaring through *
+        for n in range(4, 40):
+            assert sw_prefactor(n) == kg("t_K - t_K^-1") ** (n - 1), n
 
     def test_n1_doubles_variables(self):
         spec = SurgerySpec(1, LinkFamilyMember(1))
