@@ -7,15 +7,18 @@ specialization, and that is enough to bound the number of basic classes of
 X_p from below by a term count that grows with p.
 """
 
+import sys
+
 from knotsurgery import (
     LaurentPoly,
     LinkFamilyMember,
     SurgerySpec,
-    analyze_family,
+    family_rows,
     sw_link_surgery,
     sw_prefactor,
     sw_specialized,
     torres_specialize,
+    write_family,
 )
 
 # The Torres condition, in isolation: with linking number 1 the
@@ -44,7 +47,8 @@ sw = sw_link_surgery(SurgerySpec(2, LinkFamilyMember(1)), synthetic)
 print("synthetic full SW polynomial:", sw)
 print("its t_K = 1 value:", sw.evaluate_at_one("t_K"))
 
-# Family reports aggregate the per-index data for a whole range.
-report = analyze_family(n=1, p_min=1, p_max=8)
+# Family reports aggregate the per-index data for a whole range; the rows
+# are built as they are written.
 print()
-print(report.to_csv(), end="")
+write_family("csv", 1, family_rows(n=1, p_min=1, p_max=8), sys.stdout.write)
+print()

@@ -29,10 +29,10 @@ import sys
 from .family import (
     DEFAULT_P_CAP,
     UnboundednessCertificate,
-    _family_rows,
-    _write_rows,
     certify_unbounded,
+    family_rows,
     verify_certificate,
+    write_family,
 )
 from .knots import InternalInconsistencyError, alexander_expr, parse_knot_expr
 from .laurent import (
@@ -96,8 +96,8 @@ def _cmd_sw(args) -> int:
 
 def _cmd_family(args) -> int:
     # the rows are built as they are written, so one Delta is held at once
-    rows = _family_rows(args.n, args.pmin, args.pmax, args.pcap)
-    _stream(rows, lambda doc, write: _write_rows(args.format, args.n, doc, write))
+    rows = family_rows(args.n, args.pmin, args.pmax, args.pcap)
+    _stream(rows, lambda doc, write: write_family(args.format, args.n, doc, write))
     return EXIT_OK
 
 

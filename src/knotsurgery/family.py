@@ -43,7 +43,9 @@ __all__ = [
     "UnboundednessCertificate",
     "analyze_family",
     "certify_unbounded",
+    "family_rows",
     "verify_certificate",
+    "write_family",
 ]
 
 DEFAULT_P_CAP = 1000
@@ -87,26 +89,25 @@ class FamilyReport(_Frozen):
     def __init__(self, n: int, rows: tuple[FamilyRow, ...]):
         self._store(n=n, rows=rows)
 
-    def to_json_dict(self) -> dict:
-        """n and the rows' documents, whose polynomials stay LaurentPoly."""
-        return {"n": self.n, "rows": [row.to_json_dict() for row in self.rows]}
-
     def to_json(self) -> str:
-        return _joined(_write_rows, "json", self.n, self.rows)
+        return _joined(write_family, "json", self.n, self.rows)
 
     def to_csv(self) -> str:
-        return _joined(_write_rows, "csv", self.n, self.rows) + "\n"
+        return _joined(write_family, "csv", self.n, self.rows) + "\n"
 
     def to_text(self) -> str:
-        return _joined(_write_rows, "text", self.n, self.rows) + "\n"
+        return _joined(write_family, "text", self.n, self.rows) + "\n"
 
 
-def _write_rows(fmt: str, n: int, rows, write) -> None:
-    # the json, csv or text report of n and an iterable of rows through
-    # write, with no final newline; each row is drawn just before its first
-    # byte.  csv and text write a line head and then the row's polynomial
-    # per row.  No csv field is quoted, since none can hold a comma, quote
-    # or newline: ints, true/false, and polynomials over identifier names
+def write_family(fmt: str, n: int, rows, write) -> None:
+    """Write the json, csv or text report of n and rows through write.
+
+    Each row is drawn just before its first byte; no final newline is
+    written, and any other fmt raises ValueError.  No csv field is quoted,
+    since none can hold a comma, quote or newline.
+    """
+    if fmt not in ("json", "csv", "text"):
+        raise ValueError(f"unknown family report format {fmt!r}")
     if fmt == "json":
         _write_indent2({"n": n, "rows": map(FamilyRow.to_json_dict, rows)}, write)
         return
@@ -183,24 +184,20 @@ class UnboundednessCertificate(_Frozen):
 def analyze_family(
     n: int, p_min: int, p_max: int, p_cap: int = DEFAULT_P_CAP
 ) -> FamilyReport:
-    """One row per family index in [p_min, p_max], sorted by p.
+    """family_rows(n, p_min, p_max, p_cap), all held at once in a FamilyReport."""
+    return FamilyReport(n=n, rows=tuple(family_rows(n, p_min, p_max, p_cap)))
 
-    The lower bound per row does not depend on n: the E(n) prefactor
-    contributes no t_G terms.  n is carried through to the report so the
-    emitted artifact names the manifold family it describes.
 
-    The report holds every row's polynomial at once.  The CLI does not call
-    this: it writes the same rows one at a time, holding one Delta at once.
+def family_rows(
+    n: int, p_min: int, p_max: int, p_cap: int = DEFAULT_P_CAP
+) -> Iterator[FamilyRow]:
+    """One row per family index in [p_min, p_max], ascending, built when drawn.
+
+    Every error the arguments can cause, including the 64-bit check on
+    T(p_max, p_max + 1), is raised by this call, before the first row; a
+    row's coefficients are +-1, so none can then fail to be built or hit
+    the digit limit.  No bound depends on n, which names the family.
     """
-    return FamilyReport(n=n, rows=tuple(_family_rows(n, p_min, p_max, p_cap)))
-
-
-def _family_rows(n: int, p_min: int, p_max: int, p_cap: int) -> Iterator[FamilyRow]:
-    # analyze_family's rows, each built when it is drawn.  Every error the
-    # arguments can cause is raised here, before the first row: the range
-    # checks, and the 64-bit check on T(p_max, p_max + 1), whose exponent
-    # p(p + 1) bounds every smaller row's.  A row's coefficients are +-1, so
-    # none can then fail to be built or hit the digit limit when written
     _require_int(n, "E(n) parameter", 1)
     for name, value in (("p_min", p_min), ("p_max", p_max), ("p_cap", p_cap)):
         _require_int(value, name)
@@ -258,7 +255,9 @@ def certify_unbounded(
 def verify_certificate(c: UnboundednessCertificate) -> bool:
     """Check the certificate's own claims, then recompute every bound.
 
-    Returns False instead of raising.  Pass 1 builds no polynomial: it
+    Returns False instead of raising, but a MemoryError while rebuilding a
+    witness's Delta propagates: certify --verify then exits 1 with "error:
+    out of memory" and no verify document.  Pass 1 builds no polynomial: it
     rejects no witness at all, a target, index or bound that is not an int
     (a bool is not one, as for the loader), an index below 1, a negative
     bound, indices or bounds that do not strictly increase, or a last bound
@@ -284,11 +283,12 @@ def verify_certificate(c: UnboundednessCertificate) -> bool:
         return False
     if bounds[-1] <= c.target:
         return False
-    # pass 2
+    # pass 2; an index past 64 bits raises ExponentOverflowError, and one whose
+    # p(p+1) has more than 4300 digits raises ValueError writing that message
     for p, bound in zip(ps, bounds):
         try:
             if basic_class_lower_bound(p) != bound:
                 return False
-        except (ValueError, TypeError, OverflowError):
+        except (ValueError, OverflowError):
             return False
     return True

@@ -80,11 +80,6 @@ class GroupPresentation(_Frozen):
         g._store(generators=("x", "y"), relators=((1,) * p + (-2,) * q,))
         return g
 
-    @classmethod
-    def unknot(cls) -> "GroupPresentation":
-        """<x | >, the infinite cyclic group."""
-        return cls(("x",), ())
-
 
 def _fox_numerator(
     word: tuple[int, ...], wrt: int, exponent_of: Mapping[int, int]

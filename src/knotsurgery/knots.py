@@ -101,9 +101,6 @@ class TorusKnotSpec(_Frozen):
             raise ValueError(f"T({p},{q}) is a link, not a knot: gcd must be 1")
         self._store(p=min(p, q), q=max(p, q))
 
-    def is_unknot(self) -> bool:
-        return self.p == 1
-
 
 class KnotExpr:
     """Base of the knot expression tree; see the module grammar."""

@@ -403,10 +403,6 @@ class LaurentPoly:
         """Number of nonzero terms in canonical form."""
         return len(self._terms)
 
-    def _vectors(self) -> Iterable[tuple]:
-        # the keys as exponent vectors, ascending
-        return zip(self._keys) if len(self.variables) == 1 else self._keys
-
     def terms(self) -> list[tuple[tuple[int, ...], int]]:
         """Terms as (exponent vector, coefficient), in canonical order."""
         keys = reversed(self._keys)
@@ -420,11 +416,6 @@ class LaurentPoly:
             (key,) = key
         i = bisect_left(keys, key)
         return self._terms[i] if i < len(keys) and keys[i] == key else 0
-
-    def exponents_of(self, name: str) -> list[int]:
-        """All exponents of one variable that occur in the support."""
-        i = self.variables.index(name)
-        return sorted({exps[i] for exps in self._vectors()})
 
     def span(self) -> int:
         """max exponent - min exponent, for polynomials in at most one variable."""
@@ -547,7 +538,8 @@ class LaurentPoly:
                 )
             images.append([(slot, ie) for slot, ie in enumerate(image) if ie])
         out: dict = {}
-        for exps, coeff in zip(self._vectors(), self._terms):
+        keys = self._keys
+        for exps, coeff in zip(zip(keys) if len(self.variables) == 1 else keys, self._terms):
             acc = [0] * width
             for e, image in zip(exps, images):
                 for slot, ie in image:

@@ -368,6 +368,31 @@ MUTANTS = [
             f"{VERIFY_WORK}::test_bound_tying_a_neighbour_recomputes_nothing",
         ),
     ),
+    # verify_certificate's second pass, and the family report's formats
+    Mutant(
+        "uncomputable-witness-raises",  # its ExponentOverflowError or ValueError reaches main
+        "family.py",
+        "        except (ValueError, OverflowError):\n            return False\n",
+        "        finally:\n            pass\n",
+        (
+            "tests/test_cli.py::TestCertifyCommand::test_verify_uncomputable_witness_is_invalid",
+            "tests/test_cli.py::TestCertifyCommand::test_verify_witness_past_the_digit_limit_is_invalid",
+        ),
+    ),
+    Mutant(
+        "digit-limit-witness-raises",  # the ValueError of a p(p+1) past 4300 digits reaches main
+        "family.py",
+        "        except (ValueError, OverflowError):\n",
+        "        except OverflowError:\n",
+        ("tests/test_cli.py::TestCertifyCommand::test_verify_witness_past_the_digit_limit_is_invalid",),
+    ),
+    Mutant(
+        "family-format-unchecked",  # an unknown format writes the text report
+        "family.py",
+        '    if fmt not in ("json", "csv", "text"):\n',
+        "    if False:\n",
+        ("tests/test_family.py::TestAnalyzeFamily::test_unknown_format_writes_nothing",),
+    ),
     # the presentation's letter and free-reduction checks, taken at C level
     Mutant(
         "presentation-letter-types-unchecked",

@@ -7,13 +7,15 @@ import tracemalloc
 import jsonschema
 import pytest
 
-from knotsurgery import cli, family, knots, schemas, surgery
+from knotsurgery import family, knots, schemas, surgery
 from knotsurgery.cli import main
 from knotsurgery.family import (
     FamilyReport,
     UnboundednessCertificate,
     analyze_family,
     certify_unbounded,
+    family_rows,
+    write_family,
 )
 from knotsurgery.knots import (
     MAX_KNOT_DEPTH,
@@ -441,6 +443,39 @@ class TestCertifyCommand:
         jsonschema.validate(instance=data, schema=schemas.load("verify"))
         assert data == {"valid": False, "target": 0, "witness_count": 1}
 
+    def test_verify_witness_past_the_digit_limit_is_invalid(self, capsys, tmp_path):
+        # the loader takes this p, but the overflow message's p(p+1) has more
+        # than 4300 digits, so writing that message raises ValueError
+        doc = _certificate(witnesses=[_witness(p=10**2200)])
+        path = tmp_path / "digits.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "certify", "--verify", str(path))
+        assert code == 1
+        assert err == ""
+        data = json.loads(out)
+        jsonschema.validate(instance=data, schema=schemas.load("verify"))
+        assert data == {"valid": False, "target": 0, "witness_count": 1}
+
+    def test_verify_out_of_memory_writes_no_document(self, capsys, tmp_path, monkeypatch):
+        # running out of memory while rebuilding the last witness's Delta
+        # fails the command, not the certificate; no allocation fails for real
+        _, out, _ = run(capsys, "certify", "--target", "7")
+        path = tmp_path / "cert.json"
+        path.write_text(out)
+        last = json.loads(out)["witnesses"][-1]["p"]
+        real = family.basic_class_lower_bound
+
+        def exhausted(p):
+            if p == last:
+                raise MemoryError
+            return real(p)
+
+        monkeypatch.setattr(family, "basic_class_lower_bound", exhausted)
+        code, out, err = run(capsys, "certify", "--verify", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: out of memory")
+        assert "Traceback" not in err
+
     def test_verify_takes_no_n(self, capsys, tmp_path):
         _, out, _ = run(capsys, "certify", "--target", "7")
         path = tmp_path / "cert.json"
@@ -752,16 +787,22 @@ class TestStreamedOutput:
         code, out, _ = run(
             capsys, "family", "--n", "2", "--pmin", "1", "--pmax", "40", "--format", fmt
         )
-        # the JSON against json.dumps, since the CLI and to_json share one writer
-        report = analyze_family(2, 1, 40)
-        doc = json.dumps(report.to_json_dict(), indent=2, default=LaurentPoly.to_json_dict)
-        want = {"json": doc + "\n", "csv": report.to_csv(), "text": report.to_text()}
-        assert (code, out) == (0, want[fmt])
+        # the JSON against json.dumps, since the CLI and write_family share one
+        # writer, and csv and text against write_family itself
+        rows = tuple(family_rows(2, 1, 40))
+        assert rows == analyze_family(2, 1, 40).rows
+        doc = {"n": 2, "rows": [row.to_json_dict() for row in rows]}
+        want = {
+            "json": json.dumps(doc, indent=2, default=LaurentPoly.to_json_dict),
+            "csv": _joined(write_family, "csv", 2, rows),
+            "text": _joined(write_family, "text", 2, rows),
+        }
+        assert (code, out) == (0, want[fmt] + "\n")
 
     def test_family_rows_have_alternating_unit_coefficients(self):
         # _stream leaves the rows undrawn, so no row is checked against the
         # digit limit: each Delta's coefficients are +1, -1, ..., +1
-        rows = [*cli._family_rows(1, 1, 400, 1000), *cli._family_rows(1, 4096, 4096, 4096)]
+        rows = [*family_rows(1, 1, 400), *family_rows(1, 4096, 4096, 4096)]
         assert [row.p for row in rows] == [*range(1, 401), 4096]
         for row in rows:
             coeffs = [c for _, c in row.delta_gamma.terms()]

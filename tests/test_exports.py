@@ -1,7 +1,8 @@
 """Every exported name resolves, and the package exports its modules' __all__.
 
 Private names that cross module boundaries are pinned too, so a new one is
-added on purpose.
+added on purpose, and every public function and method has a use outside
+the tests.
 """
 
 import ast
@@ -104,7 +105,6 @@ PRIVATE_IMPORTS = {
         },
     },
     "cli": {
-        "family": {"_family_rows", "_write_rows"},
         "laurent": {"_check_digits", "_write_indent2", "_write_text"},
         "surgery": {"_write_sw_text"},
     },
@@ -153,3 +153,64 @@ def test_cli_writes_stdout_through_one_route():
     prints = [node for node in ast.walk(tree) if isinstance(node, ast.Name) and node.id == "print"]
     assert stdout and all(id(node) in allowed for node in stdout)
     assert prints and all(id(node) in to_stderr for node in prints)
+
+
+ROOT = Path(__file__).resolve().parents[1]
+SURFACE_MODULES = ("laurent", "knots", "fox", "surgery", "family", "cli")
+
+
+def _public_functions(tree: ast.Module):
+    # (qualified name, name) of the public module-level functions and of the
+    # public methods of public module-level classes
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            yield node.name, node.name
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield f"{node.name}.{item.name}", item.name
+
+
+def _referenced_names(tree: ast.Module) -> set[str]:
+    # attributes, bare names and strings, outside any __all__ list
+    exports = {
+        id(leaf)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "__all__"
+        for leaf in ast.walk(node.value)
+    }
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if id(node) not in exports:
+                names.add(node.value)
+    return names
+
+
+def test_every_public_function_has_a_caller_outside_the_tests():
+    """Each public function and method of the six modules is used somewhere.
+
+    A use is an attribute, a bare name or a string naming it (as
+    perfbench/tracer.py names what it wraps) in any file under src/, demos/
+    or perfbench/; a module's __all__ does not count.  The match is by name
+    alone, so a method that shares its name with another one that is used
+    (to_json_dict, unknot) slips through.
+    """
+    package = ROOT / "src" / "knotsurgery"
+    used: set[str] = set()
+    for folder in ("src", "demos", "perfbench"):
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            used |= _referenced_names(ast.parse(path.read_text(encoding="utf-8")))
+    unused = [
+        f"{module}.{qualified}"
+        for module in SURFACE_MODULES
+        for qualified, name in _public_functions(
+            ast.parse((package / f"{module}.py").read_text(encoding="utf-8"))
+        )
+        if name not in used
+    ]
+    assert unused == []

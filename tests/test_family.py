@@ -11,7 +11,9 @@ from knotsurgery.family import (
     Witness,
     analyze_family,
     certify_unbounded,
+    family_rows,
     verify_certificate,
+    write_family,
 )
 from knotsurgery.knots import T_VARS, alexander_torus
 from knotsurgery.laurent import LaurentPoly
@@ -86,6 +88,12 @@ class TestAnalyzeFamily:
         row = data["rows"][0]
         assert row["p"] == 2
         assert row["delta_gamma"]["variables"] == ["t"]
+
+    def test_unknown_format_writes_nothing(self):
+        written = []
+        with pytest.raises(ValueError, match="unknown family report format 'xml'"):
+            write_family("xml", 1, family_rows(1, 1, 2), written.append)
+        assert written == []
 
 
 class TestCertifyUnbounded:

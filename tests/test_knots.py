@@ -35,6 +35,8 @@ class TestTorusKnotSpec:
     def test_normalizes_order(self):
         k = TorusKnotSpec(5, 2)
         assert (k.p, k.q) == (2, 5)
+        # so every unknot T(1, q) or T(q, 1) has p == 1
+        assert (TorusKnotSpec(7, 1).p, TorusKnotSpec(1, 7).p) == (1, 1)
 
     def test_rejects_common_factor(self):
         with pytest.raises(ValueError):
@@ -55,10 +57,6 @@ class TestTorusKnotSpec:
         # bool subclasses int, but True is not a torus knot parameter
         with pytest.raises(ValueError, match="torus knot parameter must be an integer"):
             TorusKnotSpec(*pq)
-
-    def test_unknot_detection(self):
-        assert TorusKnotSpec(1, 7).is_unknot()
-        assert not TorusKnotSpec(2, 7).is_unknot()
 
 
 class TestAlexanderTorus:

@@ -807,11 +807,6 @@ class TestMiscellany:
         with pytest.raises(ValueError, match="single-variable"):
             p("x*y + 1", VariableSet("x", "y")).span()
 
-    def test_exponents_of(self):
-        kg = VariableSet("t_K", "t_G")
-        poly = LaurentPoly.parse("t_K^2*t_G - t_K^-1 + 4", kg)
-        assert poly.exponents_of("t_K") == [-1, 0, 2]
-
     def test_hash_consistency(self):
         a = p("t - 1 + t^-1")
         b = p("t^-1 - 1 + t")

@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 from knotsurgery import knots, laurent
 from knotsurgery.family import (
-    FamilyReport,
     FamilyRow,
     UnboundednessCertificate,
     Witness,
@@ -124,8 +123,9 @@ documents = st.one_of(
     st.builds(SWResult, counts, counts, st.none() | any_poly, any_poly, counts).map(
         SWResult.to_json_dict
     ),
-    st.builds(FamilyReport, counts, st.lists(family_rows, max_size=3).map(tuple)).map(
-        FamilyReport.to_json_dict
+    st.builds(
+        lambda n, rows: {"n": n, "rows": [row.to_json_dict() for row in rows]},
+        counts, st.lists(family_rows, max_size=3),
     ),
     st.builds(
         UnboundednessCertificate, counts, st.lists(st.builds(Witness, counts, counts)).map(tuple)
